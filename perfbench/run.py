@@ -25,9 +25,11 @@ import traceback
 
 import bench_env
 
-#: Fresh interpreters started per run to time set-up and import; the median
-#: is reported, since one start swings by a third from the next.
-SETUP_STARTS = 11
+#: Fresh interpreters started to time set-up, before the timed run and again
+#: after it, and to time the import.  The median is reported: one start
+#: swings by a third from the next, and the median of a few starts drifts
+#: with the machine's speed over seconds.
+SETUP_STARTS = 8
 IMPORT_STARTS = 5
 
 END_TO_END_UNITS = {
@@ -103,11 +105,11 @@ def _fresh_interpreter(code: str, *args: str) -> tuple[float, str]:
     return time.perf_counter() - start, done.stdout
 
 
-def measure_setup_s(workload: str, seed: int) -> float:
-    """Median wall time of a fresh interpreter importing the package (with
-    its CLI) and building the workload's inputs."""
+def time_setup(workload: str, seed: int) -> list[float]:
+    """Wall times of fresh interpreters each importing the package (with its
+    CLI) and building the workload's inputs."""
     args = (str(bench_env.SRC), str(bench_env.BENCH_DIR), workload, str(seed))
-    return statistics.median(_fresh_interpreter(_SETUP_CODE, *args)[0] for _ in range(SETUP_STARTS))
+    return [_fresh_interpreter(_SETUP_CODE, *args)[0] for _ in range(SETUP_STARTS)]
 
 
 def measure_import_ms() -> tuple[float, float]:
@@ -127,16 +129,17 @@ class OpLog:
         self.failed = 0
         self.failures: list[str] = []
 
-    def run(self, runner, op) -> int:
-        """Run and check one op; returns its duration in ns (a failed op too)."""
+    def run(self, runner, op) -> tuple[int, bool]:
+        """Run and check one op; returns its duration in ns (a failed op's
+        too) and whether it was correct."""
         self.attempted += 1
         start = time.perf_counter_ns()
         try:
             out = runner.run(op)
-        except Exception:  # a crashing op is a failed op; the run goes on
+        except (Exception, SystemExit):  # a crashing op (argparse exits too) fails; the run goes on
             elapsed = time.perf_counter_ns() - start
             self._fail(op, traceback.format_exc(limit=3))
-            return elapsed
+            return elapsed, False
         elapsed = time.perf_counter_ns() - start
         try:
             errors = runner.check(op, runner.digest(op, out))
@@ -144,7 +147,7 @@ class OpLog:
             errors = [traceback.format_exc(limit=3)]
         if errors:
             self._fail(op, "; ".join(errors[:3]))
-        return elapsed
+        return elapsed, not errors
 
     def _fail(self, op, why: str) -> None:
         self.failed += 1
@@ -153,33 +156,51 @@ class OpLog:
 
 
 def timed_run(runner, ops: list, seconds: float, log: OpLog) -> tuple[dict, dict]:
+    """Time whole blocks of ``runner.block_ops`` ops until ``seconds`` have
+    passed.  Each block holds the same mix of work, so the median and the
+    tail over blocks describe one kind of call; a stall of the machine is
+    spread over a block rather than deciding an op's rank."""
     import numpy as np
 
     for op in ops[: runner.warmup_ops]:
         log.run(runner, op)
     gc.collect()
-    latencies = []
+    block_ns, block_correct = [], []
+    by_kind = {}  # kind of op -> latencies in ns
     deadline = time.perf_counter() + seconds
     i = runner.warmup_ops
     while time.perf_counter() < deadline:
-        latencies.append(log.run(runner, ops[i % len(ops)]))
-        i += 1
-    lat_ms = np.array(latencies) / 1e6
-    tail = float(np.percentile(lat_ms, runner.tail_percentile))
+        total_ns = correct = 0
+        for _ in range(runner.block_ops):
+            op = ops[i % len(ops)]
+            elapsed, ok = log.run(runner, op)
+            total_ns += elapsed
+            correct += ok
+            by_kind.setdefault(runner.kind(op), []).append(elapsed)
+            i += 1
+        block_ns.append(total_ns)
+        block_correct.append(correct)
+    block_ms = np.array(block_ns) / 1e6
+    tail = float(np.percentile(block_ms, runner.tail_percentile))
     metrics = {
-        "eval_per_s": len(lat_ms) / (lat_ms.sum() / 1e3),
-        "latency_p50_ms": float(np.median(lat_ms)),
+        # correct ops per second of each block; a failed op adds time, not work
+        "eval_per_s": float(np.median(np.array(block_correct) / (block_ms / 1e3))),
+        "latency_p50_ms": float(np.median(block_ms)),
         "latency_tail_ms": tail,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "success_rate": (log.attempted - log.failed) / log.attempted,
     }
     details = {
-        "timed_ops": len(lat_ms),
+        "ops_per_block": runner.block_ops,
+        "timed_blocks": len(block_ms),
         "warmup_ops": runner.warmup_ops,
         "tail_percentile": runner.tail_percentile,
-        "samples_beyond_tail": int((lat_ms > tail).sum()),
-        "latency_min_ms": float(lat_ms.min()),
-        "latency_max_ms": float(lat_ms.max()),
+        "blocks_beyond_tail": int((block_ms > tail).sum()),
+        "block_latencies_ms": block_ms.round(3).tolist(),
+        "op_latency_by_kind_ms": {
+            kind: {"ops": len(ns), "p50": float(np.median(ns)) / 1e6, "max": max(ns) / 1e6}
+            for kind, ns in sorted(by_kind.items())
+        },
     }
     return metrics, details
 
@@ -219,7 +240,7 @@ def _traced_pass(runner, ops: list, tracer, log: OpLog) -> dict:
     wall_ns = 0
     for k, op in enumerate(ops):
         tracer.op_id = k
-        wall_ns += log.run(traced, op)
+        wall_ns += log.run(traced, op)[0]
     return {"wall_ns": wall_ns, **tracer.summary()}
 
 
@@ -263,7 +284,7 @@ def traced_run(workload: str, runner, ops: list, seconds: float, log: OpLog) -> 
             # does not bias the overhead one way
             if len(passes) % 2:
                 traced = _traced_pass(runner, ops, tracer, log)
-            untraced_ns = sum(log.run(runner, op) for op in ops)
+            untraced_ns = sum(log.run(runner, op)[0] for op in ops)
             if not len(passes) % 2:
                 traced = _traced_pass(runner, ops, tracer, log)
             traced["overhead_ns"] = traced["wall_ns"] - untraced_ns
@@ -308,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bench_env.pin_blas_threads()
     bench_env.use_source_tree()
-    setup_s = None if args.trace else measure_setup_s(args.workload, args.seed)
+    setup_times = [] if args.trace else time_setup(args.workload, args.seed)
 
     import workloads
 
@@ -324,13 +345,21 @@ def main(argv: list[str] | None = None) -> int:
             units = PER_LAYER_UNITS
         else:
             metrics, details = timed_run(runner, ops, args.seconds, log)
-            metrics["setup_s"] = setup_s
+            # starts on both sides of the timed run span two moments of a
+            # machine whose speed drifts over seconds
+            setup_times += time_setup(args.workload, args.seed)
+            metrics["setup_s"] = statistics.median(setup_times)
+            details["setup_starts_s"] = setup_times
             units = END_TO_END_UNITS
     finally:
         runner.close()
 
+    # traced counts must repeat exactly from pass to pass
+    counts_repeat = details.get("counts_repeat", True)
+    if not counts_repeat:
+        log.failures.append("traced counts differ from pass to pass")
     result = {
-        "correct": log.failed == 0,
+        "correct": log.failed == 0 and counts_repeat,
         "attempted": log.attempted,
         "failed": log.failed,
         "metrics": {name: {"value": metrics[name], "unit": unit} for name, unit in units.items()},
@@ -341,8 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     (bench_env.OUT_DIR / f"BENCH_{tag}.json").write_text(json.dumps(record, indent=2) + "\n",
                                                          encoding="utf-8")
     if "latency_tail_ms" in metrics:
-        print(f"latency_tail_ms is p{details['tail_percentile']:g} of {details['timed_ops']} ops, "
-              f"{details['samples_beyond_tail']} beyond it")
+        print(f"ops per block: {details['ops_per_block']}; latency_tail_ms is "
+              f"p{details['tail_percentile']:g} of {details['timed_blocks']} blocks, "
+              f"{details['blocks_beyond_tail']} beyond it")
     for failure in log.failures:
         print(f"failed: {failure}")
     print(json.dumps(result))

@@ -8,8 +8,9 @@ touches all of them.  For each set it prints, per workload and end-to-end
 metric, the median, the quartiles and their distance as a share of the median
 (``statistics.quantiles(values, n=4)``).  It then compares the later sets'
 medians with the first set's.  A spread above a third of the metric's bound
-in ``BENCHMARK.json`` (setup_s excepted), or a median worse than the first
-set's by more than the bound, is marked and makes the exit code 1.  All
+in ``BENCHMARK.json``, or a median worse than the first set's by more than
+the bound, is marked and makes the exit code 1.  The workloads and the run
+length are those of ``BENCHMARK.json``.  All
 values go to ``perfbench/out/BENCH_steady_<time>.json``.
 """
 
@@ -52,18 +53,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10, help="runs per workload per set")
     parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = parser.parse_args(argv)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
 
     metrics = bench["end_to_end"]
     values = {}  # (set, workload, metric) -> values
     correct = True
     for s in range(args.sets):
         for r in range(args.runs):
-            for workload in args.workloads:
+            for workload in workloads:
                 seed = 1000 * (s + 1) + r
-                result = run_once(workload, seed, args.seconds)
+                result = run_once(workload, seed, seconds)
                 correct &= result["correct"]
                 for m in metrics:
                     values.setdefault(f"{s}/{workload}/{m['name']}", []).append(
@@ -77,13 +78,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{'set':>3} {'workload':<13} {'metric':<16} {'median':>11} {'q1':>11} {'q3':>11} "
           f"{'spread':>7} {'bound':>6} {'vs set 0':>9}")
     for s in range(args.sets):
-        for workload in args.workloads:
+        for workload in workloads:
             for m in metrics:
                 median, q1, q3, iqr = spread(values[f"{s}/{workload}/{m['name']}"])
                 first = statistics.median(values[f"0/{workload}/{m['name']}"])
                 drift = worse_by(m, first, median)
                 flag = ""
-                if m["name"] != "setup_s" and iqr > m["bound"] / 3:
+                if iqr > m["bound"] / 3:
                     flag += " SPREAD"
                 if drift > m["bound"]:
                     flag += " DRIFT"
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_env.pin_blas_threads()
     bench_env.OUT_DIR.mkdir(parents=True, exist_ok=True)
     out = bench_env.OUT_DIR / f"BENCH_steady_{time.strftime('%Y%m%dT%H%M%S')}.json"
-    out.write_text(json.dumps({"machine": bench_env.machine_info(seed=None), "seconds": args.seconds,
+    out.write_text(json.dumps({"machine": bench_env.machine_info(seed=None), "seconds": seconds,
                                "runs": args.runs, "sets": args.sets, "all_correct": correct,
                                "summary": summary, "values": values}, indent=1) + "\n",
                    encoding="utf-8")

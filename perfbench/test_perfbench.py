@@ -120,6 +120,43 @@ def test_perturbed_result_is_a_failed_op(runner):
         assert (log.attempted, log.failed) == (1, 1), what
 
 
+class _Exiting:
+    """A runner whose program call exits the way argparse does on bad arguments."""
+
+    def run(self, op):
+        raise SystemExit(2)
+
+
+def test_an_exiting_op_is_a_failed_op_and_the_run_goes_on():
+    log = run.OpLog()
+    elapsed, ok = log.run(_Exiting(), ("bad",))
+    assert (log.attempted, log.failed, ok) == (1, 1, False)
+    assert elapsed >= 0
+
+
+def test_cli_op_writing_no_output_is_not_checked_on_the_last_one():
+    cli_runner = workloads.make("cli_circuits")
+    try:
+        op = workloads.build_ops("cli_circuits", 3)[0]
+        log = run.OpLog()
+        log.run(cli_runner, op)
+        # the same op again, but the program returns 0 and writes nothing
+        log.run(_Perturbing(cli_runner, cli_runner.digest(op, 0)), op)
+        assert (log.attempted, log.failed) == (2, 1)
+    finally:
+        cli_runner.close()
+
+
+def test_every_block_holds_the_same_mix(runner):
+    ops = workloads.build_ops(runner.name, 3)
+    blocks = [ops[i:i + runner.block_ops] for i in range(0, len(ops), runner.block_ops)]
+    mixes = {tuple(sorted(runner.kind(op) for op in block)) for block in blocks}
+    if runner.name == "ghz_dense":  # one op per block; the four models cost the same
+        assert len(mixes) == len(workloads.GHZ_MODELS)
+    else:
+        assert len(mixes) == 1
+
+
 def test_tracing_leaves_outputs_bit_identical(runner):
     ops = workloads.build_ops(runner.name, 5)[: FEW_OPS[runner.name]]
     plain = _digests(runner, ops)

@@ -6,8 +6,10 @@ benchmark calls ``run`` (the only timed part), turns the raw result into
 plain data with ``digest``, and passes that to ``check``, which returns the
 list of problems found; an empty list means the op is correct.
 
-Within a workload every op costs about the same, so a median or a tail over
-the ops describes one kind of call and not a blend of sizes.
+Ops are timed in blocks of ``block_ops`` consecutive ops, and every block of
+a workload holds the same mix of work, so a median or a tail over blocks
+describes one kind of call and not a blend of sizes.  ``kind`` names an op's
+kind, so the record shows each kind's own latency too.
 
 Call ``bench_env.use_source_tree()`` before importing this module.
 """
@@ -148,8 +150,10 @@ class GhzDense:
     """2^20 amplitudes (16 MiB) at the last photon: past the L2 cache, so the
     state kernel's memory traffic dominates."""
 
+    #: Every op is one ghz(16); the four models cost the same.
+    block_ops = 1
     warmup_ops = 1
-    #: At least ten ops beyond it in a 35 s run at the slowest speed seen (~80 ops).
+    #: At least ten blocks beyond it in a 35 s run at the slowest speed seen (~80 blocks).
     tail_percentile = 85.0
     trace_ops = 4
 
@@ -158,6 +162,9 @@ class GhzDense:
 
     def run(self, op):
         return proto.ghz(GHZ_PHOTONS, model(*op))
+
+    def kind(self, op) -> str:
+        return f"q2={op[0]:g}/F_P={op[1]:g}"
 
     def digest(self, op, out) -> dict:
         return {b: [r.success_probability, r.fidelity] for b, r in sorted(out.items())}
@@ -183,13 +190,20 @@ class GhzDense:
 class LossSweep:
     """Many tiny states: about 70 kernel applies per op, bound by per-call cost."""
 
+    #: A block of 16 points, about 270 ms: a point's cost varies little with
+    #: its parameters, but the machine's speed flips within a second, and a
+    #: block averages over that.
+    block_ops = 16
     warmup_ops = 16
-    #: ~1800 ops in a 35 s run; above p95 the run-to-run spread exceeds 20%.
-    tail_percentile = 95.0
+    #: At least ten blocks beyond it in a 35 s run at the slowest speed seen (~110 blocks).
+    tail_percentile = 90.0
     trace_ops = 64
 
     def __init__(self, refs: dict):
         self.refs = refs["loss_sweep"]
+
+    def kind(self, op) -> str:
+        return "stored" if op in STORED_POINTS else "seeded"
 
     def run(self, op):
         q2, fp, photon, spin, prep_spin = op
@@ -272,9 +286,12 @@ class LossSweep:
 class CliCircuits:
     """parse -> compile -> run -> enumerate/sample -> JSON, through ``cli.main``."""
 
+    #: One block runs every combination once (build_ops lists them in
+    #: permuted groups of 32): single runs cost 3.3-7.5 ms by combination,
+    #: a block about 150 ms.
+    block_ops = 32
     warmup_ops = 32
-    #: ~8000 ops in a 35 s run.  Ops this short also catch the machine's
-    #: scheduling stalls of 10-20 ms: in busy spells p99 rose from 7 to 20 ms.
+    #: At least ten blocks beyond it in a 35 s run at the slowest speed seen (~170 blocks).
     tail_percentile = 90.0
     trace_ops = 64
 
@@ -291,11 +308,18 @@ class CliCircuits:
             argv += ["--samples", str(CLI_SAMPLES), "--seed", str(sample_seed)]
         return cli.main(argv)
 
+    def kind(self, op) -> str:
+        circuit, model_name, sample_seed = op
+        return f"{circuit}/{model_name}/{'exact' if sample_seed is None else 'sampled'}"
+
     def digest(self, op, out) -> dict:
         try:
             doc = json.loads(self.out_path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as e:
             doc = {"invalid_json": str(e)}
+        finally:
+            # an op that writes no output must not be checked on the last one's
+            self.out_path.unlink(missing_ok=True)
         return {"exit_code": out, "doc": doc}
 
     def check(self, op, digest) -> list[str]:
