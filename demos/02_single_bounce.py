@@ -11,21 +11,32 @@ import numpy as np
 
 from spinphoton import measurement as meas
 from spinphoton import qstate as qs
-from spinphoton.cavity import ideal_scatter
+from spinphoton.cavity import InteractionModel, one_sided_operator
 
 SQ = 1 / np.sqrt(2)
 
-spin = qs.from_amplitudes(qs.spin(), [SQ, SQ])
+spin_reg, pol_reg = qs.spin(), qs.polarization(1)
+path_reg = qs.path(1, ("In", "Refl", "Trans"))
+
+spin = qs.from_amplitudes(spin_reg, [SQ, SQ])
 photon = qs.tensor(
-    qs.basis_state([qs.polarization(1)], ["R"]),
-    qs.basis_state([qs.path(1, ("In", "Refl", "Trans"))], ["In"]),
+    qs.basis_state([pol_reg], ["R"]),
+    qs.basis_state([path_reg], ["In"]),
 )
 state = qs.tensor(spin, photon)
 print("before:", qs.format_state(state))
 
-state = ideal_scatter(
-    state, photon=1, in_path="In", reflect_path="Refl", transmit_path="Trans"
+# the ideal pass needs no loss-flag register
+bounce = one_sided_operator(
+    InteractionModel.ideal(),
+    pol=pol_reg,
+    path=path_reg,
+    spin=spin_reg,
+    in_path="In",
+    reflect_path="Refl",
+    transmit_path="Trans",
 )
+state = qs.apply(bounce, state)
 print("after: ", qs.format_state(state))
 print()
 print("spin Up  -> photon reflected (R coupled, label flipped to L)")

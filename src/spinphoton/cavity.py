@@ -18,6 +18,9 @@ Two levels of description live here:
   (coupled/uncoupled × reflect/transmit) used by the gate simulations, either
   exact (``ideal()``) or built from measured quality factors and the Purcell
   factor (``from_contrast``).
+* :func:`one_sided_operator` / :func:`two_sided_operator` — the unitary of one
+  cavity pass on the spin and one photon's registers.  The ideal pass is the
+  same builder with ``InteractionModel.ideal()`` and no loss-flag register.
 
 All scattering operators are exact unitaries: photon loss is represented by
 rotating amplitude into a per-photon Alive/Lost flag register rather than by
@@ -27,13 +30,12 @@ dropping norm.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 
 import numpy as np
 
 from . import qstate as qs
-from .qstate import Operator, Register, StateVector
+from .qstate import Operator, Register
 
 __all__ = [
     "CavityParams",
@@ -42,15 +44,11 @@ __all__ = [
     "ContrastParams",
     "quality_ratio_from_losses",
     "transmission_contrast",
-    "InteractionMode",
     "InteractionModel",
     "interpolate_models",
     "coupled_polarization",
     "one_sided_operator",
     "two_sided_operator",
-    "ideal_scatter",
-    "lossy_scatter",
-    "scatter_two_sided",
 ]
 
 
@@ -193,11 +191,6 @@ def transmission_contrast(params: ContrastParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-class InteractionMode(enum.Enum):
-    IDEAL = "ideal"
-    LOSSY = "lossy"
-
-
 _AMP_TOL = 1e-9
 
 
@@ -216,7 +209,6 @@ class InteractionModel:
     1 − r² − t² can be rotated into the Lost flag by an exact isometry.
     """
 
-    mode: InteractionMode
     coupled_reflect_amp: float
     coupled_transmit_amp: float
     uncoupled_transmit_amp: float
@@ -236,8 +228,6 @@ class InteractionModel:
             raise ValueError("coupled branch: reflect + transmit exceeds 1")
         if self.uncoupled_reflect_amp + self.uncoupled_transmit_amp > 1.0 + _AMP_TOL:
             raise ValueError("uncoupled branch: reflect + transmit exceeds 1")
-        if self.mode is InteractionMode.IDEAL and not self.is_lossless:
-            raise ValueError("IDEAL mode requires amplitudes (1, 0, 1, 0)")
 
     @property
     def is_lossless(self) -> bool:
@@ -255,7 +245,7 @@ class InteractionModel:
 
     @classmethod
     def ideal(cls) -> "InteractionModel":
-        return cls(InteractionMode.IDEAL, 1.0, 0.0, 1.0, 0.0)
+        return cls(1.0, 0.0, 1.0, 0.0)
 
     @classmethod
     def from_contrast(cls, params: ContrastParams) -> "InteractionModel":
@@ -271,7 +261,6 @@ class InteractionModel:
         ut = math.sqrt(params.q_ratio_sq)
         ct = ut / (1.0 + params.purcell)
         return cls(
-            InteractionMode.LOSSY,
             coupled_reflect_amp=1.0 - ct,
             coupled_transmit_amp=ct,
             uncoupled_transmit_amp=ut,
@@ -289,16 +278,12 @@ def interpolate_models(
     def mix(a: float, b: float) -> float:
         return (1.0 - frac) * a + frac * b
 
-    amps = (
+    return InteractionModel(
         mix(start.coupled_reflect_amp, end.coupled_reflect_amp),
         mix(start.coupled_transmit_amp, end.coupled_transmit_amp),
         mix(start.uncoupled_transmit_amp, end.uncoupled_transmit_amp),
         mix(start.uncoupled_reflect_amp, end.uncoupled_reflect_amp),
     )
-    probe = InteractionModel(InteractionMode.LOSSY, *amps)
-    if probe.is_lossless:
-        return InteractionModel(InteractionMode.IDEAL, *amps)
-    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -542,110 +527,3 @@ def _spin_block_diag(sectors: list[np.ndarray]) -> np.ndarray:
     out[:d, :d] = sectors[0]
     out[d:, d:] = sectors[1]
     return out
-
-
-# ---------------------------------------------------------------------------
-# State-level convenience wrappers
-# ---------------------------------------------------------------------------
-
-
-def _photon_registers(
-    state: StateVector, photon: int, spin_id: int, *, want_flag: bool
-) -> tuple[Register, Register, Register, Register | None]:
-    pol = state.register((qs.RegisterKind.POLARIZATION, photon))
-    path = state.register((qs.RegisterKind.PATH, photon))
-    spin = state.register((qs.RegisterKind.SPIN, spin_id))
-    flag = None
-    if want_flag:
-        flag = state.register((qs.RegisterKind.LOSS_FLAG, photon))
-    return pol, path, spin, flag
-
-
-def ideal_scatter(
-    state: StateVector,
-    *,
-    photon: int,
-    spin_id: int = 0,
-    in_path: str,
-    reflect_path: str,
-    transmit_path: str,
-    arrive_from: str = "below",
-) -> StateVector:
-    """Scatter one photon off the cavity with the ideal interaction."""
-    pol, path, spin, _ = _photon_registers(state, photon, spin_id, want_flag=False)
-    op = one_sided_operator(
-        InteractionModel.ideal(),
-        pol=pol,
-        path=path,
-        spin=spin,
-        in_path=in_path,
-        reflect_path=reflect_path,
-        transmit_path=transmit_path,
-        arrive_from=arrive_from,
-    )
-    return qs.apply(op, state)
-
-
-def lossy_scatter(
-    state: StateVector,
-    model: InteractionModel,
-    *,
-    photon: int,
-    spin_id: int = 0,
-    in_path: str,
-    reflect_path: str,
-    transmit_path: str,
-    arrive_from: str = "below",
-) -> StateVector:
-    """Scatter one photon with an arbitrary interaction model.
-
-    The photon must carry a loss-flag register; the deficit of each branch
-    rotates into its Lost state, so the returned state keeps unit norm.
-    """
-    pol, path, spin, flag = _photon_registers(state, photon, spin_id, want_flag=True)
-    op = one_sided_operator(
-        model,
-        pol=pol,
-        path=path,
-        spin=spin,
-        flag=flag,
-        in_path=in_path,
-        reflect_path=reflect_path,
-        transmit_path=transmit_path,
-        arrive_from=arrive_from,
-    )
-    return qs.apply(op, state)
-
-
-def scatter_two_sided(
-    state: StateVector,
-    model: InteractionModel,
-    *,
-    photon: int,
-    spin_id: int = 0,
-    lower_path: str,
-    upper_path: str,
-) -> StateVector:
-    """Apply the two-arm cavity pass to one photon of ``state``.
-
-    With an ideal model the photon needs no loss flag; lossy models require
-    one (coherent recombination of the two branches sheds probability).
-    """
-    want_flag = not model.is_lossless
-    if not want_flag:
-        try:
-            state.register((qs.RegisterKind.LOSS_FLAG, photon))
-            want_flag = True  # flag present: keep it in the domain anyway
-        except KeyError:
-            pass
-    pol, path, spin, flag = _photon_registers(state, photon, spin_id, want_flag=want_flag)
-    op = two_sided_operator(
-        model,
-        pol=pol,
-        path=path,
-        spin=spin,
-        flag=flag,
-        lower_path=lower_path,
-        upper_path=upper_path,
-    )
-    return qs.apply(op, state)

@@ -11,14 +11,16 @@ Every command emits a flat table, as CSV (default) or as a JSON document
     {"schema_version": 1, "command": ..., "model": ..., "seed": ...,
      "rng": ..., "columns": [...], "rows": [[...], ...]}
 
-Exit codes: 0 on success, 1 when the input or circuit is at fault,
-2 for bad command lines.
+Real-valued options must be finite numbers.  Exit codes: 0 on success,
+1 when the input or circuit is at fault (or a result is not finite, which
+JSON cannot carry), 2 for bad command lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -47,18 +49,29 @@ _BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued options: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("interaction model")
     g.add_argument("--model", choices=("ideal", "lossy"), default="ideal")
-    g.add_argument("--q-ratio-sq", type=float, default=0.8, metavar="Q2",
+    g.add_argument("--q-ratio-sq", type=_finite_float, default=0.8, metavar="Q2",
                    help="(Q/Q0)^2 of the loaded cavity (lossy model)")
-    g.add_argument("--purcell", type=float, default=6.0, metavar="FP",
+    g.add_argument("--purcell", type=_finite_float, default=6.0, metavar="FP",
                    help="Purcell factor of the coupled emitter (lossy model)")
-    g.add_argument("--alpha-mirror", type=float, metavar="A",
+    g.add_argument("--alpha-mirror", type=_finite_float, metavar="A",
                    help="mirror transmission loss (overrides --q-ratio-sq)")
-    g.add_argument("--alpha-scatter", type=float, metavar="A",
+    g.add_argument("--alpha-scatter", type=_finite_float, metavar="A",
                    help="mirror scattering/absorption loss")
-    g.add_argument("--alpha-radiation", type=float, metavar="A",
+    g.add_argument("--alpha-radiation", type=_finite_float, metavar="A",
                    help="radiation leakage loss")
 
 
@@ -133,7 +146,7 @@ def _emit(
             "columns": columns,
             "rows": [[_json_cell(v) for v in row] for row in rows],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
         lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
@@ -295,11 +308,11 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ghz)
 
     p = sub.add_parser("sweep-delta", help="reflection/transmission vs detuning")
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--g", type=float, default=0.5, help="emitter-cavity coupling")
-    p.add_argument("--delta", type=float, default=0.0, help="emitter-cavity offset")
-    p.add_argument("--min", type=float, default=-3.0, help="lowest photon detuning")
-    p.add_argument("--max", type=float, default=3.0, help="highest photon detuning")
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
+    p.add_argument("--g", type=_finite_float, default=0.5, help="emitter-cavity coupling")
+    p.add_argument("--delta", type=_finite_float, default=0.0, help="emitter-cavity offset")
+    p.add_argument("--min", type=_finite_float, default=-3.0, help="lowest photon detuning")
+    p.add_argument("--max", type=_finite_float, default=3.0, help="highest photon detuning")
     p.add_argument("--points", type=int, default=61)
     _add_output_args(p)
     p.set_defaults(func=_cmd_sweep_delta)

@@ -1,4 +1,8 @@
-"""Text format for tabletop circuits: parse, pretty-print, compile, run."""
+"""Text format for tabletop circuits: parse, pretty-print, compile, run.
+
+The compiler emits each photon's schedule as steps for the shared executor,
+:func:`spinphoton.protocols.run_plan`, which also runs the built-in protocols.
+"""
 
 from . import ast
 from .compiler import CircuitError, CompiledCircuit, RunResult, Step, compile_circuit

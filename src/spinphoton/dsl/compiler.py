@@ -16,18 +16,18 @@ Each photon traverses the full schedule in ascending id order (they share the
 one emitter spin).  A photon whose amplitude never reaches a component's
 ports is simply unaffected by it, so the schedule is the same for every
 photon.  Compilation is pure and deterministic: equal ASTs give equal plans.
+Running a compiled circuit hands each photon's steps, as a
+:data:`~spinphoton.protocols.PlanStep` plan, to
+:func:`spinphoton.protocols.run_plan` — the executor the protocols use.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
-import numpy as np
-
-from .. import cavity as cav
 from .. import measurement as meas
-from .. import optics as opt
 from .. import protocols as proto
 from .. import qstate as qs
 from ..cavity import InteractionModel
@@ -66,7 +66,7 @@ class CircuitError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class Step:
-    """One operator application in the schedule."""
+    """One operator application in the schedule: a plan step for one photon."""
 
     photon: int
     op: str  # cpbs3 | cpbs4 | bs | mirror | hwp | phase | scatter | loop_cavity
@@ -110,8 +110,9 @@ class CompiledCircuit:
         uses_cavity = any(s.op in ("scatter", "loop_cavity") for s in self.steps)
         lossy = uses_cavity and not model.is_lossless
         state = self._initial_state(lossy)
-        for s in self.steps:
-            state = self._apply(state, s, model, lossy)
+        for photon, steps in itertools.groupby(self.steps, key=lambda s: s.photon):
+            plan = tuple((s.op, s.ports, s.param) for s in steps)
+            state = proto.run_plan(state, plan, model, photon)
         bases = self.bases()
         return RunResult(state=state, distribution=meas.enumerate_outcomes(state, bases), bases=bases)
 
@@ -154,48 +155,6 @@ class CompiledCircuit:
             if lossy:
                 order.append((qs.RegisterKind.LOSS_FLAG, pid))
         return qs.reorder(state, order)
-
-    def _apply(
-        self, state: StateVector, s: Step, model: InteractionModel, lossy: bool
-    ) -> StateVector:
-        if s.op == "cpbs3":
-            return opt.apply_cpbs(
-                state, photon=s.photon, in_path=s.ports[0], r_out=s.ports[1], l_out=s.ports[2]
-            )
-        if s.op == "cpbs4":
-            return opt.apply_cpbs4(
-                state, photon=s.photon, in_paths=s.ports[:2], out_paths=s.ports[2:]
-            )
-        if s.op == "bs":
-            return opt.apply_bs(
-                state,
-                photon=s.photon,
-                in_a=s.ports[0],
-                in_b=s.ports[1],
-                out_c=s.ports[2],
-                out_d=s.ports[3],
-            )
-        if s.op == "mirror":
-            return opt.apply_mirror(state, photon=s.photon, at=s.ports[0])
-        if s.op == "hwp":
-            return opt.apply_hwp(state, photon=s.photon, at=s.ports[0], theta=s.param)
-        if s.op == "phase":
-            return opt.apply_phase(state, photon=s.photon, at=s.ports[0], phi=s.param)
-        if s.op == "scatter":
-            kwargs = dict(
-                photon=s.photon,
-                in_path=s.ports[0],
-                reflect_path=s.ports[1],
-                transmit_path=s.ports[2],
-            )
-            if lossy:
-                return cav.lossy_scatter(state, model, **kwargs)
-            return cav.ideal_scatter(state, **kwargs)
-        if s.op == "loop_cavity":
-            return cav.scatter_two_sided(
-                state, model, photon=s.photon, lower_path=s.ports[0], upper_path=s.ports[1]
-            )
-        raise AssertionError(f"unknown step op {s.op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,37 +8,20 @@ extra phases.  Every builder returns an exact unitary.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
-from . import qstate as qs
-from .qstate import Operator, Register, StateVector
+from .qstate import Operator, Register
 
 __all__ = [
-    "ComponentKind",
     "cpbs_operator",
     "cpbs4_operator",
     "bs_operator",
     "mirror_operator",
     "hwp_operator",
     "phase_operator",
-    "apply_cpbs",
-    "apply_cpbs4",
-    "apply_bs",
-    "apply_mirror",
-    "apply_hwp",
-    "apply_phase",
 ]
-
-
-class ComponentKind(enum.Enum):
-    CPBS = "cpbs"
-    BS = "bs"
-    MIRROR = "mirror"
-    HWP = "hwp"
-    PHASE = "phase"
 
 
 def _pol_path_index(path: Register, pol_i: int, path_name: str) -> int:
@@ -160,54 +143,3 @@ def phase_operator(path: Register, *, at: str, phi: float) -> Operator:
     mat = np.eye(path.dim, dtype=np.complex128)
     mat[path.index(at), path.index(at)] = np.exp(1.0j * phi)
     return Operator((path,), mat)
-
-
-# -- state-level wrappers ----------------------------------------------------
-
-
-def _regs(state: StateVector, photon: int) -> tuple[Register, Register]:
-    pol = state.register((qs.RegisterKind.POLARIZATION, photon))
-    path = state.register((qs.RegisterKind.PATH, photon))
-    if pol.basis != qs.RL:
-        raise ValueError("optics elements are defined on the circular (R/L) basis")
-    return pol, path
-
-
-def apply_cpbs(
-    state: StateVector, *, photon: int, in_path: str, r_out: str, l_out: str
-) -> StateVector:
-    pol, path = _regs(state, photon)
-    return qs.apply(cpbs_operator(pol, path, in_path=in_path, r_out=r_out, l_out=l_out), state)
-
-
-def apply_cpbs4(
-    state: StateVector,
-    *,
-    photon: int,
-    in_paths: tuple[str, str],
-    out_paths: tuple[str, str],
-) -> StateVector:
-    pol, path = _regs(state, photon)
-    return qs.apply(cpbs4_operator(pol, path, in_paths=in_paths, out_paths=out_paths), state)
-
-
-def apply_bs(
-    state: StateVector, *, photon: int, in_a: str, in_b: str, out_c: str, out_d: str
-) -> StateVector:
-    _, path = _regs(state, photon)
-    return qs.apply(bs_operator(path, in_a=in_a, in_b=in_b, out_c=out_c, out_d=out_d), state)
-
-
-def apply_mirror(state: StateVector, *, photon: int, at: str) -> StateVector:
-    pol, path = _regs(state, photon)
-    return qs.apply(mirror_operator(pol, path, at=at), state)
-
-
-def apply_hwp(state: StateVector, *, photon: int, at: str, theta: float = 0.0) -> StateVector:
-    pol, path = _regs(state, photon)
-    return qs.apply(hwp_operator(pol, path, at=at, theta=theta), state)
-
-
-def apply_phase(state: StateVector, *, photon: int, at: str, phi: float) -> StateVector:
-    _, path = _regs(state, photon)
-    return qs.apply(phase_operator(path, at=at, phi=phi), state)

@@ -16,6 +16,12 @@ Every function accepts an :class:`~spinphoton.cavity.InteractionModel`; with a
 lossy model the returned ``success_probability`` is the weight of the heralded
 (all photons alive at their detectors) branch and the state is that branch,
 renormalized.
+
+Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
+:data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and one executor,
+:func:`run_plan`, turns a schedule into cavity and optics operators and
+applies them.  The circuit compiler emits its schedules for the same
+executor.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ __all__ = [
     "ProtocolResult",
     "CNOT_PATHS",
     "BSA_PATHS",
+    "PlanStep",
+    "CNOT_PLAN",
+    "BSA_PLAN",
+    "SPIN_PREP_PLAN",
+    "plan_operators",
+    "run_plan",
     "cnot_operators",
     "cnot",
     "cnot_gate_matrix",
@@ -59,6 +71,40 @@ CNOT_PATHS = ("A", "B", "C", "D")
 
 #: Analyzer ports: photons in at In; C and D are the detector ports.
 BSA_PATHS = ("In", "Refl", "Trans", "C", "D")
+
+#: One step of a photon's schedule: ``(op, ports, param)``.  The ops, with
+#: their ports in order:
+#:
+#: * ``cpbs3`` (in, r_out, l_out) — three-port circular splitter;
+#: * ``cpbs4`` (in_a, in_b, out_a, out_b) — four-port circular splitter;
+#: * ``bs`` (in_a, in_b, out_c, out_d) — 50:50 splitter;
+#: * ``mirror``, ``hwp``, ``phase`` (at,) — in-place elements; ``param`` is
+#:   the wave-plate angle θ or the phase φ;
+#: * ``scatter`` (in, reflect, transmit) — one-sided cavity pass from below;
+#: * ``loop_cavity`` (lower, upper) — two-arm cavity pass.
+PlanStep = tuple[str, tuple[str, ...], float]
+
+#: The gate on :data:`CNOT_PATHS`: one four-port splitter traversed on entry
+#: and exit (it is bidirectional), with a π plate on the upper arm
+#: compensating the cavity's transmission sign on each pass.
+CNOT_PLAN: tuple[PlanStep, ...] = (
+    ("cpbs4", ("A", "D", "C", "B"), 0.0),
+    ("phase", ("C",), math.pi),
+    ("loop_cavity", ("B", "C"), 0.0),
+    ("phase", ("C",), math.pi),
+    ("cpbs4", ("A", "D", "C", "B"), 0.0),
+)
+
+#: One photon's trip through the analyzer on :data:`BSA_PATHS`: scatter, fold
+#: the transmitted arm, mix it with the reflected arm.
+BSA_PLAN: tuple[PlanStep, ...] = (
+    ("scatter", ("In", "Refl", "Trans"), 0.0),
+    ("mirror", ("Trans",), 0.0),
+    ("bs", ("Trans", "Refl", "C", "D"), 0.0),
+)
+
+#: Heralded spin preparation: one bounce off the cavity.
+SPIN_PREP_PLAN: tuple[PlanStep, ...] = (("scatter", ("In", "Refl", "Trans"), 0.0),)
 
 
 class BellState(enum.Enum):
@@ -110,6 +156,94 @@ class ProtocolResult:
 
 
 # ---------------------------------------------------------------------------
+# Schedules and their executor
+# ---------------------------------------------------------------------------
+
+
+def _step_operator(
+    step: PlanStep,
+    model: InteractionModel,
+    pol: Register,
+    path: Register,
+    spin: Register | None,
+    flag: Register | None,
+) -> Operator:
+    op, ports, param = step
+    if op == "cpbs3":
+        return opt.cpbs_operator(pol, path, in_path=ports[0], r_out=ports[1], l_out=ports[2])
+    if op == "cpbs4":
+        return opt.cpbs4_operator(pol, path, in_paths=ports[:2], out_paths=ports[2:])
+    if op == "bs":
+        in_a, in_b, out_c, out_d = ports
+        return opt.bs_operator(path, in_a=in_a, in_b=in_b, out_c=out_c, out_d=out_d)
+    if op == "mirror":
+        return opt.mirror_operator(pol, path, at=ports[0])
+    if op == "hwp":
+        return opt.hwp_operator(pol, path, at=ports[0], theta=param)
+    if op == "phase":
+        return opt.phase_operator(path, at=ports[0], phi=param)
+    if op == "scatter":
+        in_path, reflect_path, transmit_path = ports
+        return cav.one_sided_operator(
+            model, pol=pol, path=path, spin=spin, flag=flag,
+            in_path=in_path, reflect_path=reflect_path, transmit_path=transmit_path,
+        )
+    if op == "loop_cavity":
+        return cav.two_sided_operator(
+            model, pol=pol, path=path, spin=spin, flag=flag,
+            lower_path=ports[0], upper_path=ports[1],
+        )
+    raise ValueError(f"unknown plan step {op!r}")
+
+
+def plan_operators(
+    plan: Sequence[PlanStep],
+    model: InteractionModel,
+    *,
+    pol: Register,
+    path: Register,
+    spin: Register | None = None,
+    flag: Register | None = None,
+) -> list[Operator]:
+    """The operators of one photon's schedule, in order of application.
+
+    Each distinct step is built once: a step the plan repeats, like the
+    gate's splitter and π plate, reuses its operator.  Cavity steps need the
+    ``spin``; with a lossy model they also need the photon's loss ``flag``.
+    """
+    built: dict[PlanStep, Operator] = {}
+    for step in plan:
+        if step not in built:
+            built[step] = _step_operator(step, model, pol, path, spin, flag)
+    return [built[step] for step in plan]
+
+
+def run_plan(
+    state: StateVector, plan: Sequence[PlanStep], model: InteractionModel, photon: int
+) -> StateVector:
+    """Apply one photon's schedule to ``state``.
+
+    The photon's polarization (R/L basis) and path registers must be in the
+    state; the spin and the photon's loss flag are used when present.
+    """
+    pol = state.register((RegisterKind.POLARIZATION, photon))
+    if pol.basis != qs.RL:
+        raise ValueError("optics elements are defined on the circular (R/L) basis")
+    present = {r.key: r for r in state.registers}
+    ops = plan_operators(
+        plan,
+        model,
+        pol=pol,
+        path=state.register((RegisterKind.PATH, photon)),
+        spin=present.get((RegisterKind.SPIN, 0)),
+        flag=present.get((RegisterKind.LOSS_FLAG, photon)),
+    )
+    for op in ops:
+        state = qs.apply(op, state)
+    return state
+
+
+# ---------------------------------------------------------------------------
 # The photon-spin gate
 # ---------------------------------------------------------------------------
 
@@ -122,38 +256,8 @@ def cnot_operators(
     spin: Register,
     flag: Register | None = None,
 ) -> list[Operator]:
-    """The gate as an operator pipeline (apply left to right).
-
-    One four-port circular splitter is traversed twice (it is bidirectional),
-    with a π plate on the upper arm compensating the cavity's transmission
-    sign on each pass.
-    """
-    splitter = opt.cpbs4_operator(pol, path, in_paths=("A", "D"), out_paths=("C", "B"))
-    plate = opt.phase_operator(path, at="C", phi=math.pi)
-    dot = cav.two_sided_operator(
-        model, pol=pol, path=path, spin=spin, flag=flag, lower_path="B", upper_path="C"
-    )
-    return [splitter, plate, dot, plate, splitter]
-
-
-def _gate_registers(photon: int, lossy: bool) -> tuple[Register, ...]:
-    regs = [qs.spin(), qs.polarization(photon), qs.path(photon, CNOT_PATHS)]
-    if lossy:
-        regs.append(qs.loss_flag(photon))
-    return tuple(regs)
-
-
-def _run_gate(state: StateVector, model: InteractionModel, photon: int) -> StateVector:
-    pol = state.register((RegisterKind.POLARIZATION, photon))
-    path = state.register((RegisterKind.PATH, photon))
-    spin = state.register((RegisterKind.SPIN, 0))
-    try:
-        flag = state.register((RegisterKind.LOSS_FLAG, photon))
-    except KeyError:
-        flag = None
-    for op in cnot_operators(model, pol=pol, path=path, spin=spin, flag=flag):
-        state = qs.apply(op, state)
-    return state
+    """The gate as an operator pipeline (apply left to right): :data:`CNOT_PLAN`."""
+    return plan_operators(CNOT_PLAN, model, pol=pol, path=path, spin=spin, flag=flag)
 
 
 def _postselect_exit(state: StateVector, photon: int) -> tuple[StateVector, float]:
@@ -188,32 +292,12 @@ def cnot(
     spin_amps: tuple[complex, complex],
     model: InteractionModel | None = None,
 ) -> ProtocolResult:
-    """Run one photon through the gate.
+    """Run one photon through the gate: the one-photon :func:`entangle_stream`.
 
     ``photon_amps`` = (R, L) amplitudes, ``spin_amps`` = (Up, Down); both are
-    normalized on entry.  Returns the (pol ⊗ spin) state at port D.
+    normalized on entry.  Returns the (spin ⊗ pol) state at port D.
     """
-    model = model or InteractionModel.ideal()
-    photon_amps = _normalize_pair(photon_amps)
-    spin_amps = _normalize_pair(spin_amps)
-
-    regs = _gate_registers(1, lossy=not model.is_lossless)
-    photon = qs.tensor(
-        qs.from_amplitudes(qs.polarization(1), list(photon_amps)),
-        qs.basis_state([qs.path(1, CNOT_PATHS)], ["A"]),
-    )
-    if not model.is_lossless:
-        photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(1)], ["Alive"]))
-    state = qs.tensor(qs.from_amplitudes(qs.spin(), list(spin_amps)), photon)
-    state = qs.reorder(state, [r.key for r in regs])
-
-    state = _run_gate(state, model, photon=1)
-    state, prob = _postselect_exit(state, photon=1)
-    state = state.normalized()
-
-    target = _ideal_gate_target([photon_amps], spin_amps, [1])
-    target = qs.reorder(target, [r.key for r in state.registers])
-    return ProtocolResult(state, prob, qs.fidelity(state, target))
+    return entangle_stream([photon_amps], spin_amps, model)
 
 
 def _normalize_pair(amps: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -231,21 +315,16 @@ def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     sub-unitary matrix of the photon-exits-alive-at-D branch.
     """
     model = model or InteractionModel.ideal()
+    regs = [qs.spin(), qs.polarization(1), qs.path(1, CNOT_PATHS)]
+    if not model.is_lossless:
+        regs.append(qs.loss_flag(1))
     cols = []
-    for pol_i in (0, 1):
-        for spin_i in (0, 1):
-            regs = _gate_registers(1, lossy=not model.is_lossless)
-            names = {
-                RegisterKind.SPIN: qs.UP_DOWN[spin_i],
-                RegisterKind.POLARIZATION: qs.RL[pol_i],
-                RegisterKind.PATH: "A",
-                RegisterKind.LOSS_FLAG: "Alive",
-            }
-            state = qs.basis_state(regs, [names[r.kind] for r in regs])
-            state = _run_gate(state, model, photon=1)
-            state = qs.collapse(state, (RegisterKind.PATH, 1), "D", check=False)
-            if not model.is_lossless:
-                state = qs.collapse(state, (RegisterKind.LOSS_FLAG, 1), "Alive", check=False)
+    for pol in qs.RL:
+        for spin in qs.UP_DOWN:
+            # one basis name per register; "Alive" is dropped without a flag
+            state = qs.basis_state(regs, [spin, pol, "A", "Alive"][: len(regs)])
+            state = run_plan(state, CNOT_PLAN, model, photon=1)
+            state, _ = _postselect_exit(state, photon=1)
             state = qs.reorder(
                 state, [(RegisterKind.POLARIZATION, 1), (RegisterKind.SPIN, 0)]
             )
@@ -268,20 +347,13 @@ def conditional_spin_prep(
     spin_amps = _normalize_pair(spin_amps)
     lossy = not model.is_lossless
 
-    regs: list[Register] = [qs.spin(), qs.polarization(1), qs.path(1, ("In", "Refl", "Trans"))]
-    if lossy:
-        regs.append(qs.loss_flag(1))
-    photon = qs.basis_state(regs[1:3], ["R", "In"])
+    photon = qs.basis_state(
+        [qs.polarization(1), qs.path(1, ("In", "Refl", "Trans"))], ["R", "In"]
+    )
     state = qs.tensor(qs.from_amplitudes(qs.spin(), list(spin_amps)), photon)
     if lossy:
         state = qs.tensor(state, qs.basis_state([qs.loss_flag(1)], ["Alive"]))
-
-    scatter = cav.lossy_scatter if lossy else cav.ideal_scatter
-    kwargs = dict(photon=1, in_path="In", reflect_path="Refl", transmit_path="Trans")
-    if lossy:
-        state = scatter(state, model, **kwargs)
-    else:
-        state = scatter(state, **kwargs)
+    state = run_plan(state, SPIN_PREP_PLAN, model, photon=1)
 
     out: dict[str, ProtocolResult] = {}
     targets = {"Refl": [1.0, 0.0], "Trans": [0.0, 1.0]}
@@ -349,7 +421,7 @@ def entangle_stream(
         if lossy:
             photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(k)], ["Alive"]))
         state = qs.tensor(state, photon)
-        state = _run_gate(state, model, photon=k)
+        state = run_plan(state, CNOT_PLAN, model, photon=k)
         state, prob = _postselect_exit(state, photon=k)
         if prob <= 1e-300:
             raise ValueError(f"photon {k}: heralded branch has vanishing probability")
@@ -401,23 +473,6 @@ def ghz(
 # ---------------------------------------------------------------------------
 
 
-def _bsa_pass(state: StateVector, model: InteractionModel, photon: int) -> StateVector:
-    """One photon's trip through the analyzer: scatter, fold, mix."""
-    lossy = not model.is_lossless
-    kwargs = dict(
-        photon=photon, in_path="In", reflect_path="Refl", transmit_path="Trans"
-    )
-    if lossy:
-        state = cav.lossy_scatter(state, model, **kwargs)
-    else:
-        state = cav.ideal_scatter(state, **kwargs)
-    state = opt.apply_mirror(state, photon=photon, at="Trans")
-    state = opt.apply_bs(
-        state, photon=photon, in_a="Trans", in_b="Refl", out_c="C", out_d="D"
-    )
-    return state
-
-
 def bsa_state(
     two_photon_pol: StateVector,
     model: InteractionModel | None = None,
@@ -442,7 +497,7 @@ def bsa_state(
         if lossy:
             state = qs.tensor(state, qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
     for pid in pol_ids:
-        state = _bsa_pass(state, model, pid)
+        state = run_plan(state, BSA_PLAN, model, pid)
     return state
 
 

@@ -15,7 +15,6 @@ import pytest
 from spinphoton import cavity as cav
 from spinphoton import circuits
 from spinphoton import measurement as meas
-from spinphoton import optics as opt
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 from spinphoton.cavity import (
@@ -216,14 +215,9 @@ def test_c07_pipelines_match_full_matrix_products():
 
         bsa_path = qs.path(1, proto.BSA_PATHS)
         bsa_regs = [spin, pol, bsa_path] + ([flag] if lossy else [])
-        bsa_ops = [
-            cav.one_sided_operator(
-                model, pol=pol, path=bsa_path, spin=spin, flag=flag,
-                in_path="In", reflect_path="Refl", transmit_path="Trans",
-            ),
-            opt.mirror_operator(pol, bsa_path, at="Trans"),
-            opt.bs_operator(bsa_path, in_a="Trans", in_b="Refl", out_c="C", out_d="D"),
-        ]
+        bsa_ops = proto.plan_operators(
+            proto.BSA_PLAN, model, pol=pol, path=bsa_path, spin=spin, flag=flag
+        )
         worst = max(worst, _pipeline_worst(bsa_ops, bsa_regs, rng))
     _verdict(
         "c7 operator pipelines equal their full-matrix products (50 states each)",

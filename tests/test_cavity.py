@@ -116,13 +116,13 @@ def test_from_contrast_reduces_to_ideal_in_the_perfect_limit():
 
 def test_overcomplete_branch_rejected():
     with pytest.raises(ValueError, match="exceeds 1"):
-        cav.InteractionModel(cav.InteractionMode.LOSSY, 0.9, 0.3, 1.0, 0.0)
+        cav.InteractionModel(0.9, 0.3, 1.0, 0.0)
 
 
 def test_interpolation_endpoints_and_midpoint():
     lossy = cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0))
     start = cav.interpolate_models(cav.InteractionModel.ideal(), lossy, 0.0)
-    assert start.mode is cav.InteractionMode.IDEAL
+    assert start.is_lossless
     end = cav.interpolate_models(cav.InteractionModel.ideal(), lossy, 1.0)
     assert end.coupled_transmit_amp == pytest.approx(lossy.coupled_transmit_amp)
     mid = cav.interpolate_models(cav.InteractionModel.ideal(), lossy, 0.5)
@@ -138,17 +138,26 @@ def test_interpolation_endpoints_and_midpoint():
 PATHS = ("In", "Refl", "Trans")
 
 
-def scatter_input(pol, spin_name, arrive_from):
-    regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS)]
-    state = qs.basis_state(regs, [spin_name, pol, "In"])
-    return cav.ideal_scatter(
-        state,
-        photon=1,
+def one_sided(model, regs, arrive_from="below"):
+    """The one-sided pass In -> Refl/Trans on registers (spin, pol, path[, flag])."""
+    spin, pol, path, *flag = regs
+    return cav.one_sided_operator(
+        model,
+        pol=pol,
+        path=path,
+        spin=spin,
+        flag=flag[0] if flag else None,
         in_path="In",
         reflect_path="Refl",
         transmit_path="Trans",
         arrive_from=arrive_from,
     )
+
+
+def scatter_input(pol, spin_name, arrive_from):
+    regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS)]
+    state = qs.basis_state(regs, [spin_name, pol, "In"])
+    return qs.apply(one_sided(cav.InteractionModel.ideal(), regs, arrive_from), state)
 
 
 # (arrive_from, pol, spin) -> (out_pol, out_port, sign): the eight selection rules.
@@ -179,19 +188,12 @@ def test_superposed_spin_entangles_with_photon():
         qs.from_amplitudes(qs.spin(), [sq, sq]),
         qs.basis_state(regs[1:], ["L", "In"]),
     )
-    out = cav.ideal_scatter(
-        state,
-        photon=1,
-        in_path="In",
-        reflect_path="Refl",
-        transmit_path="Trans",
-        arrive_from="above",
-    )
+    out = qs.apply(one_sided(cav.InteractionModel.ideal(), regs, "above"), state)
     assert out.amplitude("Up", "R", "Refl") == pytest.approx(sq)
     assert out.amplitude("Down", "L", "Trans") == pytest.approx(-sq)
 
 
-def test_ideal_scatter_is_unitary_on_random_states():
+def test_ideal_one_sided_operator_is_unitary_on_random_states():
     rng = np.random.default_rng(42)
     regs = (qs.spin(), qs.polarization(1), qs.path(1, PATHS))
     op = cav.one_sided_operator(
@@ -217,8 +219,8 @@ def test_scatter_twice_is_identity():
     amps = rng.normal(size=12) + 1j * rng.normal(size=12)
     amps /= np.linalg.norm(amps)
     s = qs.StateVector(regs, amps)
-    kw = dict(photon=1, in_path="In", reflect_path="Refl", transmit_path="Trans")
-    back = cav.ideal_scatter(cav.ideal_scatter(s, **kw), **kw)
+    op = one_sided(cav.InteractionModel.ideal(), regs)
+    back = qs.apply(op, qs.apply(op, s))
     assert np.allclose(back.amps, s.amps, atol=1e-12)
 
 
@@ -235,14 +237,7 @@ def lossy_model():
 def test_lossy_branch_probabilities(lossy_model):
     regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS), qs.loss_flag(1)]
     state = qs.basis_state(regs, ["Up", "R", "In", "Alive"])  # coupled branch
-    out = cav.lossy_scatter(
-        state,
-        lossy_model,
-        photon=1,
-        in_path="In",
-        reflect_path="Refl",
-        transmit_path="Trans",
-    )
+    out = qs.apply(one_sided(lossy_model, regs), state)
     cr, ct = lossy_model.coupled_reflect_amp, lossy_model.coupled_transmit_amp
     assert out.amplitude("Up", "L", "Refl", "Alive") == pytest.approx(cr)
     assert out.amplitude("Up", "R", "Trans", "Alive") == pytest.approx(-ct)
@@ -270,16 +265,8 @@ def test_lossy_operator_is_exactly_unitary(lossy_model):
 
 def test_lossy_model_without_flag_register_is_an_error(lossy_model):
     regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS)]
-    state = qs.basis_state(regs, ["Up", "R", "In"])
-    with pytest.raises(KeyError):
-        cav.lossy_scatter(
-            state,
-            lossy_model,
-            photon=1,
-            in_path="In",
-            reflect_path="Refl",
-            transmit_path="Trans",
-        )
+    with pytest.raises(ValueError, match="loss-flag"):
+        one_sided(lossy_model, regs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +276,36 @@ def test_lossy_model_without_flag_register_is_an_error(lossy_model):
 ARMS = ("A", "B", "C", "D")
 
 
+def two_sided(model, regs):
+    """The two-arm pass, lower arm B and upper arm C, on (spin, pol, path[, flag])."""
+    spin, pol, path, *flag = regs
+    return cav.two_sided_operator(
+        model,
+        pol=pol,
+        path=path,
+        spin=spin,
+        flag=flag[0] if flag else None,
+        lower_path="B",
+        upper_path="C",
+    )
+
+
 def test_ideal_two_sided_reflects_in_place():
     regs = [qs.spin(), qs.polarization(1), qs.path(1, ARMS)]
+    op = two_sided(cav.InteractionModel.ideal(), regs)
     state = qs.basis_state(regs, ["Up", "R", "B"])  # lower arm, coupled
-    out = cav.scatter_two_sided(
-        state, cav.InteractionModel.ideal(), photon=1, lower_path="B", upper_path="C"
-    )
+    out = qs.apply(op, state)
     assert out.amplitude("Up", "L", "B") == pytest.approx(1.0)
 
     state = qs.basis_state(regs, ["Up", "L", "B"])  # lower arm, uncoupled
-    out = cav.scatter_two_sided(
-        state, cav.InteractionModel.ideal(), photon=1, lower_path="B", upper_path="C"
-    )
+    out = qs.apply(op, state)
     assert out.amplitude("Up", "L", "C") == pytest.approx(-1.0)
 
 
 def test_ideal_two_sided_leaves_other_arms_alone():
     regs = [qs.spin(), qs.polarization(1), qs.path(1, ARMS)]
     state = qs.basis_state(regs, ["Down", "R", "A"])
-    out = cav.scatter_two_sided(
-        state, cav.InteractionModel.ideal(), photon=1, lower_path="B", upper_path="C"
-    )
+    out = qs.apply(two_sided(cav.InteractionModel.ideal(), regs), state)
     assert out.amplitude("Down", "R", "A") == pytest.approx(1.0)
 
 
@@ -338,14 +334,15 @@ def test_lossy_two_sided_sheds_probability_coherently(lossy_model):
     cr, ct = lossy_model.coupled_reflect_amp, lossy_model.coupled_transmit_amp
 
     sym = qs.StateVector(regs, (a.amps + b.amps) * sq)
-    out = cav.scatter_two_sided(sym, lossy_model, photon=1, lower_path="B", upper_path="C")
+    op = two_sided(lossy_model, regs)
+    out = qs.apply(op, sym)
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
     _, lost_p = qs.project(out, (qs.RegisterKind.LOSS_FLAG, 1), "Lost")
     assert lost_p == pytest.approx(1.0 - (cr - ct) ** 2, abs=1e-12)
     assert lost_p == pytest.approx(4.0 * ct * (1.0 - ct), abs=1e-12)
 
     anti = qs.StateVector(regs, (a.amps - b.amps) * sq)
-    out = cav.scatter_two_sided(anti, lossy_model, photon=1, lower_path="B", upper_path="C")
+    out = qs.apply(op, anti)
     _, lost_p = qs.project(out, (qs.RegisterKind.LOSS_FLAG, 1), "Lost")
     assert lost_p == pytest.approx(0.0, abs=1e-12)
     # and it comes out as the matching uncoupled-pair combination, unattenuated

@@ -91,6 +91,30 @@ class TestSweep:
         assert float(centre[header.index("reflect_prob")]) == pytest.approx(1.0)
 
 
+class TestNonFinite:
+    def test_infinite_model_parameter_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["ghz", "-n", "3", "--model", "lossy", "--purcell", "inf", "--format", "json"])
+        assert e.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_sweep_bound_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["sweep-delta", "--min", "nan", "--points", "3", "--format", "json"])
+        assert e.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_result_is_an_error_not_json(self, capsys):
+        # finite input, but Γ/(2Δω) overflows at subnormal detunings, so the
+        # ξ-derived cells are NaN: no JSON is written, the run fails
+        argv = ["sweep-delta", "--min", "1e-320", "--max", "2e-320", "--points", "2",
+                "--g", "1", "--format", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestRun:
     def test_bundled_circuit(self, capsys):
         assert main(["run", "cnot"]) == 0

@@ -236,6 +236,17 @@ class TestCompile:
         assert comp.steps[0].ports == ("In", "Refl", "Trans")
         assert comp.steps[2].ports == ("Trans", "Refl", "C", "D")
 
+    @pytest.mark.parametrize(
+        "name,plan", [("cnot", proto.CNOT_PLAN), ("bsa", proto.BSA_PLAN)], ids=["cnot", "bsa"]
+    )
+    def test_bundled_circuits_compile_to_the_protocol_plans(self, name, plan):
+        # the bundled files and the protocols describe one device each: every
+        # photon's compiled steps are the protocol's plan, step for step
+        comp = compile_circuit(parse(circuits.load(name)))
+        for pid in comp.photon_ids:
+            got = tuple((s.op, s.ports, s.param) for s in comp.steps if s.photon == pid)
+            assert got == plan
+
     @pytest.mark.parametrize("path", VALID, ids=lambda p: p.stem)
     def test_valid_corpus_compiles(self, path):
         compile_circuit(parse(path.read_text()))

@@ -8,52 +8,55 @@ from spinphoton import qstate as qs
 
 SQ = 1.0 / math.sqrt(2.0)
 PORTS = ("P", "Q", "S", "T")
+POL, PATH = qs.polarization(1), qs.path(1, PORTS)
 
 
 def photon_state(pol_name, port):
-    regs = [qs.polarization(1), qs.path(1, PORTS)]
-    return qs.basis_state(regs, [pol_name, port])
+    return qs.basis_state([POL, PATH], [pol_name, port])
 
 
 def test_cpbs_routes_by_handedness():
-    s = photon_state("R", "P")
-    out = opt.apply_cpbs(s, photon=1, in_path="P", r_out="Q", l_out="S")
+    op = opt.cpbs_operator(POL, PATH, in_path="P", r_out="Q", l_out="S")
+    out = qs.apply(op, photon_state("R", "P"))
     assert out.amplitude("R", "Q") == 1.0
-    out = opt.apply_cpbs(photon_state("L", "P"), photon=1, in_path="P", r_out="Q", l_out="S")
+    out = qs.apply(op, photon_state("L", "P"))
     assert out.amplitude("L", "S") == 1.0
 
 
 def test_cpbs_pass_through_port():
     # r_out may coincide with the input: R goes straight on
-    out = opt.apply_cpbs(photon_state("R", "P"), photon=1, in_path="P", r_out="P", l_out="Q")
+    op = opt.cpbs_operator(POL, PATH, in_path="P", r_out="P", l_out="Q")
+    out = qs.apply(op, photon_state("R", "P"))
     assert out.amplitude("R", "P") == 1.0
 
 
 def test_cpbs_is_bidirectional():
     s = photon_state("R", "Q")
-    out = opt.apply_cpbs(s, photon=1, in_path="P", r_out="Q", l_out="S")
+    out = qs.apply(opt.cpbs_operator(POL, PATH, in_path="P", r_out="Q", l_out="S"), s)
     assert out.amplitude("R", "P") == 1.0
 
 
 def test_cpbs4_rank_and_cross():
-    kw = dict(photon=1, in_paths=("P", "T"), out_paths=("S", "Q"))
-    assert opt.apply_cpbs4(photon_state("R", "P"), **kw).amplitude("R", "S") == 1.0
-    assert opt.apply_cpbs4(photon_state("R", "T"), **kw).amplitude("R", "Q") == 1.0
-    assert opt.apply_cpbs4(photon_state("L", "P"), **kw).amplitude("L", "Q") == 1.0
-    assert opt.apply_cpbs4(photon_state("L", "T"), **kw).amplitude("L", "S") == 1.0
+    op = opt.cpbs4_operator(POL, PATH, in_paths=("P", "T"), out_paths=("S", "Q"))
+    assert qs.apply(op, photon_state("R", "P")).amplitude("R", "S") == 1.0
+    assert qs.apply(op, photon_state("R", "T")).amplitude("R", "Q") == 1.0
+    assert qs.apply(op, photon_state("L", "P")).amplitude("L", "Q") == 1.0
+    assert qs.apply(op, photon_state("L", "T")).amplitude("L", "S") == 1.0
 
 
 def test_bs_splits_with_i_on_cross_port():
-    out = opt.apply_bs(photon_state("R", "P"), photon=1, in_a="P", in_b="Q", out_c="S", out_d="T")
+    op = opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="S", out_d="T")
+    out = qs.apply(op, photon_state("R", "P"))
     assert out.amplitude("R", "S") == pytest.approx(SQ)
     assert out.amplitude("R", "T") == pytest.approx(1j * SQ)
-    out = opt.apply_bs(photon_state("R", "Q"), photon=1, in_a="P", in_b="Q", out_c="S", out_d="T")
+    out = qs.apply(op, photon_state("R", "Q"))
     assert out.amplitude("R", "S") == pytest.approx(1j * SQ)
     assert out.amplitude("R", "T") == pytest.approx(SQ)
 
 
 def test_bs_in_place_form():
-    out = opt.apply_bs(photon_state("L", "P"), photon=1, in_a="P", in_b="Q", out_c="P", out_d="Q")
+    op = opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="P", out_d="Q")
+    out = qs.apply(op, photon_state("L", "P"))
     assert out.amplitude("L", "P") == pytest.approx(SQ)
     assert out.amplitude("L", "Q") == pytest.approx(1j * SQ)
 
@@ -62,17 +65,17 @@ def test_mach_zehnder_balanced_exits_one_port():
     # BS → BS with no relative phase: photon leaves deterministically on the
     # cross port (the two i factors add up on one side).
     s = photon_state("R", "P")
-    s = opt.apply_bs(s, photon=1, in_a="P", in_b="Q", out_c="P", out_d="Q")
-    s = opt.apply_bs(s, photon=1, in_a="P", in_b="Q", out_c="P", out_d="Q")
+    s = qs.apply(opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="P", out_d="Q"), s)
+    s = qs.apply(opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="P", out_d="Q"), s)
     assert abs(s.amplitude("R", "Q")) == pytest.approx(1.0)
     assert abs(s.amplitude("R", "P")) == pytest.approx(0.0)
 
 
 def test_mach_zehnder_pi_phase_restores_input_port():
     s = photon_state("R", "P")
-    s = opt.apply_bs(s, photon=1, in_a="P", in_b="Q", out_c="P", out_d="Q")
-    s = opt.apply_phase(s, photon=1, at="Q", phi=math.pi)
-    s = opt.apply_bs(s, photon=1, in_a="P", in_b="Q", out_c="P", out_d="Q")
+    s = qs.apply(opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="P", out_d="Q"), s)
+    s = qs.apply(opt.phase_operator(PATH, at="Q", phi=math.pi), s)
+    s = qs.apply(opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="P", out_d="Q"), s)
     assert abs(s.amplitude("R", "P")) == pytest.approx(1.0)
 
 
@@ -81,19 +84,19 @@ def test_mirror_swaps_handedness_only_at_its_port():
         (qs.polarization(1), qs.path(1, PORTS)),
         np.array([SQ, 0, 0, 0, 0, SQ, 0, 0]),  # R@P + L@Q
     )
-    out = opt.apply_mirror(s, photon=1, at="P")
+    out = qs.apply(opt.mirror_operator(POL, PATH, at="P"), s)
     assert out.amplitude("L", "P") == pytest.approx(SQ)
     assert out.amplitude("L", "Q") == pytest.approx(SQ)
 
 
 def test_hwp_at_zero_swaps_r_and_l():
-    out = opt.apply_hwp(photon_state("R", "P"), photon=1, at="P")
+    out = qs.apply(opt.hwp_operator(POL, PATH, at="P"), photon_state("R", "P"))
     assert out.amplitude("L", "P") == pytest.approx(1.0)
 
 
 def test_hwp_angle_phases():
     th = 0.31
-    out = opt.apply_hwp(photon_state("R", "P"), photon=1, at="P", theta=th)
+    out = qs.apply(opt.hwp_operator(POL, PATH, at="P", theta=th), photon_state("R", "P"))
     assert out.amplitude("L", "P") == pytest.approx(np.exp(-2j * th))
 
 
@@ -102,7 +105,7 @@ def test_phase_applies_to_both_polarizations():
         (qs.polarization(1), qs.path(1, PORTS)),
         np.array([SQ, 0, 0, 0, SQ, 0, 0, 0]),  # (R+L)@P
     )
-    out = opt.apply_phase(s, photon=1, at="P", phi=math.pi / 2)
+    out = qs.apply(opt.phase_operator(PATH, at="P", phi=math.pi / 2), s)
     assert out.amplitude("R", "P") == pytest.approx(1j * SQ)
     assert out.amplitude("L", "P") == pytest.approx(1j * SQ)
 
@@ -133,8 +136,8 @@ def test_elements_preserve_norm_on_random_states():
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
     s = qs.StateVector(regs, amps)
-    s = opt.apply_cpbs4(s, photon=1, in_paths=("P", "T"), out_paths=("S", "Q"))
-    s = opt.apply_bs(s, photon=1, in_a="P", in_b="Q", out_c="P", out_d="Q")
-    s = opt.apply_mirror(s, photon=1, at="S")
-    s = opt.apply_phase(s, photon=1, at="P", phi=0.4)
+    s = qs.apply(opt.cpbs4_operator(POL, PATH, in_paths=("P", "T"), out_paths=("S", "Q")), s)
+    s = qs.apply(opt.bs_operator(PATH, in_a="P", in_b="Q", out_c="P", out_d="Q"), s)
+    s = qs.apply(opt.mirror_operator(POL, PATH, at="S"), s)
+    s = qs.apply(opt.phase_operator(PATH, at="P", phi=0.4), s)
     assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
