@@ -57,6 +57,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(params) -> None:
+    """Refuse NaN and ±inf in any field of a parameter dataclass."""
+    for field in dataclasses.fields(params):
+        if not math.isfinite(getattr(params, field.name)):
+            raise ValueError(f"{field.name} must be finite")
+
+
 @dataclasses.dataclass(frozen=True)
 class CavityParams:
     """Cavity/emitter parameters in angular-frequency units.
@@ -73,6 +80,7 @@ class CavityParams:
     g: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.g < 0:
@@ -88,8 +96,9 @@ class CavityParams:
 class ScatterCoefficients:
     """Reflection/transmission amplitudes at one detuning.
 
-    ``xi`` is the dimensionless detuning parameter; ``None`` encodes the
-    divergent on-resonance coupled limit, where reflection is perfect.
+    ``xi`` is the dimensionless detuning parameter; ``None`` encodes a
+    divergent ξ (the on-resonance coupled limit, or an overflow), where
+    reflection is perfect.
     """
 
     r: complex
@@ -111,17 +120,27 @@ def scatter_coefficients(params: CavityParams) -> ScatterCoefficients:
     The two exact limits are handled explicitly: an empty resonant cavity
     (g = 0, Δω = 0) transmits with amplitude −1, while a coupled emitter
     probed at the bare resonance (Δω = 0, g > 0) reflects with amplitude +1.
+    A ξ that overflows to ±∞ (e.g. Γ/(2Δω) at a subnormal Δω) takes the
+    same |ξ| → ∞ limit, r = 1 and t = 0; a ξ of ∞ − ∞, where both terms
+    overflow, is undefined in floating point and refused with ``ValueError``.
     """
     if params.delta_omega == 0.0:
         if params.g > 0.0:
             # Γ/(2Δω) diverges: unit reflection, no transmission.
             return ScatterCoefficients(r=1.0 + 0.0j, t=0.0j, xi=None)
-        xi = complex(params.delta / params.kappa)
+        xi = params.delta / params.kappa
     else:
-        xi = complex(
-            (params.delta_omega + params.delta) / params.kappa
-            - params.gamma / (2.0 * params.delta_omega)
+        xi = (params.delta_omega + params.delta) / params.kappa - params.gamma / (
+            2.0 * params.delta_omega
         )
+    if math.isnan(xi):
+        raise ValueError(
+            f"detuning parameter xi is undefined at delta_omega={params.delta_omega!r}: "
+            "both of its terms overflow"
+        )
+    if math.isinf(xi):
+        return ScatterCoefficients(r=1.0 + 0.0j, t=0.0j, xi=None)
+    xi = complex(xi)
     denom = 1.0 + 1j * xi
     return ScatterCoefficients(r=1j * xi / denom, t=-1.0 / denom, xi=xi)
 
@@ -158,6 +177,7 @@ class ContrastParams:
     purcell: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.q_ratio_sq <= 1.0:
             raise ValueError("q_ratio_sq must lie in (0, 1]")
         if self.purcell < 0.0:

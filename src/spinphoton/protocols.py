@@ -7,6 +7,9 @@
 * :func:`entangle_stream` / :func:`ghz` — the same gate applied to a train of
   photons sharing the one spin, creating Bell, GHZ, and graph-like states;
   reading the spin in the ± basis heralds which multi-photon state remains.
+  The stream applies the gate as its heralded Kraus map, the 4×4
+  :func:`cnot_gate_matrix` on (polarization ⊗ spin), once per photon, so
+  no photon's path or loss flag enters its state.
 * :func:`bsa` — the spin-heralded complete Bell-state analyzer: both photons
   scatter off the cavity in turn, the transmitted arm is folded and mixed with
   the reflected arm on a 50:50 splitter, and the (port, linear polarization,
@@ -21,7 +24,8 @@ Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 :data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and one executor,
 :func:`run_plan`, turns a schedule into cavity and optics operators and
 applies them.  The circuit compiler emits its schedules for the same
-executor.
+executor.  The stream runs :data:`CNOT_PLAN` once, inside
+:func:`cnot_gate_matrix`, and then applies the matrix.
 """
 
 from __future__ import annotations
@@ -275,16 +279,16 @@ def _postselect_exit(state: StateVector, photon: int) -> tuple[StateVector, floa
 def _ideal_gate_target(
     photon_amps: Sequence[tuple[complex, complex]],
     spin_amps: tuple[complex, complex],
-    photon_ids: Sequence[int],
 ) -> StateVector:
-    """Algebraic output of perfect gates: spin Down flips each photon's R/L."""
-    spin_reg = qs.spin()
-    out_up = qs.from_amplitudes(spin_reg, [spin_amps[0], 0.0])
-    out_down = qs.from_amplitudes(spin_reg, [0.0, spin_amps[1]])
-    for pid, (a, b) in zip(photon_ids, photon_amps):
-        out_up = qs.tensor(out_up, qs.from_amplitudes(qs.polarization(pid), [a, b]))
-        out_down = qs.tensor(out_down, qs.from_amplitudes(qs.polarization(pid), [b, a]))
-    return StateVector(out_up.registers, out_up.amps + out_down.amps)
+    """Algebraic output of perfect gates over (spin, pol₁…polₙ): spin Down
+    flips each photon's R/L."""
+    up = np.array([spin_amps[0]], dtype=complex)
+    down = np.array([spin_amps[1]], dtype=complex)
+    for a, b in photon_amps:
+        up = np.kron(up, [a, b])
+        down = np.kron(down, [b, a])
+    regs = (qs.spin(),) + tuple(qs.polarization(k) for k in range(1, len(photon_amps) + 1))
+    return StateVector(regs, np.concatenate([up, down]))
 
 
 def cnot(
@@ -312,25 +316,28 @@ def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     """The post-selected gate on (pol ⊗ spin), basis [R↑, R↓, L↑, L↓].
 
     Ideal models give the exact controlled-flip unitary; lossy models give the
-    sub-unitary matrix of the photon-exits-alive-at-D branch.
+    sub-unitary matrix of the photon-exits-alive-at-D branch.  One run of
+    :data:`CNOT_PLAN` gives all four columns: (pol₁, spin) enters maximally
+    entangled with untouched reference copies (pol₂, spin₁), so the
+    post-selected output holds ½·gate[out, in] at (out, in).
     """
     model = model or InteractionModel.ideal()
-    regs = [qs.spin(), qs.polarization(1), qs.path(1, CNOT_PATHS)]
+    refs = (qs.polarization(2), qs.spin(1))
+    # ½ Σ |s⟩_spin |p⟩_pol₁ |p⟩_pol₂ |s⟩_spin₁ over the row-major (s, p, p', s') grid
+    pair = 0.5 * np.einsum("ad,bc->abcd", np.eye(2), np.eye(2)).reshape(-1)
+    photon = [qs.path(1, CNOT_PATHS)]
     if not model.is_lossless:
-        regs.append(qs.loss_flag(1))
-    cols = []
-    for pol in qs.RL:
-        for spin in qs.UP_DOWN:
-            # one basis name per register; "Alive" is dropped without a flag
-            state = qs.basis_state(regs, [spin, pol, "A", "Alive"][: len(regs)])
-            state = run_plan(state, CNOT_PLAN, model, photon=1)
-            state, _ = _postselect_exit(state, photon=1)
-            state = qs.reorder(
-                state, [(RegisterKind.POLARIZATION, 1), (RegisterKind.SPIN, 0)]
-            )
-            cols.append(state.amps)
-    # columns were generated in (pol, spin) row-major input order
-    return np.stack(cols, axis=1)
+        photon.append(qs.loss_flag(1))
+    state = qs.tensor(
+        StateVector((qs.spin(), qs.polarization(1)) + refs, pair),
+        qs.basis_state(photon, ["A", "Alive"][: len(photon)]),
+    )
+    state = run_plan(state, CNOT_PLAN, model, photon=1)
+    state, _ = _postselect_exit(state, photon=1)
+    state = qs.reorder(
+        state, [(RegisterKind.POLARIZATION, 1), (RegisterKind.SPIN, 0)] + [r.key for r in refs]
+    )
+    return 2.0 * state.amps.reshape(4, 4)
 
 
 def conditional_spin_prep(
@@ -392,45 +399,45 @@ def entangle_stream(
 ) -> ProtocolResult:
     """Send a train of photons through the gate, one at a time.
 
-    Each photon enters at A and is post-selected at D; its path register is
-    dropped after its pass, so the live state holds only polarizations and
-    the spin.  ``spin_phase_drift`` adds a deterministic Z rotation of the
-    spin between consecutive photons (an inter-photon precession knob;
-    0 disables it).  The result state orders registers (spin, pol₁, …, polₙ).
+    Each photon's pass is the heralded Kraus gate, :func:`cnot_gate_matrix`,
+    built once and applied to (polₖ, spin): the photon enters at A and is
+    post-selected alive at D, so its path and loss flag never enter the
+    state, which holds only the spin and the polarizations.
+    ``spin_phase_drift`` adds a deterministic Z rotation of the spin between
+    consecutive photons (an inter-photon precession knob; 0 disables it, and
+    any other value leaves the fidelity NaN).  The result state orders
+    registers (spin, pol₁, …, polₙ).  A train whose final state would exceed
+    :data:`~spinphoton.qstate.MAX_AMPLITUDES` is refused before any work.
     """
     model = model or InteractionModel.ideal()
     spin_amps = _normalize_pair(spin_amps)
     amps = [_normalize_pair(p) for p in photon_amps]
     if not amps:
         raise ValueError("need at least one photon")
-    lossy = not model.is_lossless
+    if 2 ** (len(amps) + 1) > qs.MAX_AMPLITUDES:
+        raise ValueError(
+            f"{len(amps)} photons need a state of 2^{len(amps) + 1} amplitudes, "
+            f"over the budget of {qs.MAX_AMPLITUDES}"
+        )
 
+    gate = cnot_gate_matrix(model)
+    drift = Operator((qs.spin(),), np.diag([1.0, np.exp(1j * spin_phase_drift)]))
     state = qs.from_amplitudes(qs.spin(), list(spin_amps))
     success = 1.0
     for k, pair in enumerate(amps, start=1):
         if k > 1 and spin_phase_drift != 0.0:
-            z = Operator(
-                (qs.spin(),),
-                np.diag([1.0, np.exp(1j * spin_phase_drift)]).astype(complex),
-            )
-            state = qs.apply(z, state)
-        photon = qs.tensor(
-            qs.from_amplitudes(qs.polarization(k), list(pair)),
-            qs.basis_state([qs.path(k, CNOT_PATHS)], ["A"]),
-        )
-        if lossy:
-            photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(k)], ["Alive"]))
-        state = qs.tensor(state, photon)
-        state = run_plan(state, CNOT_PLAN, model, photon=k)
-        state, prob = _postselect_exit(state, photon=k)
+            state = qs.apply(drift, state)
+        state = qs.tensor(state, qs.from_amplitudes(qs.polarization(k), list(pair)))
+        before = state.norm_sq()
+        state = qs.apply(Operator((qs.polarization(k), qs.spin()), gate), state)
+        prob = state.norm_sq() / before
         if prob <= 1e-300:
             raise ValueError(f"photon {k}: heralded branch has vanishing probability")
         success *= prob
         state = StateVector(state.registers, state.amps / math.sqrt(prob))
 
-    target = _ideal_gate_target(amps, spin_amps, range(1, len(amps) + 1))
     if spin_phase_drift == 0.0:
-        fid = qs.fidelity(state, qs.reorder(target, [r.key for r in state.registers]))
+        fid = qs.fidelity(state, _ideal_gate_target(amps, spin_amps))
     else:
         fid = float("nan")
     return ProtocolResult(state, success, fid)

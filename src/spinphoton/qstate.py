@@ -19,6 +19,11 @@ import numpy as np
 #: Absolute tolerance used for "exact" algebraic checks throughout the package.
 ATOL = 1e-12
 
+#: Largest state, in amplitudes, that ``tensor`` and the photon stream build:
+#: 2^25 complex amplitudes are 512 MiB.  Larger requests are refused with
+#: ``ValueError`` before anything is allocated.
+MAX_AMPLITUDES = 2**25
+
 RL = ("R", "L")
 HV = ("H", "V")
 UP_DOWN = ("Up", "Down")
@@ -231,6 +236,10 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     overlap_keys = {r.key for r in a.registers} & {r.key for r in b.registers}
     if overlap_keys:
         raise ValueError(f"overlapping register identity: {sorted(k[0].value for k in overlap_keys)}")
+    if a.dim * b.dim > MAX_AMPLITUDES:
+        raise ValueError(
+            f"tensor product of {a.dim * b.dim} amplitudes exceeds the budget of {MAX_AMPLITUDES}"
+        )
     return StateVector(a.registers + b.registers, np.kron(a.amps, b.amps))
 
 

@@ -57,9 +57,45 @@ def test_kappa_must_be_positive():
         cav.CavityParams(delta_omega=0.0, delta=0.0, kappa=0.0, g=0.1)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["delta_omega", "delta", "kappa", "g"])
+def test_cavity_params_refuse_non_finite(field, value):
+    fields = dict(delta_omega=0.0, delta=0.0, kappa=1.0, g=0.1)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cav.CavityParams(**fields)
+
+
+@pytest.mark.parametrize("delta_omega", [1e-320, -1e-320])
+def test_overflowing_xi_takes_the_perfect_reflection_limit(delta_omega):
+    # Γ/(2Δω) overflows to ±inf at a subnormal detuning: r → 1, t → 0
+    c = cav.scatter_coefficients(cav.CavityParams(delta_omega, 0.0, 1.0, 1.0))
+    assert c.xi_infinite
+    assert c.r == 1.0
+    assert c.t == 0.0
+
+
+def test_xi_of_two_overflowing_terms_is_refused():
+    # (Δω + δ)/κ and Γ/(2Δω) both overflow: ξ = inf − inf has no value
+    with pytest.raises(ValueError, match="xi is undefined"):
+        cav.scatter_coefficients(cav.CavityParams(1e-320, 1e308, 1e-10, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # transmission contrast
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["q_ratio_sq", "purcell"])
+def test_contrast_params_refuse_non_finite(field, value):
+    fields = dict(q_ratio_sq=0.8, purcell=6.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cav.ContrastParams(**fields)
 
 
 def test_quality_ratio_from_measured_losses():

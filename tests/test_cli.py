@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -105,14 +106,50 @@ class TestNonFinite:
         assert "finite" in capsys.readouterr().err
 
     def test_non_finite_result_is_an_error_not_json(self, capsys):
-        # finite input, but Γ/(2Δω) overflows at subnormal detunings, so the
-        # ξ-derived cells are NaN: no JSON is written, the run fails
+        # finite input, but both terms of ξ overflow at a subnormal detuning
+        # with a huge δ/κ, so ξ = inf − inf has no value: no JSON is written,
+        # the run fails
         argv = ["sweep-delta", "--min", "1e-320", "--max", "2e-320", "--points", "2",
-                "--g", "1", "--format", "json"]
+                "--g", "1", "--kappa", "1e-10", "--delta", "1e308", "--format", "json"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_xi_is_the_perfect_reflection_limit(self, fmt, capsys):
+        # Γ/(2Δω) overflows at subnormal detunings: r = 1, t = 0, blank ξ
+        argv = ["sweep-delta", "--min", "1e-320", "--max", "2e-320", "--points", "2",
+                "--g", "1", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            doc = json.loads(out)
+            header, rows = doc["columns"], doc["rows"]
+        else:
+            assert "nan" not in out.lower()
+            header, rows = _csv_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row[header.index("r_re")]) == 1.0
+            assert float(row[header.index("t_re")]) == 0.0
+            assert row[header.index("xi_re")] in ("", None)
+
+
+class TestStateBudget:
+    def test_oversized_ghz_fails_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["ghz", "-n", "40", "--model", "lossy"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "2^41" in captured.err
+        assert peak < 1 << 20
 
 
 class TestRun:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphoton import cavity as cav
 from spinphoton import measurement as meas
@@ -260,6 +262,101 @@ def test_spin_phase_drift_twists_the_ghz_superposition():
 def test_stream_rejects_empty_input():
     with pytest.raises(ValueError):
         proto.entangle_stream([])
+
+
+def test_stream_over_the_state_budget_is_refused():
+    with pytest.raises(ValueError, match=r"2\^26 amplitudes"):
+        proto.ghz(25)
+
+
+# ---------------------------------------------------------------------------
+# the stream against the dense per-photon oracle
+# ---------------------------------------------------------------------------
+
+
+def _dense_stream(photon_amps, spin_amps, model, spin_phase_drift=0.0):
+    """The stream with each photon's path and loss flag in the state: tensor
+    them in, run CNOT_PLAN, post-select the alive branch at D, renormalize."""
+    spin_amps = proto._normalize_pair(spin_amps)
+    amps = [proto._normalize_pair(p) for p in photon_amps]
+    z = qs.Operator((qs.spin(),), np.diag([1.0, np.exp(1j * spin_phase_drift)]))
+    state = qs.from_amplitudes(qs.spin(), list(spin_amps))
+    up = qs.from_amplitudes(qs.spin(), [spin_amps[0], 0.0])
+    down = qs.from_amplitudes(qs.spin(), [0.0, spin_amps[1]])
+    success = 1.0
+    for k, (a, b) in enumerate(amps, start=1):
+        if k > 1:
+            state = qs.apply(z, state)
+        photon = qs.tensor(
+            qs.from_amplitudes(qs.polarization(k), [a, b]),
+            qs.basis_state([qs.path(k, proto.CNOT_PATHS)], ["A"]),
+        )
+        if not model.is_lossless:
+            photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(k)], ["Alive"]))
+        state = proto.run_plan(qs.tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
+        state, prob = proto._postselect_exit(state, photon=k)
+        success *= prob
+        state = qs.StateVector(state.registers, state.amps / math.sqrt(prob))
+        up = qs.tensor(up, qs.from_amplitudes(qs.polarization(k), [a, b]))
+        down = qs.tensor(down, qs.from_amplitudes(qs.polarization(k), [b, a]))
+    if spin_phase_drift == 0.0:
+        fid = qs.fidelity(state, qs.StateVector(up.registers, up.amps + down.amps))
+    else:
+        fid = float("nan")
+    return proto.ProtocolResult(state, success, fid)
+
+
+def _assert_same_result(fast, dense):
+    assert fast.state.registers == dense.state.registers
+    assert np.abs(fast.state.amps - dense.state.amps).max() <= 1e-12
+    assert fast.success_probability == pytest.approx(dense.success_probability, abs=1e-12)
+    if math.isnan(dense.fidelity):
+        assert math.isnan(fast.fidelity)
+    else:
+        assert fast.fidelity == pytest.approx(dense.fidelity, abs=1e-12)
+
+
+_unit = st.floats(-1.0, 1.0)
+_pairs = st.tuples(_unit, _unit, _unit, _unit).filter(
+    lambda v: math.hypot(*v) > 0.1
+).map(lambda v: (complex(v[0], v[1]), complex(v[2], v[3])))
+# F_P > 1 keeps the coupled branch's R/L block away from singular (ct < ½),
+# and (Q/Q0)² ≥ 0.3 the uncoupled one (ut > ½), so no herald nearly vanishes
+_models = st.one_of(
+    st.just(cav.InteractionModel.ideal()),
+    st.builds(
+        lambda q2, fp: cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp)),
+        st.floats(0.3, 1.0),
+        st.floats(1.5, 30.0),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    photons=st.lists(_pairs, min_size=1, max_size=8),
+    spin=_pairs,
+    model=_models,
+    drift=st.one_of(st.just(0.0), st.floats(0.01, 2.0 * math.pi)),
+)
+def test_stream_matches_dense_oracle(photons, spin, model, drift):
+    fast = proto.entangle_stream(photons, spin, model, spin_phase_drift=drift)
+    _assert_same_result(fast, _dense_stream(photons, spin, model, drift))
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_ghz12_stream_matches_dense_oracle(lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    photons = [(1.0, 0.0)] * 12
+    _assert_same_result(
+        proto.entangle_stream(photons, (SQ, SQ), model), _dense_stream(photons, (SQ, SQ), model)
+    )
+    out = proto.ghz(12, model)
+    ut, ur = model.uncoupled_transmit_amp, model.uncoupled_reflect_amp
+    cr, ct = model.coupled_reflect_amp, model.coupled_transmit_amp
+    want = ((ut**2 + ur**2) ** 12 + (cr**2 + ct**2) ** 12) / 2.0
+    total = out["Plus"].success_probability + out["Minus"].success_probability
+    assert total == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

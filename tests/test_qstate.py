@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def test_tensor_rejects_same_register_twice():
     a = qs.from_amplitudes(qs.polarization(1), [1.0, 0.0])
     with pytest.raises(ValueError):
         qs.tensor(a, a)
+
+
+def test_tensor_over_the_budget_fails_before_allocating():
+    # two 6000-port registers: 3.6e7 amplitudes, over MAX_AMPLITUDES = 2^25
+    ports = [f"p{i}" for i in range(6000)]
+    a = qs.basis_state([qs.path(1, ports)], ["p0"])
+    b = qs.basis_state([qs.path(2, ports)], ["p0"])
+    assert a.dim * b.dim > qs.MAX_AMPLITUDES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="36000000 amplitudes"):
+            qs.tensor(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_norm_guard():
