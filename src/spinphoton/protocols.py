@@ -8,8 +8,11 @@
   photons sharing the one spin, creating Bell, GHZ, and graph-like states;
   reading the spin in the ± basis heralds which multi-photon state remains.
   The stream applies the gate as its heralded Kraus map, the 4×4
-  :func:`cnot_gate_matrix` on (polarization ⊗ spin), once per photon, so
-  no photon's path or loss flag enters its state.
+  :func:`cnot_gate_matrix` on (polarization ⊗ spin), so no photon's path or
+  loss flag enters its state.  It is a sequentially generated
+  matrix-product state with the spin as its bond: each photon adds two 2×2
+  Kraus blocks, one per output polarization, and the stream grows one plain
+  (spin × polarizations) array, building a state vector only for its result.
 * :func:`bsa` — the spin-heralded complete Bell-state analyzer: both photons
   scatter off the cavity in turn, the transmitted arm is folded and mixed with
   the reflected arm on a 50:50 splitter, and the (port, linear polarization,
@@ -276,21 +279,6 @@ def _postselect_exit(state: StateVector, photon: int) -> tuple[StateVector, floa
     return state, after / before if before > 0 else 0.0
 
 
-def _ideal_gate_target(
-    photon_amps: Sequence[tuple[complex, complex]],
-    spin_amps: tuple[complex, complex],
-) -> StateVector:
-    """Algebraic output of perfect gates over (spin, pol₁…polₙ): spin Down
-    flips each photon's R/L."""
-    up = np.array([spin_amps[0]], dtype=complex)
-    down = np.array([spin_amps[1]], dtype=complex)
-    for a, b in photon_amps:
-        up = np.kron(up, [a, b])
-        down = np.kron(down, [b, a])
-    regs = (qs.spin(),) + tuple(qs.polarization(k) for k in range(1, len(photon_amps) + 1))
-    return StateVector(regs, np.concatenate([up, down]))
-
-
 def cnot(
     photon_amps: tuple[complex, complex],
     spin_amps: tuple[complex, complex],
@@ -390,6 +378,66 @@ def _port_pol(port: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _stream(
+    amps: Sequence[tuple[complex, complex]],
+    spin_amps: tuple[complex, complex],
+    model: InteractionModel,
+    spin_phase_drift: float,
+) -> tuple[np.ndarray, float]:
+    """The stream's normalized amplitudes, shape (2, 2ⁿ) over [spin, pol₁…polₙ],
+    and its heralded probability.  ``amps`` and ``spin_amps`` are normalized.
+
+    The spin is the bond of a sequentially generated matrix-product state:
+    photon (a, b) contributes the 2×2 Kraus blocks
+    A[p′] = a·G[p′, :, R, :] + b·G[p′, :, L, :] of the gate G[p′, s′, p, s],
+    and ψ′[s′, rest, p′] = (A[p′] ψ)[s′, rest] appends its polarization as
+    the last axis.
+    """
+    if 2 ** (len(amps) + 1) > qs.MAX_AMPLITUDES:
+        raise ValueError(
+            f"{len(amps)} photons need a state of 2^{len(amps) + 1} amplitudes, "
+            f"over the budget of {qs.MAX_AMPLITUDES}"
+        )
+    gate = cnot_gate_matrix(model).reshape(2, 2, 2, 2)
+    phase = np.exp(1j * spin_phase_drift)
+    psi = np.array(spin_amps, dtype=np.complex128).reshape(2, 1)
+    success = 1.0
+    for k, (a, b) in enumerate(amps, start=1):
+        if k > 1 and spin_phase_drift != 0.0:
+            psi[1] *= phase
+        # ψ is normalized only up to rounding: the ratio keeps a lossless
+        # gate's probability at exactly 1
+        before = np.vdot(psi, psi).real
+        blocks = a * gate[:, :, 0, :] + b * gate[:, :, 1, :]
+        out = np.empty((2, psi.shape[1], 2), dtype=np.complex128)
+        for p_out in range(2):
+            np.matmul(blocks[p_out], psi, out=out[:, :, p_out])
+        psi = out.reshape(2, -1)
+        prob = float(np.vdot(psi, psi).real / before)
+        if prob <= 1e-300:
+            raise ValueError(f"photon {k}: heralded branch has vanishing probability")
+        success *= prob
+        psi *= 1.0 / math.sqrt(prob)
+    return psi, success
+
+
+def _target_overlap(
+    psi: np.ndarray,
+    amps: Sequence[tuple[complex, complex]],
+    spin_amps: tuple[complex, complex],
+) -> complex:
+    """⟨target|ψ⟩ for perfect gates, where spin Down flips each photon's R/L:
+    Σ_s conj(c_s)·⟨⊗ₖ pairₖ⁽ˢ⁾|ψ[s]⟩, contracted one photon at a time from
+    the last."""
+    total = 0j
+    for s, c in enumerate(spin_amps):
+        v = psi[s]
+        for a, b in reversed(amps):
+            v = v.reshape(-1, 2) @ np.conj([a, b] if s == 0 else [b, a])
+        total += np.conj(c) * v[0]
+    return complex(total)
+
+
 def entangle_stream(
     photon_amps: Sequence[tuple[complex, complex]],
     spin_amps: tuple[complex, complex] = (_SQ, _SQ),
@@ -400,9 +448,12 @@ def entangle_stream(
     """Send a train of photons through the gate, one at a time.
 
     Each photon's pass is the heralded Kraus gate, :func:`cnot_gate_matrix`,
-    built once and applied to (polₖ, spin): the photon enters at A and is
-    post-selected alive at D, so its path and loss flag never enter the
-    state, which holds only the spin and the polarizations.
+    built once: the photon enters at A and is post-selected alive at D, so
+    its path and loss flag never enter the state, which holds only the spin
+    and the polarizations.  The spin is the bond of a matrix-product state:
+    a photon with amplitudes (a, b) acts on it through two 2×2 Kraus blocks,
+    one per output polarization, and each block's product with the
+    (spin × earlier photons) array fills one half of the new photon's axis.
     ``spin_phase_drift`` adds a deterministic Z rotation of the spin between
     consecutive photons (an inter-photon precession knob; 0 disables it, and
     any other value leaves the fidelity NaN).  The result state orders
@@ -414,30 +465,11 @@ def entangle_stream(
     amps = [_normalize_pair(p) for p in photon_amps]
     if not amps:
         raise ValueError("need at least one photon")
-    if 2 ** (len(amps) + 1) > qs.MAX_AMPLITUDES:
-        raise ValueError(
-            f"{len(amps)} photons need a state of 2^{len(amps) + 1} amplitudes, "
-            f"over the budget of {qs.MAX_AMPLITUDES}"
-        )
-
-    gate = cnot_gate_matrix(model)
-    drift = Operator((qs.spin(),), np.diag([1.0, np.exp(1j * spin_phase_drift)]))
-    state = qs.from_amplitudes(qs.spin(), list(spin_amps))
-    success = 1.0
-    for k, pair in enumerate(amps, start=1):
-        if k > 1 and spin_phase_drift != 0.0:
-            state = qs.apply(drift, state)
-        state = qs.tensor(state, qs.from_amplitudes(qs.polarization(k), list(pair)))
-        before = state.norm_sq()
-        state = qs.apply(Operator((qs.polarization(k), qs.spin()), gate), state)
-        prob = state.norm_sq() / before
-        if prob <= 1e-300:
-            raise ValueError(f"photon {k}: heralded branch has vanishing probability")
-        success *= prob
-        state = StateVector(state.registers, state.amps / math.sqrt(prob))
-
+    psi, success = _stream(amps, spin_amps, model, spin_phase_drift)
+    regs = (qs.spin(),) + tuple(qs.polarization(k) for k in range(1, len(amps) + 1))
+    state = StateVector(regs, psi)
     if spin_phase_drift == 0.0:
-        fid = qs.fidelity(state, _ideal_gate_target(amps, spin_amps))
+        fid = abs(_target_overlap(psi, amps, spin_amps)) ** 2 / state.norm_sq()
     else:
         fid = float("nan")
     return ProtocolResult(state, success, fid)
@@ -452,26 +484,30 @@ def ghz(
     """n-photon GHZ generation heralded by the spin ± readout.
 
     All photons enter right-circular with the spin in (↑+↓)/√2; measuring the
-    spin in the ± basis leaves (R…R ± L…L)/√2 with probability ½ each.
+    spin in the ± basis leaves (R…R ± L…L)/√2 with probability ½ each.  The
+    ± branches, (ψ[Up] ± ψ[Down])/√2, are taken straight from the stream's
+    amplitudes.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    stream = entangle_stream(
-        [(1.0, 0.0)] * n, (_SQ, _SQ), model, spin_phase_drift=spin_phase_drift
+    psi, success = _stream(
+        [(1.0, 0.0)] * n,
+        _normalize_pair((_SQ, _SQ)),  # as entangle_stream does, to the last bit
+        model or InteractionModel.ideal(),
+        spin_phase_drift,
     )
-    state = qs.change_basis(stream.state, (RegisterKind.SPIN, 0), "PlusMinus")
-
+    regs = tuple(qs.polarization(k) for k in range(1, n + 1))
     out: dict[str, ProtocolResult] = {}
     for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
-        branch = qs.collapse(state, (RegisterKind.SPIN, 0), name, check=False)
-        prob = branch.norm_sq()
-        target_amps = np.zeros(2**n, dtype=complex)
-        target_amps[0] = _SQ
-        target_amps[-1] = sign * _SQ
-        target = StateVector(branch.registers, target_amps)
-        out[name] = ProtocolResult(
-            branch.normalized(), stream.success_probability * prob, qs.fidelity(branch, target)
-        )
+        branch = _SQ * psi[0] + (sign * _SQ) * psi[1]
+        prob = float(np.vdot(branch, branch).real)
+        if prob < qs.ATOL:
+            raise ValueError(f"the {name} herald has vanishing probability")
+        # |⟨GHZ±|branch⟩|² over both norms²; GHZ± has amplitudes 1/√2, ±1/√2
+        overlap = _SQ * branch[0] + (sign * _SQ) * branch[-1]
+        fid = abs(overlap) ** 2 / (prob * (2.0 * _SQ * _SQ))
+        branch *= 1.0 / math.sqrt(prob)
+        out[name] = ProtocolResult(StateVector(regs, branch), success * prob, fid)
     return out
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphoton import cavity as cav
 from spinphoton import qstate as qs
@@ -258,6 +260,56 @@ def test_scatter_twice_is_identity():
     op = one_sided(cav.InteractionModel.ideal(), regs)
     back = qs.apply(op, qs.apply(op, s))
     assert np.allclose(back.amps, s.amps, atol=1e-12)
+
+
+# A path register's ports in basis order, and the same ports in random order:
+# the first two or three of the shuffle play the named roles.
+_ports = st.lists(
+    st.text(alphabet="ABCDEFGH", min_size=1, max_size=3), min_size=3, max_size=6, unique=True
+).flatmap(lambda ports: st.tuples(st.just(tuple(ports)), st.permutations(ports)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ports=_ports, arrive_from=st.sampled_from(["below", "above"]))
+def test_ideal_one_sided_operator_is_an_involution(ports, arrive_from):
+    basis, roles = ports
+    op = cav.one_sided_operator(
+        cav.InteractionModel.ideal(),
+        pol=qs.polarization(1),
+        path=qs.path(1, basis),
+        spin=qs.spin(),
+        in_path=roles[0],
+        reflect_path=roles[1],
+        transmit_path=roles[2],
+        arrive_from=arrive_from,
+    )
+    assert np.abs(op.matrix @ op.matrix - np.eye(op.dim)).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ports=_ports,
+    two_sided=st.booleans(),
+    q2=st.floats(1e-6, 1.0),
+    fp=st.floats(0.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lossy_builders_keep_the_norm_with_the_flag(ports, two_sided, q2, fp, seed):
+    basis, roles = ports
+    model = cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp))
+    regs = (qs.spin(), qs.polarization(1), qs.path(1, basis), qs.loss_flag(1))
+    common = dict(pol=regs[1], path=regs[2], spin=regs[0], flag=regs[3])
+    if two_sided:
+        op = cav.two_sided_operator(model, lower_path=roles[0], upper_path=roles[1], **common)
+    else:
+        op = cav.one_sided_operator(
+            model, in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2], **common
+        )
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    out = qs.apply(op, qs.StateVector(regs, amps / np.linalg.norm(amps)))
+    # the weight missing from the Alive branch is all in the Lost branch
+    assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

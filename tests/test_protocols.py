@@ -123,6 +123,15 @@ def test_gate_pipeline_matches_matrix_product_on_random_inputs():
         assert np.allclose(stepwise.amps, total @ amps, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(q2=st.floats(1e-6, 1.0), fp=st.floats(0.0, 1e3))
+def test_lossy_gate_matrix_is_sub_unitary(q2, fp):
+    # the ideal model's gate is the CNOT itself: test_gate_matrix_is_the_controlled_flip
+    model = cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp))
+    sigma = np.linalg.svd(proto.cnot_gate_matrix(model), compute_uv=False)
+    assert sigma[0] <= 1.0 + 1e-12
+
+
 def test_lossy_gate_matrix_structure(lossy_model):
     ut = lossy_model.uncoupled_transmit_amp
     ur = lossy_model.uncoupled_reflect_amp
@@ -259,6 +268,22 @@ def test_spin_phase_drift_twists_the_ghz_superposition():
     assert ratio == pytest.approx(np.exp(1j * phi), abs=1e-12)
 
 
+def test_vanishing_herald_is_refused():
+    dead = cav.InteractionModel(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="vanishing"):
+        proto.entangle_stream([(1, 0)], model=dead)
+    with pytest.raises(ValueError, match="vanishing"):
+        proto.ghz(3, dead)
+
+
+def test_vanishing_ghz_herald_is_refused():
+    # both spin states scatter R into (R + L)/2, so ψ[Up] = ψ[Down] and the
+    # Minus herald never fires
+    blind = cav.InteractionModel(0.5, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="Minus herald has vanishing"):
+        proto.ghz(2, blind)
+
+
 def test_stream_rejects_empty_input():
     with pytest.raises(ValueError):
         proto.entangle_stream([])
@@ -357,6 +382,38 @@ def test_ghz12_stream_matches_dense_oracle(lossy, lossy_model):
     want = ((ut**2 + ur**2) ** 12 + (cr**2 + ct**2) ** 12) / 2.0
     total = out["Plus"].success_probability + out["Minus"].success_probability
     assert total == pytest.approx(want, abs=1e-12)
+
+
+def _dense_ghz(n, model, spin_phase_drift=0.0):
+    """ghz the generic way: the dense stream, the spin turned to the ± basis,
+    each branch collapsed out and compared with a dense GHZ± state."""
+    stream = _dense_stream([(1.0, 0.0)] * n, (SQ, SQ), model, spin_phase_drift)
+    state = qs.change_basis(stream.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
+    out = {}
+    for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
+        branch = qs.collapse(state, (qs.RegisterKind.SPIN, 0), name, check=False)
+        target_amps = np.zeros(2**n, dtype=complex)
+        target_amps[0] = SQ
+        target_amps[-1] = sign * SQ
+        target = qs.StateVector(branch.registers, target_amps)
+        out[name] = proto.ProtocolResult(
+            branch.normalized(),
+            stream.success_probability * branch.norm_sq(),
+            qs.fidelity(branch, target),
+        )
+    return out
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.4])
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_ghz_matches_dense_oracle(n, lossy, drift, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    fast = proto.ghz(n, model, spin_phase_drift=drift)
+    dense = _dense_ghz(n, model, drift)
+    assert list(fast) == list(dense)
+    for name in dense:
+        _assert_same_result(fast[name], dense[name])
 
 
 # ---------------------------------------------------------------------------
