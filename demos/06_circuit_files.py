@@ -2,8 +2,8 @@
 
 The circuit language covers the whole optical table - splitters, plates,
 mirrors, the cavity - plus photon/spin preparation and measurement choices.
-Compilation turns a file into a per-photon operator schedule that any
-interaction model can execute.
+Compilation turns a file into one operator schedule that every photon runs,
+under any interaction model.
 """
 
 from spinphoton import circuits
@@ -15,10 +15,10 @@ print(source)
 
 circ = parse(source)
 compiled = compile_circuit(circ)
-print("compiled schedule:")
-for step in compiled.steps:
-    extra = f" param={step.param:.4f}" if step.param else ""
-    print(f"  photon {step.photon}: {step.op:<12} ports={step.ports}{extra}")
+print(f"compiled schedule, run by every photon {compiled.photon_ids}:")
+for op, ports, param in compiled.plan:
+    extra = f" param={param:.4f}" if param else ""
+    print(f"  {op:<12} ports={ports}{extra}")
 
 print("\nrun it:")
 result = compiled.run()

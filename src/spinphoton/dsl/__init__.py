@@ -1,11 +1,12 @@
 """Text format for tabletop circuits: parse, pretty-print, compile, run.
 
-The compiler emits each photon's schedule as steps for the shared executor,
-:func:`spinphoton.protocols.run_plan`, which also runs the built-in protocols.
+The compiler emits one plan, every photon's schedule, for the shared
+executor :func:`spinphoton.protocols.run_photons`, which also runs the
+built-in protocols: it applies the plan's channel once per photon.
 """
 
 from . import ast
-from .compiler import CircuitError, CompiledCircuit, RunResult, Step, compile_circuit
+from .compiler import CircuitError, CompiledCircuit, RunResult, compile_circuit
 from .parser import ParseError, parse
 from .printer import format_angle, pretty_print
 
@@ -19,5 +20,4 @@ __all__ = [
     "CircuitError",
     "CompiledCircuit",
     "RunResult",
-    "Step",
 ]

@@ -16,15 +16,15 @@ Each photon traverses the full schedule in ascending id order (they share the
 one emitter spin).  A photon whose amplitude never reaches a component's
 ports is simply unaffected by it, so the schedule is the same for every
 photon.  Compilation is pure and deterministic: equal ASTs give equal plans.
-Running a compiled circuit hands each photon's steps, as a
-:data:`~spinphoton.protocols.PlanStep` plan, to
-:func:`spinphoton.protocols.run_plan` — the executor the protocols use.
+Running a compiled circuit hands its one
+:data:`~spinphoton.protocols.PlanStep` plan, the photons' polarizations and
+their entry ports to :func:`spinphoton.protocols.run_photons` — the executor
+the protocols use, which applies the plan's channel once per photon.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 from .. import measurement as meas
@@ -34,7 +34,7 @@ from ..cavity import InteractionModel
 from ..qstate import StateVector
 from . import ast
 
-__all__ = ["CircuitError", "Step", "CompiledCircuit", "RunResult", "compile_circuit"]
+__all__ = ["CircuitError", "CompiledCircuit", "RunResult", "compile_circuit"]
 
 _SQ = 1.0 / math.sqrt(2.0)
 
@@ -65,16 +65,6 @@ class CircuitError(Exception):
 
 
 @dataclasses.dataclass(frozen=True)
-class Step:
-    """One operator application in the schedule: a plan step for one photon."""
-
-    photon: int
-    op: str  # cpbs3 | cpbs4 | bs | mirror | hwp | phase | scatter | loop_cavity
-    ports: tuple[str, ...]
-    param: float = 0.0
-
-
-@dataclasses.dataclass(frozen=True)
 class RunResult:
     state: StateVector
     distribution: meas.Distribution
@@ -85,7 +75,7 @@ class RunResult:
 class CompiledCircuit:
     source: ast.Circuit
     ports: tuple[str, ...]
-    steps: tuple[Step, ...]
+    plan: tuple[proto.PlanStep, ...]  # every photon's schedule
     has_spin: bool
 
     @property
@@ -106,55 +96,31 @@ class CompiledCircuit:
         return meas.MeasurementBases(pol=pol, ports=frozenset(port_ids), spin=spin_basis)
 
     def run(self, model: InteractionModel | None = None) -> RunResult:
-        model = model or InteractionModel.ideal()
-        uses_cavity = any(s.op in ("scatter", "loop_cavity") for s in self.steps)
-        lossy = uses_cavity and not model.is_lossless
-        state = self._initial_state(lossy)
-        for photon, steps in itertools.groupby(self.steps, key=lambda s: s.photon):
-            plan = tuple((s.op, s.ports, s.param) for s in steps)
-            state = proto.run_plan(state, plan, model, photon)
-        bases = self.bases()
-        return RunResult(state=state, distribution=meas.enumerate_outcomes(state, bases), bases=bases)
-
-    # -- execution internals ------------------------------------------------
-
-    def _initial_state(self, lossy: bool) -> StateVector:
+        spin_amps = (1.0, 0.0)  # without a spin input there is no cavity
         pieces: list[StateVector] = []
-        if self.has_spin:
-            spin_state = next(
-                i.state for i in self.source.inputs if isinstance(i, ast.SpinInput)
-            )
-            pieces.append(qs.from_amplitudes(qs.spin(), list(_SPIN_AMPS[spin_state])))
-        path_reg = lambda pid: qs.path(pid, self.ports)  # noqa: E731
+        in_ports: dict[int, str] = {}
         for inp in self.source.inputs:
             if isinstance(inp, ast.SpinInput):
+                spin_amps = _SPIN_AMPS[inp.state]
                 continue
             if len(inp.photons) == 1:
-                pid = inp.photons[0]
-                pieces.append(
-                    qs.from_amplitudes(qs.polarization(pid), list(_PHOTON_AMPS[inp.state]))
-                )
+                amps = _PHOTON_AMPS[inp.state]
+                pieces.append(qs.from_amplitudes(qs.polarization(inp.photons[0]), amps))
             else:
-                j, k = inp.photons
-                bell = _PAIR_STATES[inp.state]
-                pieces.append(bell.state((j, k)))
-            for pid in inp.photons:
-                pieces.append(qs.basis_state([path_reg(pid)], [inp.port]))
-                if lossy:
-                    pieces.append(qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
-        state = pieces[0]
+                pieces.append(_PAIR_STATES[inp.state].state(inp.photons))
+            in_ports.update(dict.fromkeys(inp.photons, inp.port))
+        pols = pieces[0]
         for piece in pieces[1:]:
-            state = qs.tensor(state, piece)
-        # canonical register order: spin, then (pol, path[, flag]) per photon
-        order: list[tuple[qs.RegisterKind, int]] = []
-        if self.has_spin:
-            order.append((qs.RegisterKind.SPIN, 0))
-        for pid in self.photon_ids:
-            order.append((qs.RegisterKind.POLARIZATION, pid))
-            order.append((qs.RegisterKind.PATH, pid))
-            if lossy:
-                order.append((qs.RegisterKind.LOSS_FLAG, pid))
-        return qs.reorder(state, order)
+            pols = qs.tensor(pols, piece)
+        pols = qs.reorder(pols, [(qs.RegisterKind.POLARIZATION, pid) for pid in self.photon_ids])
+        state = proto.run_photons(
+            spin_amps, pols.amps, self.photon_ids, [in_ports[pid] for pid in self.photon_ids],
+            self.plan, model or InteractionModel.ideal(), self.ports,
+        )
+        if not self.has_spin:
+            state = qs.collapse(state, (qs.RegisterKind.SPIN, 0), "Up")
+        bases = self.bases()
+        return RunResult(state=state, distribution=meas.enumerate_outcomes(state, bases), bases=bases)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +177,7 @@ def _classify_component(comp: ast.Component) -> tuple[str, tuple[str, ...]]:
 
 def _schedule_loop(
     circuit: ast.Circuit, classified: list[tuple[ast.Component, str, tuple[str, ...]]]
-) -> list[tuple[str, tuple[str, ...], float]]:
+) -> list[proto.PlanStep]:
     loops = [(c, p) for c, op, p in classified if op == "loop_cavity"]
     (cavity, arms) = loops[0]
     splitters = [(c, p) for c, op, p in classified if op == "cpbs4"]
@@ -225,7 +191,7 @@ def _schedule_loop(
             f"{splitter.name}: splitter outputs {sp_ports[2:]} must be the cavity "
             f"arms {arms}"
         )
-    decorations: list[tuple[str, tuple[str, ...], float]] = []
+    decorations: list[proto.PlanStep] = []
     for comp, op, ports in classified:
         if op in ("loop_cavity", "cpbs4"):
             continue
@@ -255,11 +221,11 @@ def _schedule_loop(
 
 def _schedule_feed_forward(
     circuit: ast.Circuit, classified: list[tuple[ast.Component, str, tuple[str, ...]]]
-) -> list[tuple[str, tuple[str, ...], float]]:
+) -> list[proto.PlanStep]:
     available = {
         inp.port for inp in circuit.inputs if isinstance(inp, ast.PhotonInput)
     }
-    plan: list[tuple[str, tuple[str, ...], float]] = []
+    plan: list[proto.PlanStep] = []
     for comp, op, ports in classified:
         in_place = op in _IN_PLACE_KINDS or (op == "bs" and comp.inputs == comp.outputs)
         for port in comp.inputs:
@@ -317,11 +283,6 @@ def compile_circuit(circuit: ast.Circuit) -> CompiledCircuit:
     else:
         plan = _schedule_feed_forward(circuit, classified)
 
-    steps = tuple(
-        Step(photon=pid, op=op, ports=ports, param=param)
-        for pid in photon_ids
-        for op, ports, param in plan
-    )
     return CompiledCircuit(
-        source=circuit, ports=circuit.ports, steps=steps, has_spin=has_spin_input
+        source=circuit, ports=circuit.ports, plan=tuple(plan), has_spin=has_spin_input
     )

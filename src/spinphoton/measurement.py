@@ -7,9 +7,7 @@ description are traced over.  A photon whose loss flag is Lost produced no
 click; all its microstates aggregate into a single ``lost`` outcome.
 
 Sampling uses ``numpy.random.default_rng`` (PCG64).  Identical seeds give
-identical outcome tables on every platform; independent shards for parallel
-sampling come from ``SeedSequence(seed).spawn``-style keys via
-:func:`shard_rng`.
+identical outcome tables on every platform.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "enumerate_outcomes",
     "sample",
     "total_variation",
-    "shard_rng",
 ]
 
 #: Identifier of the sampling generator, recorded in CLI output for provenance.
@@ -125,12 +122,6 @@ class Distribution(Mapping[OutcomeRecord, float]):
 
     def total(self) -> float:
         return sum(self._probs.values())
-
-    def renormalized(self) -> "Distribution":
-        t = self.total()
-        if t <= _MIN_PROB:
-            raise ValueError("cannot renormalize an empty distribution")
-        return Distribution({k: v / t for k, v in self._probs.items()})
 
     def __repr__(self) -> str:  # pragma: no cover
         rows = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self._probs.items(), key=str))
@@ -226,8 +217,3 @@ def total_variation(
     """Total-variation distance ½ Σ |p − q| over the union of outcomes."""
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def shard_rng(seed: int, shard: int) -> np.random.Generator:
-    """Generator for shard ``shard`` of a seeded run (independent streams)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(shard,)))

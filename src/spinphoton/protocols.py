@@ -24,11 +24,13 @@ lossy model the returned ``success_probability`` is the weight of the heralded
 renormalized.
 
 Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
-:data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and one executor,
-:func:`run_plan`, turns a schedule into cavity and optics operators and
-applies them.  The circuit compiler emits its schedules for the same
-executor.  The stream runs :data:`CNOT_PLAN` once, inside
-:func:`cnot_gate_matrix`, and then applies the matrix.
+:data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and the circuit compiler emits
+its schedule as the same data.  Photons meet only through the spin, so a
+photon's whole trip is one linear map: :func:`photon_channel` runs the
+schedule once, with :func:`run_plan`, to build it, and :func:`run_photons`
+applies it once per photon.  Only this module gives a photon its entry port,
+its path register and, under loss, its Alive/Lost flag.  The stream takes
+the gate, :func:`cnot_gate_matrix`, from the channel of :data:`CNOT_PLAN`.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ __all__ = [
     "SPIN_PREP_PLAN",
     "plan_operators",
     "run_plan",
-    "cnot_operators",
+    "photon_channel",
+    "run_photons",
     "cnot",
     "cnot_gate_matrix",
     "conditional_spin_prep",
@@ -112,6 +115,11 @@ BSA_PLAN: tuple[PlanStep, ...] = (
 
 #: Heralded spin preparation: one bounce off the cavity.
 SPIN_PREP_PLAN: tuple[PlanStep, ...] = (("scatter", ("In", "Refl", "Trans"), 0.0),)
+
+_SPIN_PREP_PATHS = ("In", "Refl", "Trans")
+
+#: Plan ops that pass the cavity, and so lose light under a lossy model.
+_CAVITY_OPS = ("scatter", "loop_cavity")
 
 
 class BellState(enum.Enum):
@@ -250,33 +258,83 @@ def run_plan(
     return state
 
 
+def photon_channel(
+    plan: Sequence[PlanStep], model: InteractionModel, ports: Sequence[str]
+) -> np.ndarray:
+    """One photon's whole schedule as a linear map on the spin and the photon.
+
+    Returns T[s′, p′, path′(, flag′), s, p, path]: the photon enters in
+    polarization p on port ``path`` with the spin in s, and leaves in
+    (s′, p′, path′), Alive or Lost.  The flag axis is there exactly when the
+    model is lossy and the plan passes the cavity.  One run of the plan gives
+    every column: (spin, pol, path) enters maximally entangled with untouched
+    reference copies (spin₁, pol₂, path₂), so the output amplitude at
+    (out, reference = in) is T[out, in] times the input's scale.
+    """
+    live = (qs.spin(), qs.polarization(1), qs.path(1, ports))
+    refs = (qs.spin(1), qs.polarization(2), qs.path(2, ports))
+    flag = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
+    if flag:
+        live += (qs.loss_flag(1),)
+    d = 4 * len(ports)
+    # Σ_i |i⟩|Alive⟩|i⟩, scaled by a power of two to a norm ≤ 1 so that
+    # unscaling is exact
+    scale = 0.5 ** math.ceil(math.log2(d) / 2)
+    pairs = np.zeros((d, 2 if flag else 1, d), dtype=np.complex128)
+    pairs[:, 0, :] = scale * np.eye(d)
+    state = run_plan(StateVector(live + refs, pairs.reshape(-1)), plan, model, photon=1)
+    return state.amps.reshape(state.shape) / scale
+
+
+def run_photons(
+    spin_amps: Sequence[complex],
+    pols: np.ndarray,
+    photon_ids: Sequence[int],
+    in_ports: Sequence[str],
+    plan: Sequence[PlanStep],
+    model: InteractionModel,
+    ports: Sequence[str],
+) -> StateVector:
+    """Send photons through ``plan`` one at a time, in ``photon_ids`` order.
+
+    ``pols`` holds the photons' joint R/L amplitudes, one axis per photon in
+    that order, and photon k enters on port ``in_ports[k]``.  Each pass is
+    one product of the photon's (spin, pol) axes with its
+    :func:`photon_channel`, which is built once.  The result orders
+    registers (spin, pol, path[, flag]) per photon.  A result over
+    :data:`~spinphoton.qstate.MAX_AMPLITUDES` is refused before the first
+    pass.
+    """
+    pols = np.asarray(pols, dtype=np.complex128)
+    if len(in_ports) != len(photon_ids) or pols.size != 2 ** len(photon_ids):
+        raise ValueError("need one R/L axis and one entry port per photon")
+    channel = photon_channel(plan, model, ports)
+    out_dim = channel.size // (8 * len(ports))  # pol′ × path′ [× flag′]
+    size = 2 * out_dim ** len(photon_ids)
+    if size > qs.MAX_AMPLITUDES:
+        raise ValueError(
+            f"{len(photon_ids)} photons need a state of {size} amplitudes, "
+            f"over the budget of {qs.MAX_AMPLITUDES}"
+        )
+    psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
+    done = 1
+    for port in in_ports:
+        kraus = channel[..., ports.index(port)].reshape(-1, 4)  # (s′, out) × (s, p)
+        rest = psi.size // (4 * done)
+        psi = psi.reshape(2, done, 2, rest).transpose(0, 2, 1, 3).reshape(4, -1)
+        psi = (kraus @ psi).reshape(2, out_dim, done, rest).transpose(0, 2, 1, 3)
+        done *= out_dim
+    registers: tuple[Register, ...] = (qs.spin(),)
+    for pid in photon_ids:
+        registers += (qs.polarization(pid), qs.path(pid, ports))
+        if channel.ndim == 7:  # T has a flag′ axis
+            registers += (qs.loss_flag(pid),)
+    return StateVector(registers, psi.reshape(-1))
+
+
 # ---------------------------------------------------------------------------
 # The photon-spin gate
 # ---------------------------------------------------------------------------
-
-
-def cnot_operators(
-    model: InteractionModel,
-    *,
-    pol: Register,
-    path: Register,
-    spin: Register,
-    flag: Register | None = None,
-) -> list[Operator]:
-    """The gate as an operator pipeline (apply left to right): :data:`CNOT_PLAN`."""
-    return plan_operators(CNOT_PLAN, model, pol=pol, path=path, spin=spin, flag=flag)
-
-
-def _postselect_exit(state: StateVector, photon: int) -> tuple[StateVector, float]:
-    """Keep the photon-at-D, alive branch; drop its path (and flag) registers."""
-    before = state.norm_sq()
-    state = qs.collapse(state, (RegisterKind.PATH, photon), "D", check=False)
-    try:
-        state = qs.collapse(state, (RegisterKind.LOSS_FLAG, photon), "Alive", check=False)
-    except KeyError:
-        pass
-    after = state.norm_sq()
-    return state, after / before if before > 0 else 0.0
 
 
 def cnot(
@@ -304,28 +362,15 @@ def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     """The post-selected gate on (pol ⊗ spin), basis [R↑, R↓, L↑, L↓].
 
     Ideal models give the exact controlled-flip unitary; lossy models give the
-    sub-unitary matrix of the photon-exits-alive-at-D branch.  One run of
-    :data:`CNOT_PLAN` gives all four columns: (pol₁, spin) enters maximally
-    entangled with untouched reference copies (pol₂, spin₁), so the
-    post-selected output holds ½·gate[out, in] at (out, in).
+    sub-unitary matrix of the photon-exits-alive-at-D branch: the in-at-A,
+    Alive-at-D slice of the :func:`photon_channel` of :data:`CNOT_PLAN`.
     """
     model = model or InteractionModel.ideal()
-    refs = (qs.polarization(2), qs.spin(1))
-    # ½ Σ |s⟩_spin |p⟩_pol₁ |p⟩_pol₂ |s⟩_spin₁ over the row-major (s, p, p', s') grid
-    pair = 0.5 * np.einsum("ad,bc->abcd", np.eye(2), np.eye(2)).reshape(-1)
-    photon = [qs.path(1, CNOT_PATHS)]
-    if not model.is_lossless:
-        photon.append(qs.loss_flag(1))
-    state = qs.tensor(
-        StateVector((qs.spin(), qs.polarization(1)) + refs, pair),
-        qs.basis_state(photon, ["A", "Alive"][: len(photon)]),
-    )
-    state = run_plan(state, CNOT_PLAN, model, photon=1)
-    state, _ = _postselect_exit(state, photon=1)
-    state = qs.reorder(
-        state, [(RegisterKind.POLARIZATION, 1), (RegisterKind.SPIN, 0)] + [r.key for r in refs]
-    )
-    return 2.0 * state.amps.reshape(4, 4)
+    n = len(CNOT_PATHS)
+    # [s′, p′, path′, flag′, s, p, path], with a one-entry flag axis if lossless
+    channel = photon_channel(CNOT_PLAN, model, CNOT_PATHS).reshape(2, 2, n, -1, 2, 2, n)
+    gate = channel[:, :, CNOT_PATHS.index("D"), 0, :, :, CNOT_PATHS.index("A")]
+    return gate.transpose(1, 0, 3, 2).reshape(4, 4)
 
 
 def conditional_spin_prep(
@@ -339,29 +384,21 @@ def conditional_spin_prep(
     outcomes keyed by port name, with their probabilities.
     """
     model = model or InteractionModel.ideal()
-    spin_amps = _normalize_pair(spin_amps)
-    lossy = not model.is_lossless
-
-    photon = qs.basis_state(
-        [qs.polarization(1), qs.path(1, ("In", "Refl", "Trans"))], ["R", "In"]
+    state = run_photons(
+        _normalize_pair(spin_amps), [1.0, 0.0], (1,), ("In",),
+        SPIN_PREP_PLAN, model, _SPIN_PREP_PATHS,
     )
-    state = qs.tensor(qs.from_amplitudes(qs.spin(), list(spin_amps)), photon)
-    if lossy:
-        state = qs.tensor(state, qs.basis_state([qs.loss_flag(1)], ["Alive"]))
-    state = run_plan(state, SPIN_PREP_PLAN, model, photon=1)
-
+    # [spin, pol, path, flag], with a one-entry flag axis if lossless
+    alive = state.amps.reshape(2, 2, len(_SPIN_PREP_PATHS), -1)[..., 0]
     out: dict[str, ProtocolResult] = {}
     targets = {"Refl": [1.0, 0.0], "Trans": [0.0, 1.0]}
     for port, target_amps in targets.items():
-        branch = qs.collapse(state, (RegisterKind.PATH, 1), port, check=False)
-        if lossy:
-            branch = qs.collapse(branch, (RegisterKind.LOSS_FLAG, 1), "Alive", check=False)
-        prob = branch.norm_sq()
+        branch = alive[:, :, _SPIN_PREP_PATHS.index(port)]
+        prob = float(np.vdot(branch, branch).real)
         if prob <= 1e-12:  # input spin had no weight on this outcome
             continue
-        spin_state = qs.collapse(
-            branch.normalized(), (RegisterKind.POLARIZATION, 1), _port_pol(port), check=False
-        ).normalized()
+        spin_amps_out = branch[:, qs.RL.index(_port_pol(port))]
+        spin_state = qs.from_amplitudes(qs.spin(), spin_amps_out).normalized()
         target = qs.from_amplitudes(qs.spin(), target_amps)
         out[port] = ProtocolResult(spin_state, prob, qs.fidelity(spin_state, target))
     return out
@@ -522,26 +559,22 @@ def bsa_state(
 ) -> StateVector:
     """Run the full analyzer train; returns the pre-detection state.
 
-    ``two_photon_pol`` is a state over two polarization registers (ids 1, 2).
-    The returned state spans (spin, pol₁, path₁[, flag₁], pol₂, path₂[, flag₂])
-    with the spin still unmeasured in the Up/Down basis.
+    ``two_photon_pol`` is a state over two polarization registers in the R/L
+    basis; the photons run in ascending id order.  The returned state spans
+    (spin, pol₁, path₁[, flag₁], pol₂, path₂[, flag₂]), in that order, with the
+    spin still unmeasured in the Up/Down basis.
     """
-    model = model or InteractionModel.ideal()
-    lossy = not model.is_lossless
-    pol_ids = sorted(
-        r.id for r in two_photon_pol.registers if r.kind is RegisterKind.POLARIZATION
-    )
-    if len(pol_ids) != 2 or len(two_photon_pol.registers) != 2:
+    regs = two_photon_pol.registers
+    if len(regs) != 2 or any(r.kind is not RegisterKind.POLARIZATION for r in regs):
         raise ValueError("analyzer input must be a two-photon polarization state")
-
-    state = qs.tensor(qs.from_amplitudes(qs.spin(), [_SQ, _SQ]), two_photon_pol)
-    for pid in pol_ids:
-        state = qs.tensor(state, qs.basis_state([qs.path(pid, BSA_PATHS)], ["In"]))
-        if lossy:
-            state = qs.tensor(state, qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
-    for pid in pol_ids:
-        state = run_plan(state, BSA_PLAN, model, pid)
-    return state
+    if any(r.basis != qs.RL for r in regs):
+        raise ValueError("optics elements are defined on the circular (R/L) basis")
+    pol_ids = sorted(r.id for r in regs)
+    pols = qs.reorder(two_photon_pol, [(RegisterKind.POLARIZATION, pid) for pid in pol_ids])
+    return run_photons(
+        (_SQ, _SQ), pols.amps, pol_ids, ("In", "In"),
+        BSA_PLAN, model or InteractionModel.ideal(), BSA_PATHS,
+    )
 
 
 _DETECTOR_PORTS = ("C", "D")

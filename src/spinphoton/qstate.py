@@ -407,14 +407,10 @@ def change_basis(state: StateVector, key: RegisterKey | Register, target: str) -
 # -- comparison ------------------------------------------------------------
 
 
-def max_overlap(a: StateVector, b: StateVector) -> float:
-    """|⟨a|b⟩| — the overlap maximized over a global phase."""
-    return abs(inner(a, b))
-
-
 def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """True iff the states differ by at most a global phase (and ``atol``)."""
-    return abs(max_overlap(a, b) - a.norm() * b.norm()) <= atol
+    """True iff the states differ by at most a global phase (and ``atol``):
+    |⟨a|b⟩|, the overlap maximized over a global phase, equals ‖a‖‖b‖."""
+    return abs(abs(inner(a, b)) - a.norm() * b.norm()) <= atol
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -208,8 +208,8 @@ def test_c07_pipelines_match_full_matrix_products():
 
         gate_path = qs.path(1, proto.CNOT_PATHS)
         gate_regs = [spin, pol, gate_path] + ([flag] if lossy else [])
-        gate_ops = proto.cnot_operators(
-            model, pol=pol, path=gate_path, spin=spin, flag=flag
+        gate_ops = proto.plan_operators(
+            proto.CNOT_PLAN, model, pol=pol, path=gate_path, spin=spin, flag=flag
         )
         worst = max(worst, _pipeline_worst(gate_ops, gate_regs, rng))
 

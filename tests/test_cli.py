@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from spinphoton import circuits
 from spinphoton.cavity import quality_ratio_from_losses
 from spinphoton.cli import main
 
@@ -153,6 +154,20 @@ class TestStateBudget:
 
 
 class TestRun:
+    def test_oversized_circuit_is_refused_with_the_budget(self, tmp_path, capsys):
+        # seven lossy photons through the analyzer's five ports need
+        # 2·(2·5·2)^7 ≈ 2.6e9 amplitudes
+        photons = "".join(f"input photon {k} port In state R\n" for k in range(1, 8))
+        src = circuits.load("bsa").replace("input photons 1 2 port In state PsiPlus\n", photons)
+        assert photons in src
+        path = tmp_path / "seven.qc"
+        path.write_text(src)
+        assert main(["run", str(path), "--model", "lossy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "budget" in captured.err
+
     def test_bundled_circuit(self, capsys):
         assert main(["run", "cnot"]) == 0
         header, rows = _csv_rows(capsys.readouterr().out)

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from spinphoton import circuits
+from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 from spinphoton.cavity import ContrastParams, InteractionModel
 from spinphoton.dsl import (
     CircuitError,
     ParseError,
-    Step,
     ast,
     compile_circuit,
     format_angle,
@@ -218,34 +218,30 @@ class TestCompile:
         a = compile_circuit(parse(src))
         b = compile_circuit(parse(src))
         assert a == b
-        assert a.steps == b.steps
+        assert a.plan == b.plan
 
     def test_gate_plan(self):
         comp = compile_circuit(parse(circuits.load("cnot")))
-        assert [s.op for s in comp.steps] == ["cpbs4", "phase", "loop_cavity", "phase", "cpbs4"]
-        assert comp.steps[0] == Step(photon=1, op="cpbs4", ports=("A", "D", "C", "B"))
-        assert comp.steps[2].ports == ("B", "C")
-        assert comp.steps[1].param == pytest.approx(math.pi)
+        assert [op for op, _, _ in comp.plan] == ["cpbs4", "phase", "loop_cavity", "phase", "cpbs4"]
+        assert comp.plan[0] == ("cpbs4", ("A", "D", "C", "B"), 0.0)
+        assert comp.plan[2][1] == ("B", "C")
+        assert comp.plan[1][2] == pytest.approx(math.pi)
 
     def test_analyzer_plan(self):
         comp = compile_circuit(parse(circuits.load("bsa")))
-        assert [(s.photon, s.op) for s in comp.steps] == [
-            (1, "scatter"), (1, "mirror"), (1, "bs"),
-            (2, "scatter"), (2, "mirror"), (2, "bs"),
-        ]
-        assert comp.steps[0].ports == ("In", "Refl", "Trans")
-        assert comp.steps[2].ports == ("Trans", "Refl", "C", "D")
+        assert comp.photon_ids == (1, 2)
+        assert [op for op, _, _ in comp.plan] == ["scatter", "mirror", "bs"]
+        assert comp.plan[0][1] == ("In", "Refl", "Trans")
+        assert comp.plan[2][1] == ("Trans", "Refl", "C", "D")
 
     @pytest.mark.parametrize(
         "name,plan", [("cnot", proto.CNOT_PLAN), ("bsa", proto.BSA_PLAN)], ids=["cnot", "bsa"]
     )
     def test_bundled_circuits_compile_to_the_protocol_plans(self, name, plan):
-        # the bundled files and the protocols describe one device each: every
-        # photon's compiled steps are the protocol's plan, step for step
+        # the bundled files and the protocols describe one device each: the
+        # compiled plan, which every photon runs, is the protocol's plan
         comp = compile_circuit(parse(circuits.load(name)))
-        for pid in comp.photon_ids:
-            got = tuple((s.op, s.ports, s.param) for s in comp.steps if s.photon == pid)
-            assert got == plan
+        assert comp.plan == plan
 
     @pytest.mark.parametrize("path", VALID, ids=lambda p: p.stem)
     def test_valid_corpus_compiles(self, path):
@@ -437,6 +433,64 @@ class TestRunGate:
         assert got.keys() == want.keys()
         for key, p in want.items():
             assert got[key] == pytest.approx(p, abs=1e-12)
+
+
+def _dense_run(compiled, model):
+    """A compiled circuit on the full state: spin, then each photon's pol, path
+    at its entry port and (lossy, with a cavity) an Alive flag, tensored up
+    front; then the plan step by step for each photon in id order."""
+    lossy = not model.is_lossless and any(
+        op in ("scatter", "loop_cavity") for op, _, _ in compiled.plan
+    )
+    pieces = []
+    for inp in compiled.source.inputs:
+        if isinstance(inp, ast.SpinInput):
+            pieces.append(qs.from_amplitudes(qs.spin(), SPIN_AMPS[inp.state]))
+            continue
+        if len(inp.photons) == 1:
+            pol = qs.polarization(inp.photons[0])
+            pieces.append(qs.from_amplitudes(pol, PHOTON_AMPS[inp.state]))
+        else:
+            pieces.append(proto.BellState.from_label(inp.state).state(inp.photons))
+        for pid in inp.photons:
+            pieces.append(qs.basis_state([qs.path(pid, compiled.ports)], [inp.port]))
+            if lossy:
+                pieces.append(qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
+    state = pieces[0]
+    for piece in pieces[1:]:
+        state = qs.tensor(state, piece)
+    order = [(RegisterKind.SPIN, 0)] if compiled.has_spin else []
+    for pid in compiled.photon_ids:
+        order += [(RegisterKind.POLARIZATION, pid), (RegisterKind.PATH, pid)]
+        order += [(RegisterKind.LOSS_FLAG, pid)] if lossy else []
+    state = qs.reorder(state, order)
+    for pid in compiled.photon_ids:
+        state = proto.run_plan(state, compiled.plan, model, pid)
+    return state
+
+
+_ALL_CIRCUITS = [(name, circuits.load(name)) for name in ("cnot", "bsa")]
+_ALL_CIRCUITS += [(path.stem, path.read_text()) for path in VALID]
+# a second photon entering the gate's loop through its other splitter input
+_ALL_CIRCUITS.append((
+    "cnot_two_ports",
+    circuits.load("cnot").replace("input spin", "input photon 2 port D state H\ninput spin"),
+))
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("src", [s for _, s in _ALL_CIRCUITS], ids=[n for n, _ in _ALL_CIRCUITS])
+def test_run_matches_dense_oracle(src, lossy, lossy_model):
+    model = lossy_model if lossy else InteractionModel.ideal()
+    compiled = compile_circuit(parse(src))
+    res = compiled.run(model)
+    dense = _dense_run(compiled, model)
+    assert res.state.registers == dense.registers
+    assert np.abs(res.state.amps - dense.amps).max() <= 1e-12
+    want = meas.enumerate_outcomes(dense, compiled.bases())
+    assert set(res.distribution) == set(want)
+    for rec, p in want.items():
+        assert res.distribution[rec] == pytest.approx(p, abs=1e-12)
 
 
 class TestRunAnalyzer:

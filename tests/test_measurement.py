@@ -113,14 +113,6 @@ def test_total_variation_bounds():
     assert meas.total_variation(a, b) == pytest.approx(1.0)
 
 
-def test_shard_rng_streams():
-    s0 = meas.shard_rng(42, 0).random(5)
-    s0_again = meas.shard_rng(42, 0).random(5)
-    s1 = meas.shard_rng(42, 1).random(5)
-    assert np.array_equal(s0, s0_again)
-    assert not np.array_equal(s0, s1)
-
-
 def test_bases_validate_names():
     with pytest.raises(ValueError):
         meas.MeasurementBases(pol={1: "XY"})

@@ -106,8 +106,8 @@ def test_gate_matrix_is_the_controlled_flip():
 
 def test_gate_pipeline_matches_matrix_product_on_random_inputs():
     regs = (qs.spin(), qs.polarization(1), qs.path(1, proto.CNOT_PATHS))
-    ops = proto.cnot_operators(
-        cav.InteractionModel.ideal(), pol=regs[1], path=regs[2], spin=regs[0]
+    ops = proto.plan_operators(
+        proto.CNOT_PLAN, cav.InteractionModel.ideal(), pol=regs[1], path=regs[2], spin=regs[0]
     )
     total = np.eye(16, dtype=complex)
     for op in ops:
@@ -182,6 +182,46 @@ def test_spin_prep_ideal_projects_spin():
     assert out["Trans"].fidelity == pytest.approx(1.0)
     assert abs(out["Refl"].state.amplitude("Up")) == pytest.approx(1.0)
     assert abs(out["Trans"].state.amplitude("Down")) == pytest.approx(1.0)
+
+
+def _dense_spin_prep(spin_amps, model):
+    """conditional_spin_prep on the full state: spin ⊗ R photon at In (and an
+    Alive flag), SPIN_PREP_PLAN, then a collapse chain per detector port."""
+    lossy = not model.is_lossless
+    photon = qs.basis_state(
+        [qs.polarization(1), qs.path(1, ("In", "Refl", "Trans"))], ["R", "In"]
+    )
+    state = qs.tensor(
+        qs.from_amplitudes(qs.spin(), list(proto._normalize_pair(spin_amps))), photon
+    )
+    if lossy:
+        state = qs.tensor(state, qs.basis_state([qs.loss_flag(1)], ["Alive"]))
+    state = proto.run_plan(state, proto.SPIN_PREP_PLAN, model, photon=1)
+    out = {}
+    for port, pol, target_amps in (("Refl", "L", [1.0, 0.0]), ("Trans", "R", [0.0, 1.0])):
+        branch = qs.collapse(state, (qs.RegisterKind.PATH, 1), port, check=False)
+        if lossy:
+            branch = qs.collapse(branch, (qs.RegisterKind.LOSS_FLAG, 1), "Alive", check=False)
+        prob = branch.norm_sq()
+        if prob <= 1e-12:
+            continue
+        spin_state = qs.collapse(
+            branch.normalized(), (qs.RegisterKind.POLARIZATION, 1), pol, check=False
+        ).normalized()
+        target = qs.from_amplitudes(qs.spin(), target_amps)
+        out[port] = proto.ProtocolResult(spin_state, prob, qs.fidelity(spin_state, target))
+    return out
+
+
+@pytest.mark.parametrize("spin", [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (SQ, 1j * SQ)])
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_spin_prep_matches_dense_oracle(spin, lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    fast = proto.conditional_spin_prep(spin, model)
+    dense = _dense_spin_prep(spin, model)
+    assert list(fast) == list(dense)
+    for port in dense:
+        _assert_same_result(fast[port], dense[port])
 
 
 def test_spin_prep_lossy_leaks_the_wrong_spin(lossy_model):
@@ -319,7 +359,11 @@ def _dense_stream(photon_amps, spin_amps, model, spin_phase_drift=0.0):
         if not model.is_lossless:
             photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(k)], ["Alive"]))
         state = proto.run_plan(qs.tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
-        state, prob = proto._postselect_exit(state, photon=k)
+        before = state.norm_sq()
+        state = qs.collapse(state, (qs.RegisterKind.PATH, k), "D", check=False)
+        if not model.is_lossless:
+            state = qs.collapse(state, (qs.RegisterKind.LOSS_FLAG, k), "Alive", check=False)
+        prob = state.norm_sq() / before
         success *= prob
         state = qs.StateVector(state.registers, state.amps / math.sqrt(prob))
         up = qs.tensor(up, qs.from_amplitudes(qs.polarization(k), [a, b]))
@@ -494,6 +538,59 @@ def test_classify_requires_coincidences():
     )
     with pytest.raises(ValueError, match="coincidence"):
         proto.classify_outcome(record)
+
+
+def test_analyzer_refuses_a_linear_polarization_register():
+    # H/V amplitudes are not R/L amplitudes: the optics would misread them
+    state = qs.StateVector(
+        (qs.polarization(1), qs.polarization(2, qs.HV)), proto.BellState.PSI_PLUS.amplitudes()
+    )
+    for analyzer in (proto.bsa, proto.bsa_state):
+        with pytest.raises(ValueError, match=r"circular \(R/L\)"):
+            analyzer(state)
+
+
+def _dense_bsa_state(two_photon_pol, model):
+    """The analyzer on the full state: spin ⊗ input ⊗ each photon's path at In
+    (and an Alive flag), then BSA_PLAN step by step for each photon in id order."""
+    pol_ids = sorted(r.id for r in two_photon_pol.registers)
+    state = qs.tensor(qs.from_amplitudes(qs.spin(), [SQ, SQ]), two_photon_pol)
+    for pid in pol_ids:
+        state = qs.tensor(state, qs.basis_state([qs.path(pid, proto.BSA_PATHS)], ["In"]))
+        if not model.is_lossless:
+            state = qs.tensor(state, qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
+    for pid in pol_ids:
+        state = proto.run_plan(state, proto.BSA_PLAN, model, pid)
+    return state
+
+
+def _analyzer_input(case):
+    if case in ("random", "ids 5, 2"):
+        rng = np.random.default_rng(29)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ids = (1, 2) if case == "random" else (5, 2)
+        return qs.StateVector(
+            (qs.polarization(ids[0]), qs.polarization(ids[1])), amps / np.linalg.norm(amps)
+        )
+    return proto.BellState.from_label(case).state()
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("case", ["psi+", "psi-", "phi+", "phi-", "random", "ids 5, 2"])
+def test_bsa_state_matches_dense_oracle(case, lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    state = _analyzer_input(case)
+    fast = proto.bsa_state(state, model)
+    # registers (spin, pol, path[, flag]) per photon, in ascending id order
+    ids = sorted(r.id for r in state.registers)
+    keys = [(qs.RegisterKind.SPIN, 0)]
+    for pid in ids:
+        keys += [(qs.RegisterKind.POLARIZATION, pid), (qs.RegisterKind.PATH, pid)]
+        keys += [(qs.RegisterKind.LOSS_FLAG, pid)] if lossy else []
+    assert [r.key for r in fast.registers] == keys
+    dense = qs.reorder(_dense_bsa_state(state, model), keys)
+    assert fast.registers == dense.registers
+    assert np.abs(fast.amps - dense.amps).max() <= 1e-12
 
 
 def test_bsa_rejects_non_two_photon_input():
