@@ -227,12 +227,21 @@ class InteractionModel:
     π phase); reflection amplitudes enter with a plus sign.  Each branch must
     satisfy reflect + transmit ≤ 1 so that the residual probability
     1 − r² − t² can be rotated into the Lost flag by an exact isometry.
+
+    A model keeps the photon channels built on it, so each is built once per
+    model; the memo takes no part in equality, hashing or repr, and
+    ``dataclasses.replace`` starts a new, empty one.
     """
 
     coupled_reflect_amp: float
     coupled_transmit_amp: float
     uncoupled_transmit_amp: float
     uncoupled_reflect_amp: float
+    #: (plan, ports, entry ports) -> read-only channel; filled only by
+    #: :func:`spinphoton.protocols.photon_channel`.
+    _channels: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         amps = (

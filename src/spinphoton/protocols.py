@@ -27,8 +27,10 @@ Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 :data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and the circuit compiler emits
 its schedule as the same data.  Photons meet only through the spin, so a
 photon's whole trip is one linear map: :func:`photon_channel` runs the
-schedule once, with :func:`run_plan`, to build it, and :func:`run_photons`
-applies it once per photon.  Only this module gives a photon its entry port,
+schedule with :func:`run_plan` to build it, once per model, on its entry
+ports, and :func:`run_photons` applies it once per photon.  The model keeps
+the channel, so a caller that holds one model pays for each plan's channel
+once.  Only this module gives a photon its entry port,
 its path register and, under loss, its Alive/Lost flag.  The stream takes
 the gate, :func:`cnot_gate_matrix`, from the channel of :data:`CNOT_PLAN`.
 """
@@ -259,31 +261,48 @@ def run_plan(
 
 
 def photon_channel(
-    plan: Sequence[PlanStep], model: InteractionModel, ports: Sequence[str]
+    plan: Sequence[PlanStep],
+    model: InteractionModel,
+    ports: Sequence[str],
+    in_ports: Sequence[str],
 ) -> np.ndarray:
     """One photon's whole schedule as a linear map on the spin and the photon.
 
-    Returns T[s′, p′, path′(, flag′), s, p, path]: the photon enters in
-    polarization p on port ``path`` with the spin in s, and leaves in
-    (s′, p′, path′), Alive or Lost.  The flag axis is there exactly when the
-    model is lossy and the plan passes the cavity.  One run of the plan gives
-    every column: (spin, pol, path) enters maximally entangled with untouched
-    reference copies (spin₁, pol₂, path₂), so the output amplitude at
-    (out, reference = in) is T[out, in] times the input's scale.
+    Returns T[s′, p′, path′(, flag′), s, p, entry]: the photon enters in
+    polarization p on port ``in_ports[entry]`` with the spin in s, and leaves
+    in (s′, p′, path′), Alive or Lost.  The flag axis is there exactly when
+    the model is lossy and the plan passes the cavity.  One run of the plan
+    gives every column: (spin, pol, path) enters maximally entangled with
+    untouched reference copies (spin₁, pol₂, entry), which span only the
+    entry ports, so the output amplitude at (out, reference = in) is
+    T[out, in] times the input's scale.  The channel is built once per
+    model, on its entry ports, and kept on the model; the array returned is
+    read-only.
     """
+    ports, in_ports = tuple(ports), tuple(in_ports)
+    for port in in_ports:
+        if port not in ports:
+            raise ValueError(f"entry port {port!r} is not one of the ports {ports}")
+    key = (tuple(plan), ports, in_ports)
+    channel = model._channels.get(key)
+    if channel is not None:
+        return channel
     live = (qs.spin(), qs.polarization(1), qs.path(1, ports))
-    refs = (qs.spin(1), qs.polarization(2), qs.path(2, ports))
+    refs = (qs.spin(1), qs.polarization(2), qs.path(2, in_ports))
     flag = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
     if flag:
         live += (qs.loss_flag(1),)
-    d = 4 * len(ports)
-    # Σ_i |i⟩|Alive⟩|i⟩, scaled by a power of two to a norm ≤ 1 so that
-    # unscaling is exact
-    scale = 0.5 ** math.ceil(math.log2(d) / 2)
-    pairs = np.zeros((d, 2 if flag else 1, d), dtype=np.complex128)
-    pairs[:, 0, :] = scale * np.eye(d)
+    # Σ_i |i⟩|Alive⟩|i⟩ over the entry columns, scaled by a power of two to a
+    # norm ≤ 1 so that unscaling is exact
+    scale = 0.5 ** math.ceil(math.log2(4 * len(in_ports)) / 2)
+    pairs = np.zeros((4, len(ports), 2 if flag else 1, 4, len(in_ports)), dtype=np.complex128)
+    for entry, port in enumerate(in_ports):
+        pairs[:, ports.index(port), 0, :, entry] = scale * np.eye(4)
     state = run_plan(StateVector(live + refs, pairs.reshape(-1)), plan, model, photon=1)
-    return state.amps.reshape(state.shape) / scale
+    channel = state.amps.reshape(state.shape) / scale
+    channel.flags.writeable = False
+    model._channels[key] = channel
+    return channel
 
 
 def run_photons(
@@ -299,17 +318,19 @@ def run_photons(
 
     ``pols`` holds the photons' joint R/L amplitudes, one axis per photon in
     that order, and photon k enters on port ``in_ports[k]``.  Each pass is
-    one product of the photon's (spin, pol) axes with its
-    :func:`photon_channel`, which is built once.  The result orders
-    registers (spin, pol, path[, flag]) per photon.  A result over
-    :data:`~spinphoton.qstate.MAX_AMPLITUDES` is refused before the first
+    one product of the photon's (spin, pol) axes with the entry column of
+    the plan's :func:`photon_channel`, built once per model on the distinct
+    entry ports.  The result orders registers (spin, pol, path[, flag]) per
+    photon.  An entry port outside ``ports`` is refused before any work, and
+    a result over :data:`~spinphoton.qstate.MAX_AMPLITUDES` before the first
     pass.
     """
     pols = np.asarray(pols, dtype=np.complex128)
     if len(in_ports) != len(photon_ids) or pols.size != 2 ** len(photon_ids):
         raise ValueError("need one R/L axis and one entry port per photon")
-    channel = photon_channel(plan, model, ports)
-    out_dim = channel.size // (8 * len(ports))  # pol′ × path′ [× flag′]
+    entries = tuple(dict.fromkeys(in_ports))
+    channel = photon_channel(plan, model, ports, entries)
+    out_dim = math.prod(channel.shape[1:-3])  # pol′ × path′ [× flag′]
     size = 2 * out_dim ** len(photon_ids)
     if size > qs.MAX_AMPLITUDES:
         raise ValueError(
@@ -319,7 +340,7 @@ def run_photons(
     psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
     done = 1
     for port in in_ports:
-        kraus = channel[..., ports.index(port)].reshape(-1, 4)  # (s′, out) × (s, p)
+        kraus = channel[..., entries.index(port)].reshape(-1, 4)  # (s′, out) × (s, p)
         rest = psi.size // (4 * done)
         psi = psi.reshape(2, done, 2, rest).transpose(0, 2, 1, 3).reshape(4, -1)
         psi = (kraus @ psi).reshape(2, out_dim, done, rest).transpose(0, 2, 1, 3)
@@ -366,10 +387,10 @@ def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     Alive-at-D slice of the :func:`photon_channel` of :data:`CNOT_PLAN`.
     """
     model = model or InteractionModel.ideal()
-    n = len(CNOT_PATHS)
-    # [s′, p′, path′, flag′, s, p, path], with a one-entry flag axis if lossless
-    channel = photon_channel(CNOT_PLAN, model, CNOT_PATHS).reshape(2, 2, n, -1, 2, 2, n)
-    gate = channel[:, :, CNOT_PATHS.index("D"), 0, :, :, CNOT_PATHS.index("A")]
+    # [s′, p′, path′, flag′, s, p], with a one-entry flag axis if lossless
+    channel = photon_channel(CNOT_PLAN, model, CNOT_PATHS, ("A",))
+    gate = channel.reshape(2, 2, len(CNOT_PATHS), -1, 2, 2)[:, :, CNOT_PATHS.index("D"), 0]
+    # a fresh array: the channel itself is the model's, read-only
     return gate.transpose(1, 0, 3, 2).reshape(4, 4)
 
 

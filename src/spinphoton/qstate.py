@@ -278,38 +278,6 @@ def apply(op: Operator, state: StateVector) -> StateVector:
     return StateVector(state.registers, out.reshape(-1))
 
 
-def full_matrix(op: Operator, registers: Sequence[Register]) -> np.ndarray:
-    """Embed ``op`` into the full space spanned by ``registers`` (identity elsewhere)."""
-    registers = tuple(registers)
-    dim = math.prod(r.dim for r in registers)
-    cols = np.empty((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        cols[:, j] = apply(op, StateVector(registers, e)).amps
-    return cols
-
-
-def project(
-    state: StateVector, key: RegisterKey | Register, outcome: str
-) -> tuple[StateVector, float]:
-    """Project one register onto a basis outcome.
-
-    Returns the *unnormalized* projected state together with the outcome
-    probability (the squared norm removed from the complement).
-    """
-    ax = state.axis(key)
-    reg = state.registers[ax]
-    idx = reg.index(outcome)
-    tensor_amps = state.amps.reshape(state.shape).copy()
-    sl = [slice(None)] * len(state.registers)
-    keep = tensor_amps[tuple(sl[:ax] + [idx] + sl[ax + 1 :])]
-    prob = float(np.vdot(keep, keep).real)
-    out = np.zeros_like(tensor_amps)
-    out[tuple(sl[:ax] + [idx] + sl[ax + 1 :])] = keep
-    return StateVector(state.registers, out.reshape(-1)), prob
-
-
 def collapse(
     state: StateVector,
     key: RegisterKey | Register,
@@ -405,12 +373,6 @@ def change_basis(state: StateVector, key: RegisterKey | Register, target: str) -
 
 
 # -- comparison ------------------------------------------------------------
-
-
-def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """True iff the states differ by at most a global phase (and ``atol``):
-    |⟨a|b⟩|, the overlap maximized over a global phase, equals ‖a‖‖b‖."""
-    return abs(abs(inner(a, b)) - a.norm() * b.norm()) <= atol
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

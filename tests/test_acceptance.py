@@ -29,6 +29,8 @@ from spinphoton.cavity import (
 from spinphoton.dsl import ParseError, compile_circuit, parse, pretty_print
 from spinphoton.qstate import RegisterKind
 
+from _oracles import full_matrix
+
 DATA = pathlib.Path(__file__).parent / "data"
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -186,7 +188,7 @@ def _pipeline_worst(ops, regs, rng, shots=25) -> float:
     assert dim <= 64
     total = np.eye(dim, dtype=complex)
     for op in ops:
-        total = qs.full_matrix(op, regs) @ total
+        total = full_matrix(op, regs) @ total
     worst = 0.0
     for _ in range(shots):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)

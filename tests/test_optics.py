@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphoton import optics as opt
 from spinphoton import qstate as qs
@@ -128,6 +130,17 @@ def test_phase_applies_to_both_polarizations():
 def test_every_element_is_unitary(build):
     pol, path = qs.polarization(1), qs.path(1, PORTS)
     assert build(pol, path).is_unitary(atol=1e-12)
+
+
+_ANGLES = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=_ANGLES, phi=_ANGLES)
+def test_angle_elements_are_unitary_at_any_angle(theta, phi):
+    pol, path = qs.polarization(1), qs.path(1, PORTS)
+    assert opt.hwp_operator(pol, path, at="Q", theta=theta).is_unitary(atol=1e-12)
+    assert opt.phase_operator(path, at="T", phi=phi).is_unitary(atol=1e-12)
 
 
 def test_elements_preserve_norm_on_random_states():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,8 @@ from spinphoton import cavity as cav
 from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
+
+from _oracles import all_port_channel, full_matrix
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -111,7 +114,7 @@ def test_gate_pipeline_matches_matrix_product_on_random_inputs():
     )
     total = np.eye(16, dtype=complex)
     for op in ops:
-        total = qs.full_matrix(op, regs) @ total
+        total = full_matrix(op, regs) @ total
     rng = np.random.default_rng(17)
     for _ in range(10):
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -597,3 +600,112 @@ def test_bsa_rejects_non_two_photon_input():
     single = qs.basis_state([qs.polarization(1)], ["R"])
     with pytest.raises(ValueError):
         proto.bsa(single)
+
+
+# ---------------------------------------------------------------------------
+# the photon channel: entry ports and the per-model memo
+# ---------------------------------------------------------------------------
+
+_PLANS = {
+    "cnot": (proto.CNOT_PLAN, proto.CNOT_PATHS),
+    "bsa": (proto.BSA_PLAN, proto.BSA_PATHS),
+    "spin-prep": (proto.SPIN_PREP_PLAN, ("In", "Refl", "Trans")),
+}
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("name", list(_PLANS))
+def test_entry_port_channel_matches_the_all_port_oracle(name, lossy, lossy_model):
+    plan, ports = _PLANS[name]
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    oracle = all_port_channel(plan, model, ports)
+    for k in range(1, len(ports) + 1):
+        for subset in itertools.combinations(ports, k):
+            for in_ports in {subset, subset[::-1]}:
+                channel = proto.photon_channel(plan, model, ports, in_ports)
+                cols = oracle[..., [ports.index(p) for p in in_ports]]
+                assert channel.shape == cols.shape
+                assert np.abs(channel - cols).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_channel_is_kept_on_the_model_read_only(lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    first = proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A",))
+    assert proto.photon_channel(proto.CNOT_PLAN, model, list(proto.CNOT_PATHS), ["A"]) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    other = proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "D"))
+    assert other is not first
+
+
+def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
+    built = []
+    run_plan = proto.run_plan
+
+    def counting(state, plan, model, photon):
+        built.append(tuple(plan))
+        return run_plan(state, plan, model, photon)
+
+    monkeypatch.setattr(proto, "run_plan", counting)
+    # one point of the loss analysis through every protocol
+    proto.cnot_gate_matrix(lossy_model)
+    proto.cnot((1.0, 0.0), (0.6, 0.8), lossy_model)
+    for bell in proto.BellState:
+        proto.bsa(bell.state(), lossy_model)
+    proto.conditional_spin_prep((0.6, 0.8j), lossy_model)
+    proto.ghz(4, lossy_model)
+    assert sorted(built) == sorted([proto.CNOT_PLAN, proto.BSA_PLAN, proto.SPIN_PREP_PLAN])
+    # an equal model built apart keeps its own channels
+    proto.cnot_gate_matrix(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_gate_matrix_is_a_fresh_writeable_array(lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    gate = proto.cnot_gate_matrix(model)
+    expected = gate.copy()
+    assert gate.flags.writeable
+    gate[:] = 0.0
+    again = proto.cnot_gate_matrix(model)
+    assert again is not gate
+    assert np.array_equal(again, expected)
+
+
+def test_models_with_channels_keep_equality_hash_and_repr():
+    params = cav.ContrastParams(0.8, 6.0)
+    a = cav.InteractionModel.from_contrast(params)
+    b = cav.InteractionModel.from_contrast(params)
+    channel = proto.photon_channel(proto.BSA_PLAN, a, proto.BSA_PATHS, ("In",))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == repr(b) == (
+        f"InteractionModel(coupled_reflect_amp={a.coupled_reflect_amp!r}, "
+        f"coupled_transmit_amp={a.coupled_transmit_amp!r}, "
+        f"uncoupled_transmit_amp={a.uncoupled_transmit_amp!r}, "
+        f"uncoupled_reflect_amp={a.uncoupled_reflect_amp!r})"
+    )
+    assert proto.photon_channel(proto.BSA_PLAN, b, proto.BSA_PATHS, ("In",)) is not channel
+    replaced = dataclasses.replace(a)
+    assert replaced == a
+    assert proto.photon_channel(proto.BSA_PLAN, replaced, proto.BSA_PATHS, ("In",)) is not channel
+    lossless = dataclasses.replace(a, coupled_reflect_amp=1.0, coupled_transmit_amp=0.0,
+                                   uncoupled_transmit_amp=1.0, uncoupled_reflect_amp=0.0)
+    assert lossless == cav.InteractionModel.ideal()
+    assert proto.photon_channel(proto.BSA_PLAN, lossless, proto.BSA_PATHS, ("In",)).ndim == 6
+
+
+def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the channel was built")
+
+    monkeypatch.setattr(proto, "run_plan", no_build)
+    model = cav.InteractionModel.ideal()
+    with pytest.raises(ValueError, match="'Z'"):
+        proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "Z"))
+    with pytest.raises(ValueError, match="'Out'"):
+        proto.run_photons(
+            (1.0, 0.0), [1.0, 0.0, 0.0, 0.0], (1, 2), ("In", "Out"),
+            proto.BSA_PLAN, model, proto.BSA_PATHS,
+        )
