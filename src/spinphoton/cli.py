@@ -11,14 +11,20 @@ Every command emits a flat table, as CSV (default) or as a JSON document
     {"schema_version": 1, "command": ..., "model": ..., "seed": ...,
      "rng": ..., "columns": [...], "rows": [[...], ...]}
 
-Real-valued options must be finite numbers.  Exit codes: 0 on success,
-1 when the input or circuit is at fault (or a result is not finite, which
-JSON cannot carry), 2 for bad command lines.
+Real-valued options must be finite numbers; ``run --samples`` must be at
+least 1 and ``--seed`` non-negative.  Exit codes: 0 on success, 1 when the
+input or circuit is at fault (or a result is not finite, which JSON cannot
+carry), 2 for bad command lines.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused: it holds only immutable defaults, and every call parses
+into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import pathlib
@@ -247,6 +253,10 @@ def _cmd_sweep_delta(args, parser) -> int:
 
 
 def _cmd_run(args, parser) -> int:
+    if args.samples is not None and args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.samples is not None and args.seed is None:
         parser.error("--samples needs an explicit --seed for reproducibility")
     model, info = _build_model(args, parser)
@@ -269,7 +279,7 @@ def _cmd_run(args, parser) -> int:
         _emit(args, "run", ["outcome", "probability"], rows, model_info=info)
         return 0
 
-    counts = meas.sample(result.state, result.bases, args.samples, seed=args.seed)
+    counts = result.distribution.sample(args.samples, seed=args.seed)
     rows = [
         [str(rec), result.distribution[rec], counts.get(rec, 0)]
         for rec in records
@@ -284,6 +294,7 @@ def _cmd_run(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinphoton",

@@ -15,12 +15,16 @@ __all__ = ["pretty_print", "format_angle"]
 
 
 def format_angle(value: float) -> str:
-    """Render an angle, preferring the spellings ``pi``, ``-pi``, ``pi/n``."""
+    """Render an angle, preferring the spellings ``pi``, ``-pi``, ``pi/n``.
+
+    A name is used only for the float it parses back to, so every angle
+    survives the round trip exactly.
+    """
     for sign, prefix in ((1.0, ""), (-1.0, "-")):
-        if abs(value - sign * math.pi) < 1e-12:
+        if value == sign * math.pi:
             return f"{prefix}pi"
         for n in range(2, 13):
-            if abs(value - sign * math.pi / n) < 1e-12:
+            if value == sign * math.pi / n:
                 return f"{prefix}pi/{n}"
     return repr(value)
 

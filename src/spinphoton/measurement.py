@@ -6,7 +6,8 @@ and whether (and in which basis) the spin is read.  Registers left out of the
 description are traced over.  A photon whose loss flag is Lost produced no
 click; all its microstates aggregate into a single ``lost`` outcome.
 
-Sampling uses ``numpy.random.default_rng`` (PCG64).  Identical seeds give
+Sampling (:meth:`Distribution.sample`, or :func:`sample` straight from a
+state) uses ``numpy.random.default_rng`` (PCG64).  Identical seeds give
 identical outcome tables on every platform.
 """
 
@@ -123,6 +124,27 @@ class Distribution(Mapping[OutcomeRecord, float]):
     def total(self) -> float:
         return sum(self._probs.values())
 
+    def sample(self, shots: int, *, seed: int) -> dict[OutcomeRecord, int]:
+        """Draw ``shots`` independent outcomes; deterministic for a given seed.
+
+        The distribution must be complete (unit total) — sampling a
+        post-selected branch without its complement would silently mis-weight
+        outcomes.  Records are drawn in ``str`` order with one PCG64
+        multinomial, so the counts do not depend on how the mapping was built.
+        """
+        total = self.total()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(
+                f"outcome probabilities sum to {total:.6g}; sample() needs a "
+                "complete (unit-norm) state"
+            )
+        records = sorted(self._probs, key=str)  # stable outcome order for reproducibility
+        probs = np.array([self._probs[r] for r in records])
+        probs /= probs.sum()
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(shots, probs)
+        return {r: int(c) for r, c in zip(records, counts) if c > 0}
+
     def __repr__(self) -> str:  # pragma: no cover
         rows = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self._probs.items(), key=str))
         return f"Distribution({rows})"
@@ -191,24 +213,12 @@ def sample(
     *,
     seed: int,
 ) -> dict[OutcomeRecord, int]:
-    """Draw ``shots`` independent outcomes; deterministic for a given seed.
+    """Draw ``shots`` outcomes of ``bases`` on ``state``; see :meth:`Distribution.sample`.
 
-    The state must have (near-)unit norm — sampling a post-selected branch
-    without its complement would silently mis-weight outcomes.
+    A caller that already holds the distribution calls its ``sample`` method
+    and skips enumerating the outcomes again.
     """
-    dist = enumerate_outcomes(state, bases)
-    total = dist.total()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(
-            f"outcome probabilities sum to {total:.6g}; sample() needs a "
-            "complete (unit-norm) state"
-        )
-    records = sorted(dist, key=str)  # stable outcome order for reproducibility
-    probs = np.array([dist[r] for r in records])
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {r: int(c) for r, c in zip(records, counts) if c > 0}
+    return enumerate_outcomes(state, bases).sample(shots, seed=seed)
 
 
 def total_variation(

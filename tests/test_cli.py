@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from spinphoton import circuits
+from spinphoton import circuits, cli
+from spinphoton import measurement as meas
 from spinphoton.cavity import quality_ratio_from_losses
 from spinphoton.cli import main
 
@@ -16,6 +17,16 @@ from spinphoton.cli import main
 def _csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _call(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestGateTable:
@@ -206,6 +217,35 @@ class TestRun:
             main(["run", "cnot", "--samples", "10"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--samples", "-5", "--seed", "1"], "--samples"),
+            (["--samples", "0", "--seed", "1"], "--samples"),
+            (["--samples", "10", "--seed", "-1"], "--seed"),
+        ],
+        ids=["negative-samples", "zero-samples", "negative-seed"],
+    )
+    def test_bad_sample_count_or_seed_is_a_usage_error(self, argv, option, capsys):
+        code, out, err = _call(["run", "cnot", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {option} must be" in err
+
+    def test_sampled_run_enumerates_outcomes_once(self, monkeypatch, capsys):
+        calls = []
+        enumerate_outcomes = meas.enumerate_outcomes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_outcomes(*args, **kwargs)
+
+        monkeypatch.setattr(meas, "enumerate_outcomes", counted)
+        assert main(["run", "bsa", "--model", "lossy", "--samples", "100", "--seed", "2"]) == 0
+        assert len(calls) == 1
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert sum(int(r[2]) for r in rows) == 100
+
     def test_sampling_is_deterministic(self, capsys):
         assert main(["run", "cnot", "--samples", "1000", "--seed", "11"]) == 0
         first = capsys.readouterr().out
@@ -264,3 +304,46 @@ class TestModelFlags:
         with pytest.raises(SystemExit) as e:
             main(["ghz", "--model", "lossy", "--alpha-mirror", "1.0"])
         assert e.value.code == 2
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may leak into the next."""
+
+    ALPHAS = ["--alpha-mirror", "13.9", "--alpha-scatter", "1.7", "--alpha-radiation", "0.0017"]
+    SEQUENCE = [
+        ["run", "cnot", "--samples", "5", "--seed", "1", "--format", "json"],
+        ["run", "cnot", "--format", "json"],
+        ["ghz", "-n", "5", "--format", "json"],
+        ["ghz", "--format", "json"],
+        ["cnot-table", "--model", "lossy", *ALPHAS, "--format", "json"],
+        ["cnot-table", "--model", "lossy", "--format", "json"],
+        ["run", "cnot", "--samples", "0", "--seed", "1"],
+        ["run", "bsa", "--model", "lossy"],
+    ]
+
+    def test_built_once(self):
+        assert cli._make_parser() is cli._make_parser()
+
+    def test_each_call_matches_a_fresh_parser(self, monkeypatch, capsys):
+        reused = [_call(argv, capsys) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_make_parser", cli._make_parser.__wrapped__)
+                fresh.append(_call(argv, capsys))
+        assert reused == fresh
+
+        codes = [code for code, _, _ in reused]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+        docs = [json.loads(out) for _, out, _ in reused[:6]]
+        assert docs[0]["columns"][-1] == "count" and docs[0]["seed"] == 1
+        assert docs[1]["columns"] == ["outcome", "probability"]
+        assert docs[1]["seed"] is None and docs[1]["rng"] is None
+        assert {row[1] for row in docs[2]["rows"]} == {5}
+        assert {row[1] for row in docs[3]["rows"]} == {3}
+        want = quality_ratio_from_losses(13.9, 1.7, 0.0017)
+        assert docs[4]["model"]["q_ratio_sq"] == pytest.approx(want, abs=1e-15)
+        assert docs[5]["model"]["q_ratio_sq"] == 0.8
+        assert reused[6][1] == "" and "--samples" in reused[6][2]
+        header, rows = _csv_rows(reused[7][1])
+        assert header == ["outcome", "probability"] and rows

@@ -8,14 +8,18 @@ The files under ``tests/data/valid`` all parse *and* compile; the files under
 frozen to the exact position the parser must report.
 """
 
+import json
 import math
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinphoton import circuits
+from spinphoton import circuits, cli
 from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
@@ -491,6 +495,83 @@ def test_run_matches_dense_oracle(src, lossy, lossy_model):
     assert set(res.distribution) == set(want)
     for rec, p in want.items():
         assert res.distribution[rec] == pytest.approx(p, abs=1e-12)
+
+
+_PI_FRACTIONS = [sign * math.pi / n for sign in (1, -1) for n in range(1, 13)]
+# any finite angle, plus the ±π/n the printer spells by name and their next floats up
+_ANGLES = st.one_of(
+    st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False),
+    st.sampled_from(_PI_FRACTIONS),
+    st.sampled_from(_PI_FRACTIONS).map(lambda v: math.nextafter(v, math.inf)),
+)
+
+
+@st.composite
+def _feed_forward_circuits(draw) -> ast.Circuit:
+    """One or two photons on port P; in-place plates on P; optionally a cpbs
+    split to fresh ports closed by an in-place bs; optionally one scattering
+    cavity, with a spin input and a spin measurement."""
+    comps = []
+    for i in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("hwp", "phase", "mirror")))
+        params = tuple(ast.Param(name, draw(_ANGLES)) for name in ast.KIND_PARAMS[kind])
+        comps.append(ast.Component(f"plate{i}", kind, params, ("P",), ("P",)))
+    port = "P"
+    if draw(st.booleans()):
+        comps.append(ast.Component("split", "cpbs", (), ("P",), ("A", "B")))
+        comps.append(ast.Component("mix", "bs", (), ("A", "B"), ("A", "B")))
+        port = draw(st.sampled_from(("A", "B")))
+    cavity = draw(st.booleans())
+    if cavity:
+        comps.append(ast.Component("dot", "cavity", (), (port,), ("Refl", "Trans")))
+
+    n_photons = draw(st.integers(1, 2))
+    if n_photons == 2 and draw(st.booleans()):
+        inputs = [ast.PhotonInput((1, 2), "P", draw(st.sampled_from(ast.PAIR_STATES)))]
+    else:
+        inputs = [
+            ast.PhotonInput((pid,), "P", draw(st.sampled_from(ast.PHOTON_STATES)))
+            for pid in range(1, n_photons + 1)
+        ]
+    measures = []
+    for pid in range(1, n_photons + 1):
+        if draw(st.booleans()):
+            measures.append(ast.PolMeasure(pid, draw(st.sampled_from(ast.POL_BASES))))
+        if draw(st.booleans()):
+            measures.append(ast.PortMeasure(pid))
+    if cavity:
+        inputs.append(ast.SpinInput(draw(st.sampled_from(ast.SPIN_STATES))))
+        measures.append(ast.SpinMeasure(draw(st.sampled_from(ast.SPIN_BASES))))
+    return ast.Circuit(components=tuple(comps), inputs=tuple(inputs), measures=tuple(measures))
+
+
+@settings(max_examples=50, deadline=None)
+@given(circ=_feed_forward_circuits(), q2=st.floats(0.3, 1.0), fp=st.floats(0.5, 30.0))
+def test_random_feed_forward_circuits_run_and_round_trip(circ, q2, fp):
+    text = pretty_print(circ)
+    assert parse(text) == circ, text
+    compiled = compile_circuit(circ)
+    lossy = InteractionModel.from_contrast(ContrastParams(q_ratio_sq=q2, purcell=fp))
+    flags = {
+        "ideal": [],
+        "lossy": ["--model", "lossy", "--q-ratio-sq", repr(q2), "--purcell", repr(fp)],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = pathlib.Path(tmp, "random.qc"), pathlib.Path(tmp, "out.json")
+        path.write_text(text)
+        for name, model in (("ideal", InteractionModel.ideal()), ("lossy", lossy)):
+            dist = compiled.run(model).distribution
+            assert dist.total() == pytest.approx(1.0, abs=1e-12)
+            want = meas.enumerate_outcomes(_dense_run(compiled, model), compiled.bases())
+            assert meas.total_variation(dist, dict(want)) <= 1e-12
+
+            argv = ["run", str(path), "--format", "json", "--out", str(out), *flags[name]]
+            assert cli.main(argv) == 0
+            rows = json.loads(out.read_text())["rows"]
+            assert [outcome for outcome, _ in rows] == sorted(str(rec) for rec in dist)
+            by_name = {str(rec): p for rec, p in dist.items()}
+            for outcome, p in rows:
+                assert p == pytest.approx(by_name[outcome], abs=1e-12)
 
 
 class TestRunAnalyzer:

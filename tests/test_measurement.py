@@ -24,6 +24,21 @@ def pol(name):
     return meas.PhotonOutcome(pol=name)
 
 
+def spin_port_state():
+    regs = (qs.spin(), qs.polarization(1), qs.path(1, ("C", "D")))
+    amps = np.array([SQ, 0, 0, 0, 0, 0, 0, SQ])  # ↑R@C + ↓L@D
+    return qs.StateVector(regs, amps), meas.MeasurementBases(pol={1: "RL"}, ports={1}, spin="UpDown")
+
+
+def lost_state():
+    regs = (qs.polarization(1), qs.path(1, ("C", "D")), qs.loss_flag(1))
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = SQ  # R, C, Alive
+    amps[1] = 0.5  # R, C, Lost
+    amps[7] = 0.5  # L, D, Lost
+    return qs.StateVector(regs, amps), meas.MeasurementBases(pol={1: "RL"}, ports={1})
+
+
 def test_enumerate_circular_basis():
     dist = meas.enumerate_outcomes(
         bell_pol_state(), meas.MeasurementBases(pol={1: "RL", 2: "RL"})
@@ -51,23 +66,14 @@ def test_unmeasured_registers_are_traced_out():
 
 
 def test_spin_and_port_outcomes():
-    regs = (qs.spin(), qs.polarization(1), qs.path(1, ("C", "D")))
-    s = qs.StateVector(regs, np.array([SQ, 0, 0, 0, 0, 0, 0, SQ]))  # ↑R@C + ↓L@D
-    bases = meas.MeasurementBases(pol={1: "RL"}, ports={1}, spin="UpDown")
-    dist = meas.enumerate_outcomes(s, bases)
+    dist = meas.enumerate_outcomes(*spin_port_state())
     up = meas.OutcomeRecord(((1, meas.PhotonOutcome(port="C", pol="R")),), spin="Up")
     assert dist[up] == pytest.approx(0.5)
 
 
 def test_lost_photons_aggregate():
-    regs = (qs.polarization(1), qs.path(1, ("C", "D")), qs.loss_flag(1))
     # alive R@C with weight 1/2; lost amplitude spread over two microstates
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = SQ  # R, C, Alive
-    amps[1] = 0.5  # R, C, Lost
-    amps[7] = 0.5  # L, D, Lost
-    s = qs.StateVector(regs, amps)
-    dist = meas.enumerate_outcomes(s, meas.MeasurementBases(pol={1: "RL"}, ports={1}))
+    dist = meas.enumerate_outcomes(*lost_state())
     lost = meas.OutcomeRecord(((1, meas.PhotonOutcome(lost=True)),))
     assert dist[lost] == pytest.approx(0.5)
     assert len(dist) == 2
@@ -92,8 +98,33 @@ def test_sample_is_deterministic_and_complete():
 def test_sample_rejects_subnormalized_states():
     regs = (qs.polarization(1),)
     s = qs.StateVector(regs, np.array([0.5, 0.0]))
-    with pytest.raises(ValueError, match="unit-norm"):
-        meas.sample(s, meas.MeasurementBases(pol={1: "RL"}), 10, seed=0)
+    bases = meas.MeasurementBases(pol={1: "RL"})
+    with pytest.raises(ValueError, match="unit-norm") as from_state:
+        meas.sample(s, bases, 10, seed=0)
+    with pytest.raises(ValueError, match="unit-norm") as from_dist:
+        meas.enumerate_outcomes(s, bases).sample(10, seed=0)
+    assert str(from_state.value) == str(from_dist.value)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (bell_pol_state(), meas.MeasurementBases(pol={1: "RL", 2: "RL"})),
+        lambda: (bell_pol_state(), meas.MeasurementBases(pol={1: "HV", 2: "HV"})),
+        lambda: (bell_pol_state(), meas.MeasurementBases(pol={1: "RL"})),
+        spin_port_state,
+        lost_state,
+    ],
+    ids=["bell-RL", "bell-HV", "traced", "spin-port", "lost"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_distribution_sample_matches_sample_from_state(case, seed):
+    state, bases = case()
+    dist = meas.enumerate_outcomes(state, bases)
+    counts = dist.sample(997, seed=seed)
+    assert counts == meas.sample(state, bases, 997, seed=seed)
+    assert list(counts) == sorted(counts, key=str)
+    assert sum(counts.values()) == 997
 
 
 def test_sampled_frequencies_approach_born_weights():
