@@ -45,7 +45,6 @@ __all__ = [
     "quality_ratio_from_losses",
     "transmission_contrast",
     "InteractionModel",
-    "interpolate_models",
     "coupled_polarization",
     "one_sided_operator",
     "two_sided_operator",
@@ -297,24 +296,6 @@ class InteractionModel:
         )
 
 
-def interpolate_models(
-    start: InteractionModel, end: InteractionModel, frac: float
-) -> InteractionModel:
-    """Linear interpolation of branch amplitudes; frac = 0 gives ``start``."""
-    if not 0.0 <= frac <= 1.0:
-        raise ValueError("frac must lie in [0, 1]")
-
-    def mix(a: float, b: float) -> float:
-        return (1.0 - frac) * a + frac * b
-
-    return InteractionModel(
-        mix(start.coupled_reflect_amp, end.coupled_reflect_amp),
-        mix(start.coupled_transmit_amp, end.coupled_transmit_amp),
-        mix(start.uncoupled_transmit_amp, end.uncoupled_transmit_amp),
-        mix(start.uncoupled_reflect_amp, end.uncoupled_reflect_amp),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Spin selection rule
 # ---------------------------------------------------------------------------
@@ -361,11 +342,22 @@ def _branch_loss_amp(reflect: float, transmit: float) -> float:
     return math.sqrt(max(deficit, 0.0))
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -1e-9:
-        raise ValueError("loss completion needs a positive semidefinite deficit")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+def _pair_blocks(reflect: float, transmit: float) -> tuple[np.ndarray, np.ndarray]:
+    """M = [[r, −t], [−t, r]], one pass of a two-sided pair, and L = √(I − M²).
+
+    M has the eigenvectors (1, ±1)/√2 for every r and t, with eigenvalues
+    r ∓ t, so L = √(1 − (r−t)²)·P₊ + √(1 − (r+t)²)·P₋ with
+    P± = ½[[1, ±1], [±1, 1]].
+    """
+    roots = []
+    for eig in (reflect - transmit, reflect + transmit):
+        deficit = 1.0 - eig * eig
+        if deficit < -1e-9:
+            raise ValueError("loss completion needs a positive semidefinite deficit")
+        roots.append(math.sqrt(max(deficit, 0.0)))
+    plus, minus = roots
+    m = np.array([[reflect, -transmit], [-transmit, reflect]])
+    return m, 0.5 * np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]])
 
 
 def _check_registers(
@@ -476,20 +468,8 @@ def two_sided_operator(
         i = (qs.RL.index(pol_name) * path.dim + path.index(path_name)) * nf
         return i + (1 if lost else 0)
 
-    m_c = np.array(
-        [
-            [model.coupled_reflect_amp, -model.coupled_transmit_amp],
-            [-model.coupled_transmit_amp, model.coupled_reflect_amp],
-        ]
-    )
-    m_u = np.array(
-        [
-            [model.uncoupled_reflect_amp, -model.uncoupled_transmit_amp],
-            [-model.uncoupled_transmit_amp, model.uncoupled_reflect_amp],
-        ]
-    )
-    l_c = _psd_sqrt(np.eye(2) - m_c @ m_c)
-    l_u = _psd_sqrt(np.eye(2) - m_u @ m_u)
+    m_c, l_c = _pair_blocks(model.coupled_reflect_amp, model.coupled_transmit_amp)
+    m_u, l_u = _pair_blocks(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
 
     sectors = []
     for spin_name in qs.UP_DOWN:

@@ -4,7 +4,13 @@ A measurement is described by :class:`MeasurementBases` — which photons are
 read out in which polarization basis, which have their exit port recorded,
 and whether (and in which basis) the spin is read.  Registers left out of the
 description are traced over.  A photon whose loss flag is Lost produced no
-click; all its microstates aggregate into a single ``lost`` outcome.
+click; all its microstates aggregate into a single ``lost`` outcome.  A
+record with no photon and no spin (a circuit that measures nothing) prints
+as ``-``.
+
+:func:`enumerate_outcomes` reads the table off the plain amplitude array,
+with one outcome axis per photon, and builds a record only for an outcome
+that occurs.
 
 Sampling (:meth:`Distribution.sample`, or :func:`sample` straight from a
 state) uses ``numpy.random.default_rng`` (PCG64).  Identical seeds give
@@ -19,7 +25,7 @@ from collections.abc import Iterator, Mapping
 import numpy as np
 
 from . import qstate as qs
-from .qstate import StateVector
+from .qstate import RegisterKind, StateVector
 
 __all__ = [
     "RNG_NAME",
@@ -29,7 +35,6 @@ __all__ = [
     "Distribution",
     "enumerate_outcomes",
     "sample",
-    "total_variation",
 ]
 
 #: Identifier of the sampling generator, recorded in CLI output for provenance.
@@ -77,7 +82,7 @@ class OutcomeRecord:
         parts = [f"{pid}={out}" for pid, out in self.photons]
         if self.spin is not None:
             parts.append(f"spin={self.spin}")
-        return " ".join(parts)
+        return " ".join(parts) if parts else "-"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,59 +155,81 @@ class Distribution(Mapping[OutcomeRecord, float]):
         return f"Distribution({rows})"
 
 
-def _prepare(state: StateVector, bases: MeasurementBases) -> StateVector:
-    for pid, basis in bases.pol.items():
-        state = qs.change_basis(state, (qs.RegisterKind.POLARIZATION, pid), basis)
-    if bases.spin is not None:
-        state = qs.change_basis(state, (qs.RegisterKind.SPIN, 0), bases.spin)
-    return state
-
-
 def enumerate_outcomes(state: StateVector, bases: MeasurementBases) -> Distribution:
     """Born probabilities of every outcome of ``bases`` on ``state``.
 
     Probabilities sum to the squared norm of the state (post-selected branches
     keep their shortfall).  Outcomes below 1e-15 are dropped.
+
+    The work is done on the amplitude array: the basis changes, one sum over
+    the traced axes, and one outcome axis per measured photon, which folds
+    its (flag, pol, port) axes into every alive pol × port entry and one Lost
+    entry summed over pol and port.  Records are built only for the entries
+    above 1e-15.  Outcome axes keep the order of their first register, and a
+    photon's Lost entry follows its alive ones.
     """
-    state = _prepare(state, bases)
-    probs_tensor = np.abs(state.amps.reshape(state.shape)) ** 2
+    amps = state.amps.reshape(state.shape)
+    registers = list(state.registers)
+    changes = [((RegisterKind.POLARIZATION, pid), basis) for pid, basis in bases.pol.items()]
+    if bases.spin is not None:
+        changes.append(((RegisterKind.SPIN, 0), bases.spin))
+    for key, target in changes:
+        ax = state.axis(key)
+        mat, registers[ax] = qs._basis_matrix(registers[ax], target)
+        if mat is not None:
+            amps = np.moveaxis(np.tensordot(mat, amps, axes=(1, ax)), 0, ax)
 
-    # measured axes, described as (axis, role, photon/spin id, basis names);
-    # every other register is traced out
-    describe: list[tuple[int, str, int, tuple[str, ...]]] = []
-    for ax, reg in enumerate(state.registers):
-        if reg.kind is qs.RegisterKind.POLARIZATION and reg.id in bases.pol:
-            describe.append((ax, "pol", reg.id, reg.basis))
-        elif reg.kind is qs.RegisterKind.PATH and reg.id in bases.ports:
-            describe.append((ax, "port", reg.id, reg.basis))
-        elif reg.kind is qs.RegisterKind.SPIN and bases.spin is not None:
-            describe.append((ax, "spin", reg.id, reg.basis))
-        elif reg.kind is qs.RegisterKind.LOSS_FLAG and reg.id in set(bases.photon_ids):
-            describe.append((ax, "flag", reg.id, reg.basis))
-    measured_axes = [d[0] for d in describe]
-    other = [ax for ax in range(len(state.registers)) if ax not in measured_axes]
-    marginal = probs_tensor.sum(axis=tuple(other)) if other else probs_tensor
+    # the outcome axes, each (its axes of ``amps``, flag first; its labels;
+    # whether it has a Lost entry; the photon id, None for the spin)
+    axis = {reg.key: ax for ax, reg in enumerate(registers)}
+    outcome_axes = []
+    for pid in bases.photon_ids:
+        flag = axis.get((RegisterKind.LOSS_FLAG, pid))
+        pol = axis.get((RegisterKind.POLARIZATION, pid)) if pid in bases.pol else None
+        port = axis.get((RegisterKind.PATH, pid)) if pid in bases.ports else None
+        labels = [
+            (pid, PhotonOutcome(port=port_name, pol=pol_name))
+            for pol_name in (registers[pol].basis if pol is not None else (None,))
+            for port_name in (registers[port].basis if port is not None else (None,))
+        ]
+        if flag is not None:
+            labels.append((pid, PhotonOutcome(lost=True)))
+        axes = [ax for ax in (flag, pol, port) if ax is not None]
+        outcome_axes.append((axes, labels, flag is not None, pid))
+    if bases.spin is not None:
+        spin_ax = axis[(RegisterKind.SPIN, 0)]
+        outcome_axes.append(([spin_ax], registers[spin_ax].basis, False, None))
+    outcome_axes.sort(key=lambda o: min(o[0], default=-1))
+    measured = [ax for axes, *_ in outcome_axes for ax in axes]
 
+    probs = np.abs(amps) ** 2
+    table = probs.sum(axis=tuple(ax for ax in range(probs.ndim) if ax not in measured))
+    kept = sorted(measured)
+    table = table.transpose([kept.index(ax) for ax in measured])
+    shape = []
+    for _, labels, lossy, _ in outcome_axes:
+        shape += [2, len(labels) - 1] if lossy else [len(labels)]
+    table = table.reshape(shape)
+    for pos, (_, _, lossy, _) in enumerate(outcome_axes):
+        if lossy:
+            lost = table.take(1, axis=pos).sum(axis=pos, keepdims=True)
+            table = np.concatenate([table.take(0, axis=pos), lost], axis=pos)
+
+    nonzero = np.flatnonzero(table > _MIN_PROB)
+    values = table.reshape(-1)[nonzero].tolist()
+    if table.ndim:
+        rows = zip(*(ix.tolist() for ix in np.unravel_index(nonzero, table.shape)))
+    else:  # nothing measured: one outcome holds the whole norm
+        rows = [()] * len(values)
+    labels = [axis_labels for _, axis_labels, _, _ in outcome_axes]
+    by_id = sorted((pid, pos) for pos, (*_, pid) in enumerate(outcome_axes) if pid is not None)
+    photon_pos = [pos for _, pos in by_id]
+    spin_pos = next((pos for pos, (*_, pid) in enumerate(outcome_axes) if pid is None), None)
     out: dict[OutcomeRecord, float] = {}
-    it = np.nditer(marginal, flags=["multi_index"])
-    for prob in it:
-        p = float(prob)
-        if p <= _MIN_PROB:
-            continue
-        names: dict[tuple[str, int], str] = {}
-        for (_, role, pid, basis_names), i in zip(describe, it.multi_index):
-            names[(role, pid)] = basis_names[i]
-        photon_outs = []
-        for pid in bases.photon_ids:
-            if names.get(("flag", pid)) == "Lost":
-                photon_outs.append((pid, PhotonOutcome(lost=True)))
-            else:
-                photon_outs.append(
-                    (pid, PhotonOutcome(port=names.get(("port", pid)), pol=names.get(("pol", pid))))
-                )
-        spin_name = names.get(("spin", 0))
-        rec = OutcomeRecord(photons=tuple(photon_outs), spin=spin_name)
-        out[rec] = out.get(rec, 0.0) + p
+    for row, p in zip(rows, values):
+        photons = tuple(labels[pos][row[pos]] for pos in photon_pos)
+        spin = None if spin_pos is None else labels[spin_pos][row[spin_pos]]
+        out[OutcomeRecord(photons=photons, spin=spin)] = p
     return Distribution(out)
 
 
@@ -219,11 +246,3 @@ def sample(
     and skips enumerating the outcomes again.
     """
     return enumerate_outcomes(state, bases).sample(shots, seed=seed)
-
-
-def total_variation(
-    p: Mapping[OutcomeRecord, float], q: Mapping[OutcomeRecord, float]
-) -> float:
-    """Total-variation distance ½ Σ |p − q| over the union of outcomes."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -26,13 +26,14 @@ renormalized.
 Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 :data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and the circuit compiler emits
 its schedule as the same data.  Photons meet only through the spin, so a
-photon's whole trip is one linear map: :func:`photon_channel` runs the
-schedule with :func:`run_plan` to build it, once per model, on its entry
+photon's whole trip is one linear map: :func:`photon_channel` composes the
+schedule's operators into it on a plain array, once per model, on its entry
 ports, and :func:`run_photons` applies it once per photon.  The model keeps
 the channel, so a caller that holds one model pays for each plan's channel
 once.  Only this module gives a photon its entry port,
 its path register and, under loss, its Alive/Lost flag.  The stream takes
 the gate, :func:`cnot_gate_matrix`, from the channel of :data:`CNOT_PLAN`.
+The analyzer reads its outcome table off the detector coincidences alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "BSA_PLAN",
     "SPIN_PREP_PLAN",
     "plan_operators",
-    "run_plan",
     "photon_channel",
     "run_photons",
     "cnot",
@@ -235,31 +235,6 @@ def plan_operators(
     return [built[step] for step in plan]
 
 
-def run_plan(
-    state: StateVector, plan: Sequence[PlanStep], model: InteractionModel, photon: int
-) -> StateVector:
-    """Apply one photon's schedule to ``state``.
-
-    The photon's polarization (R/L basis) and path registers must be in the
-    state; the spin and the photon's loss flag are used when present.
-    """
-    pol = state.register((RegisterKind.POLARIZATION, photon))
-    if pol.basis != qs.RL:
-        raise ValueError("optics elements are defined on the circular (R/L) basis")
-    present = {r.key: r for r in state.registers}
-    ops = plan_operators(
-        plan,
-        model,
-        pol=pol,
-        path=state.register((RegisterKind.PATH, photon)),
-        spin=present.get((RegisterKind.SPIN, 0)),
-        flag=present.get((RegisterKind.LOSS_FLAG, photon)),
-    )
-    for op in ops:
-        state = qs.apply(op, state)
-    return state
-
-
 def photon_channel(
     plan: Sequence[PlanStep],
     model: InteractionModel,
@@ -271,13 +246,11 @@ def photon_channel(
     Returns T[s′, p′, path′(, flag′), s, p, entry]: the photon enters in
     polarization p on port ``in_ports[entry]`` with the spin in s, and leaves
     in (s′, p′, path′), Alive or Lost.  The flag axis is there exactly when
-    the model is lossy and the plan passes the cavity.  One run of the plan
-    gives every column: (spin, pol, path) enters maximally entangled with
-    untouched reference copies (spin₁, pol₂, entry), which span only the
-    entry ports, so the output amplitude at (out, reference = in) is
-    T[out, in] times the input's scale.  The channel is built once per
-    model, on its entry ports, and kept on the model; the array returned is
-    read-only.
+    the model is lossy and the plan passes the cavity.  T starts as the
+    identity on the entry columns and takes each of the plan's operators in
+    turn, contracted with its (spin, pol, path[, flag]) axes.  The channel
+    is built once per model, on its entry ports, and kept on the model; the
+    array returned is read-only.
     """
     ports, in_ports = tuple(ports), tuple(in_ports)
     for port in in_ports:
@@ -287,19 +260,23 @@ def photon_channel(
     channel = model._channels.get(key)
     if channel is not None:
         return channel
-    live = (qs.spin(), qs.polarization(1), qs.path(1, ports))
-    refs = (qs.spin(1), qs.polarization(2), qs.path(2, in_ports))
-    flag = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
-    if flag:
-        live += (qs.loss_flag(1),)
-    # Σ_i |i⟩|Alive⟩|i⟩ over the entry columns, scaled by a power of two to a
-    # norm ≤ 1 so that unscaling is exact
-    scale = 0.5 ** math.ceil(math.log2(4 * len(in_ports)) / 2)
-    pairs = np.zeros((4, len(ports), 2 if flag else 1, 4, len(in_ports)), dtype=np.complex128)
+    registers = (qs.spin(), qs.polarization(1), qs.path(1, ports))
+    if not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan):
+        registers += (qs.loss_flag(1),)
+    # the identity on the entry columns: T[s, p, entry port(, Alive), s, p, entry] = 1
+    channel = np.zeros(tuple(r.dim for r in registers) + (2, 2, len(in_ports)), dtype=np.complex128)
+    alive = (0,) if len(registers) == 4 else ()
     for entry, port in enumerate(in_ports):
-        pairs[:, ports.index(port), 0, :, entry] = scale * np.eye(4)
-    state = run_plan(StateVector(live + refs, pairs.reshape(-1)), plan, model, photon=1)
-    channel = state.amps.reshape(state.shape) / scale
+        column = (slice(None), slice(None), ports.index(port), *alive, ..., entry)
+        channel[column] = np.eye(4).reshape(2, 2, 2, 2)
+    axis = {reg.key: ax for ax, reg in enumerate(registers)}
+    spin, pol, path, *flag = registers
+    ops = plan_operators(plan, model, pol=pol, path=path, spin=spin, flag=flag[0] if flag else None)
+    for op in ops:
+        axes = [axis[reg.key] for reg in op.domain]
+        mat = op.matrix.reshape(tuple(reg.dim for reg in op.domain) * 2)
+        channel = np.tensordot(mat, channel, axes=(range(len(axes), 2 * len(axes)), axes))
+        channel = np.moveaxis(channel, range(len(axes)), axes)
     channel.flags.writeable = False
     model._channels[key] = channel
     return channel
@@ -599,6 +576,7 @@ def bsa_state(
 
 
 _DETECTOR_PORTS = ("C", "D")
+_DETECTORS = slice(BSA_PATHS.index("C"), BSA_PATHS.index("D") + 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -618,25 +596,30 @@ def bsa(
 
     The distribution covers only coincidence outcomes (both photons alive on
     detector ports C/D), renormalized; ``success_probability`` is their total
-    weight before renormalization.
+    weight before renormalization.  Only the coincidence slice of the
+    pre-detection state is enumerated: (spin, pol₁, path₁, pol₂, path₂) with
+    each path cut to C/D and each flag to Alive, 32 amplitudes.
+    ``state`` is the whole pre-detection state.
     """
     state = bsa_state(two_photon_pol, model)
-    pol_ids = sorted(
-        r.id for r in state.registers if r.kind is RegisterKind.POLARIZATION
-    )
-    bases = meas.MeasurementBases(
-        pol={pid: "HV" for pid in pol_ids},
-        ports=frozenset(pol_ids),
-        spin="PlusMinus",
-    )
-    dist = meas.enumerate_outcomes(state, bases)
-    kept: dict[meas.OutcomeRecord, float] = {}
-    for rec, p in dist.items():
-        if all(
-            (not out.lost) and out.port in _DETECTOR_PORTS for _, out in rec.photons
-        ):
-            kept[rec] = p
-    success = sum(kept.values())
+    # the coincidences: both photons Alive on C or D, registers (spin, pol₁,
+    # path₁, pol₂, path₂) with each path cut to the detector ports
+    cut: list = []
+    registers: tuple[Register, ...] = ()
+    for reg in state.registers:
+        if reg.kind is RegisterKind.LOSS_FLAG:
+            cut.append(qs.ALIVE_LOST.index("Alive"))
+        elif reg.kind is RegisterKind.PATH:
+            cut.append(_DETECTORS)
+            registers += (qs.path(reg.id, _DETECTOR_PORTS),)
+        else:
+            cut.append(slice(None))
+            registers += (reg,)
+    pol_ids = [reg.id for reg in registers if reg.kind is RegisterKind.POLARIZATION]
+    bases = meas.MeasurementBases(dict.fromkeys(pol_ids, "HV"), pol_ids, spin="PlusMinus")
+    amps = state.amps.reshape(state.shape)[tuple(cut)]
+    kept = meas.enumerate_outcomes(StateVector(registers, amps), bases)
+    success = kept.total()
     if success <= 0:
         raise ValueError("no coincidence outcomes survived the analyzer")
     dist = meas.Distribution({k: v / success for k, v in kept.items()})

@@ -205,10 +205,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_unitary(self, atol: float = ATOL) -> bool:
-        eye = np.eye(self.dim)
-        return bool(np.allclose(self.matrix @ self.matrix.conj().T, eye, atol=atol, rtol=0.0))
-
 
 # -- construction ----------------------------------------------------------
 
@@ -344,32 +340,37 @@ _CHANGES: dict[tuple[tuple[str, ...], str], np.ndarray] = {
 }
 
 
+def _basis_matrix(reg: Register, target: str) -> tuple[np.ndarray | None, Register]:
+    """The matrix taking ``reg``'s amplitudes to basis ``target`` (None when
+    ``reg`` is already in it), and the register renamed to that basis."""
+    if target not in _BASIS_TABLE:
+        raise ValueError(f"unknown basis target {target!r} (know {sorted(_BASIS_TABLE)})")
+    kind, new_names = _BASIS_TABLE[target]
+    if reg.kind is not kind:
+        raise ValueError(f"basis {target!r} does not apply to a {reg.kind.value} register")
+    if reg.basis == new_names:
+        return None, reg
+    try:
+        mat = _CHANGES[(reg.basis, target)]
+    except KeyError:
+        raise ValueError(f"no conversion from basis {reg.basis} to {target!r}") from None
+    return mat, Register(reg.kind, reg.id, new_names)
+
+
 def change_basis(state: StateVector, key: RegisterKey | Register, target: str) -> StateVector:
     """Re-express one register in a different basis (renaming its basis states).
 
     Polarization converts between ``RL`` and ``HV``; spin between ``UpDown``
     and ``PlusMinus``.  Converting to the basis already in use is a no-op.
     """
-    if target not in _BASIS_TABLE:
-        raise ValueError(f"unknown basis target {target!r} (know {sorted(_BASIS_TABLE)})")
-    kind, new_names = _BASIS_TABLE[target]
     ax = state.axis(key)
-    reg = state.registers[ax]
-    if reg.kind is not kind:
-        raise ValueError(f"basis {target!r} does not apply to a {reg.kind.value} register")
-    if reg.basis == new_names:
+    mat, reg = _basis_matrix(state.registers[ax], target)
+    if mat is None:
         return state
-    try:
-        mat = _CHANGES[(reg.basis, target)]
-    except KeyError:
-        raise ValueError(f"no conversion from basis {reg.basis} to {target!r}") from None
-    tensor_amps = state.amps.reshape(state.shape)
-    moved = np.moveaxis(tensor_amps, ax, 0)
-    out = np.tensordot(mat, moved, axes=(1, 0))
-    out = np.moveaxis(out, 0, ax)
+    out = np.tensordot(mat, state.amps.reshape(state.shape), axes=(1, ax))
     new_regs = list(state.registers)
-    new_regs[ax] = Register(reg.kind, reg.id, new_names)
-    return StateVector(tuple(new_regs), out.reshape(-1))
+    new_regs[ax] = reg
+    return StateVector(tuple(new_regs), np.moveaxis(out, 0, ax).reshape(-1))
 
 
 # -- comparison ------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinphoton import cavity as cav
 from spinphoton import qstate as qs
 
-from _oracles import project
+from _oracles import eigh_loss_completion, interpolate_models, is_unitary, project
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +161,11 @@ def test_overcomplete_branch_rejected():
 
 def test_interpolation_endpoints_and_midpoint():
     lossy = cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0))
-    start = cav.interpolate_models(cav.InteractionModel.ideal(), lossy, 0.0)
+    start = interpolate_models(cav.InteractionModel.ideal(), lossy, 0.0)
     assert start.is_lossless
-    end = cav.interpolate_models(cav.InteractionModel.ideal(), lossy, 1.0)
+    end = interpolate_models(cav.InteractionModel.ideal(), lossy, 1.0)
     assert end.coupled_transmit_amp == pytest.approx(lossy.coupled_transmit_amp)
-    mid = cav.interpolate_models(cav.InteractionModel.ideal(), lossy, 0.5)
+    mid = interpolate_models(cav.InteractionModel.ideal(), lossy, 0.5)
     assert mid.uncoupled_transmit_amp == pytest.approx(
         (1.0 + lossy.uncoupled_transmit_amp) / 2.0
     )
@@ -245,7 +245,7 @@ def test_ideal_one_sided_operator_is_unitary_on_random_states():
         reflect_path="Refl",
         transmit_path="Trans",
     )
-    assert op.is_unitary()
+    assert is_unitary(op)
     for _ in range(25):
         amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         amps /= np.linalg.norm(amps)
@@ -348,7 +348,7 @@ def test_lossy_operator_is_exactly_unitary(lossy_model):
         reflect_path="Refl",
         transmit_path="Trans",
     )
-    assert op.is_unitary(atol=1e-12)
+    assert is_unitary(op, atol=1e-12)
     # the reflection construction makes even the lossy pass an involution
     assert np.allclose(op.matrix @ op.matrix, np.eye(op.dim), atol=1e-12)
 
@@ -410,7 +410,7 @@ def test_lossy_two_sided_is_unitary_with_flag(lossy_model):
         lower_path="B",
         upper_path="C",
     )
-    assert op.is_unitary(atol=1e-12)
+    assert is_unitary(op, atol=1e-12)
 
 
 def test_lossy_two_sided_sheds_probability_coherently(lossy_model):
@@ -440,3 +440,51 @@ def test_lossy_two_sided_sheds_probability_coherently(lossy_model):
     out_c = out.amplitude("Up", "R", "C", "Alive")
     assert out_b == pytest.approx(sq, abs=1e-12)
     assert out_c == pytest.approx(-sq, abs=1e-12)
+
+
+def _raw_model(draw) -> cav.InteractionModel:
+    coupled_r = draw(st.floats(0.0, 1.0))
+    uncoupled_t = draw(st.floats(0.0, 1.0))
+    return cav.InteractionModel(
+        coupled_r,
+        draw(st.floats(0.0, 1.0 - coupled_r)),
+        uncoupled_t,
+        draw(st.floats(0.0, 1.0 - uncoupled_t)),
+    )
+
+
+_MODELS = st.one_of(
+    st.builds(
+        lambda q2, fp: cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp)),
+        st.floats(1e-6, 1.0),
+        st.floats(0.0, 1e3),
+    ),
+    st.composite(_raw_model)(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_MODELS)
+def test_closed_form_loss_completion_matches_eigh(model):
+    for reflect, transmit in (
+        (model.coupled_reflect_amp, model.coupled_transmit_amp),
+        (model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
+    ):
+        m, closed = cav._pair_blocks(reflect, transmit)
+        assert np.array_equal(m, [[reflect, -transmit], [-transmit, reflect]])
+        # the symmetric square root of I − M²
+        assert np.array_equal(closed, closed.T)
+        assert np.abs(closed @ closed - (np.eye(2) - m @ m)).max() <= 1e-14
+        # eigh's rounding of an eigenvalue of I − M² near 0 (r ± t near 1, as
+        # in every from_contrast model) is about 1e-16, and its square root
+        # up to √1e-15 ≈ 3.2e-8; the closed form takes 1 − (r ± t)² directly
+        smallest = min(1.0 - (reflect - transmit) ** 2, 1.0 - (reflect + transmit) ** 2)
+        tol = 1e-14 if smallest >= 1e-3 else math.sqrt(1e-15)
+        assert np.abs(closed - eigh_loss_completion(reflect, transmit)).max() <= tol
+
+
+@pytest.mark.parametrize("reflect, transmit", [(0.7, 0.4), (0.5, -0.6)], ids=["r+t", "r-t"])
+def test_loss_completion_refuses_an_overcomplete_branch(reflect, transmit):
+    for completion in (cav._pair_blocks, eigh_loss_completion):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            completion(reflect, transmit)

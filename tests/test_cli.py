@@ -202,6 +202,24 @@ class TestRun:
         assert [r[0] for r in rows] == ["1=H"]
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "extra, csv_row, json_row",
+        [([], "-,1", ["-", 1.0]), (["--samples", "3", "--seed", "1"], "-,1,3", ["-", 1.0, 3])],
+        ids=["exact", "sampled"],
+    )
+    def test_circuit_that_measures_nothing_prints_a_dash(
+        self, extra, csv_row, json_row, tmp_path, capsys
+    ):
+        path = tmp_path / "dark.qc"
+        path.write_text(
+            "component p phase(phi=1) in=[P] out=[P]\n"
+            "input photon 1 port P state R\n"
+        )
+        assert main(["run", str(path), *extra]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [csv_row]
+        assert main(["run", str(path), "--format", "json", *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [json_row]
+
     def test_unknown_circuit_fails(self, capsys):
         assert main(["run", "nope"]) == 1
         assert "no file or bundled circuit" in capsys.readouterr().err

@@ -35,6 +35,8 @@ from spinphoton.dsl import (
 )
 from spinphoton.qstate import RegisterKind
 
+from _oracles import outcomes_by_entry, run_plan, total_variation
+
 DATA = pathlib.Path(__file__).parent / "data"
 VALID = sorted((DATA / "valid").glob("*.qc"))
 MALFORMED = sorted((DATA / "malformed").glob("*.qc"))
@@ -469,7 +471,7 @@ def _dense_run(compiled, model):
         order += [(RegisterKind.LOSS_FLAG, pid)] if lossy else []
     state = qs.reorder(state, order)
     for pid in compiled.photon_ids:
-        state = proto.run_plan(state, compiled.plan, model, pid)
+        state = run_plan(state, compiled.plan, model, pid)
     return state
 
 
@@ -562,8 +564,8 @@ def test_random_feed_forward_circuits_run_and_round_trip(circ, q2, fp):
         for name, model in (("ideal", InteractionModel.ideal()), ("lossy", lossy)):
             dist = compiled.run(model).distribution
             assert dist.total() == pytest.approx(1.0, abs=1e-12)
-            want = meas.enumerate_outcomes(_dense_run(compiled, model), compiled.bases())
-            assert meas.total_variation(dist, dict(want)) <= 1e-12
+            want = outcomes_by_entry(_dense_run(compiled, model), compiled.bases())
+            assert total_variation(dist, dict(want)) <= 1e-12
 
             argv = ["run", str(path), "--format", "json", "--out", str(out), *flags[name]]
             assert cli.main(argv) == 0

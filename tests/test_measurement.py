@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphoton import measurement as meas
 from spinphoton import qstate as qs
+
+from _oracles import outcomes_by_entry, total_variation
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -79,6 +83,50 @@ def test_lost_photons_aggregate():
     assert len(dist) == 2
 
 
+@st.composite
+def _states_and_bases(draw):
+    """A random normalized state, some of its amplitudes zero, over 1–3
+    photons (pol, a path of 1–5 names, an optional loss flag) and an optional
+    spin, its registers shuffled; and random bases on it, empty ones included."""
+    n = draw(st.integers(1, 3))
+    registers = [qs.spin()] if draw(st.booleans()) else []
+    for pid in range(1, n + 1):
+        names = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True))
+        registers += [qs.polarization(pid), qs.path(pid, names)]
+        if draw(st.booleans()):
+            registers.append(qs.loss_flag(pid))
+    registers = draw(st.permutations(registers))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = math.prod(r.dim for r in registers)
+    amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * (rng.random(dim) < 0.7)
+    if not amps.any():
+        amps[0] = 1.0
+    photons = st.sets(st.integers(1, n))
+    bases = meas.MeasurementBases(
+        pol={pid: draw(st.sampled_from(("RL", "HV"))) for pid in draw(photons)},
+        ports=draw(photons),
+        spin=draw(st.sampled_from((None, "UpDown", "PlusMinus")))
+        if qs.spin() in registers else None,
+    )
+    return qs.StateVector(tuple(registers), amps / np.linalg.norm(amps)), bases
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_states_and_bases())
+def test_enumeration_matches_the_entrywise_oracle(case):
+    state, bases = case
+    fast, slow = meas.enumerate_outcomes(state, bases), outcomes_by_entry(state, bases)
+    assert set(fast) == set(slow)
+    for record, p in slow.items():
+        assert abs(fast[record] - p) <= 1e-15
+
+
+def test_nothing_measured_is_one_outcome_labelled_dash():
+    dist = meas.enumerate_outcomes(bell_pol_state(), meas.MeasurementBases())
+    assert list(dist.items()) == [(meas.OutcomeRecord(photons=()), pytest.approx(1.0))]
+    assert str(next(iter(dist))) == "-"
+
+
 def test_lost_outcome_forbids_port():
     with pytest.raises(ValueError):
         meas.PhotonOutcome(port="C", lost=True)
@@ -134,14 +182,14 @@ def test_sampled_frequencies_approach_born_weights():
     counts = meas.sample(s, bases, n, seed=123)
     empirical = {k: v / n for k, v in counts.items()}
     exact = meas.enumerate_outcomes(s, bases)
-    assert meas.total_variation(empirical, dict(exact)) < 0.01
+    assert total_variation(empirical, dict(exact)) < 0.01
 
 
 def test_total_variation_bounds():
     a = {rec(pol("H")): 1.0}
     b = {rec(pol("V")): 1.0}
-    assert meas.total_variation(a, a) == 0.0
-    assert meas.total_variation(a, b) == pytest.approx(1.0)
+    assert total_variation(a, a) == 0.0
+    assert total_variation(a, b) == pytest.approx(1.0)
 
 
 def test_bases_validate_names():

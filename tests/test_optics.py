@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from spinphoton import optics as opt
 from spinphoton import qstate as qs
 
+from _oracles import is_unitary
+
 SQ = 1.0 / math.sqrt(2.0)
 PORTS = ("P", "Q", "S", "T")
 POL, PATH = qs.polarization(1), qs.path(1, PORTS)
@@ -129,7 +131,7 @@ def test_phase_applies_to_both_polarizations():
 )
 def test_every_element_is_unitary(build):
     pol, path = qs.polarization(1), qs.path(1, PORTS)
-    assert build(pol, path).is_unitary(atol=1e-12)
+    assert is_unitary(build(pol, path), atol=1e-12)
 
 
 _ANGLES = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False, allow_infinity=False)
@@ -139,8 +141,8 @@ _ANGLES = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False, allow_infinity=F
 @given(theta=_ANGLES, phi=_ANGLES)
 def test_angle_elements_are_unitary_at_any_angle(theta, phi):
     pol, path = qs.polarization(1), qs.path(1, PORTS)
-    assert opt.hwp_operator(pol, path, at="Q", theta=theta).is_unitary(atol=1e-12)
-    assert opt.phase_operator(path, at="T", phi=phi).is_unitary(atol=1e-12)
+    assert is_unitary(opt.hwp_operator(pol, path, at="Q", theta=theta), atol=1e-12)
+    assert is_unitary(opt.phase_operator(path, at="T", phi=phi), atol=1e-12)
 
 
 def test_elements_preserve_norm_on_random_states():

@@ -12,7 +12,7 @@ from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 
-from _oracles import all_port_channel, full_matrix
+from _oracles import choi_channel, full_matrix, outcomes_by_entry, run_plan
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -199,7 +199,7 @@ def _dense_spin_prep(spin_amps, model):
     )
     if lossy:
         state = qs.tensor(state, qs.basis_state([qs.loss_flag(1)], ["Alive"]))
-    state = proto.run_plan(state, proto.SPIN_PREP_PLAN, model, photon=1)
+    state = run_plan(state, proto.SPIN_PREP_PLAN, model, photon=1)
     out = {}
     for port, pol, target_amps in (("Refl", "L", [1.0, 0.0]), ("Trans", "R", [0.0, 1.0])):
         branch = qs.collapse(state, (qs.RegisterKind.PATH, 1), port, check=False)
@@ -361,7 +361,7 @@ def _dense_stream(photon_amps, spin_amps, model, spin_phase_drift=0.0):
         )
         if not model.is_lossless:
             photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(k)], ["Alive"]))
-        state = proto.run_plan(qs.tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
+        state = run_plan(qs.tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
         before = state.norm_sq()
         state = qs.collapse(state, (qs.RegisterKind.PATH, k), "D", check=False)
         if not model.is_lossless:
@@ -563,7 +563,7 @@ def _dense_bsa_state(two_photon_pol, model):
         if not model.is_lossless:
             state = qs.tensor(state, qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
     for pid in pol_ids:
-        state = proto.run_plan(state, proto.BSA_PLAN, model, pid)
+        state = run_plan(state, proto.BSA_PLAN, model, pid)
     return state
 
 
@@ -596,6 +596,24 @@ def test_bsa_state_matches_dense_oracle(case, lossy, lossy_model):
     assert np.abs(fast.amps - dense.amps).max() <= 1e-12
 
 
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("bell", list(proto.BellState), ids=lambda b: b.value)
+def test_bsa_matches_the_filtered_entrywise_enumeration(bell, lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    res = proto.bsa(bell.state(), model)
+    bases = meas.MeasurementBases(pol={1: "HV", 2: "HV"}, ports={1, 2}, spin="PlusMinus")
+    kept = {
+        rec: p
+        for rec, p in outcomes_by_entry(res.state, bases).items()
+        if all(not out.lost and out.port in ("C", "D") for _, out in rec.photons)
+    }
+    success = sum(kept.values())
+    assert abs(res.success_probability - success) <= 1e-15
+    assert list(res.distribution) == list(kept)
+    for rec, p in kept.items():
+        assert abs(res.distribution[rec] - p / success) <= 1e-15
+
+
 def test_bsa_rejects_non_two_photon_input():
     single = qs.basis_state([qs.polarization(1)], ["R"])
     with pytest.raises(ValueError):
@@ -618,14 +636,15 @@ _PLANS = {
 def test_entry_port_channel_matches_the_all_port_oracle(name, lossy, lossy_model):
     plan, ports = _PLANS[name]
     model = lossy_model if lossy else cav.InteractionModel.ideal()
-    oracle = all_port_channel(plan, model, ports)
+    # the plan run once on a Choi input over every port, as one labelled state
+    oracle = choi_channel(plan, model, ports, ports)
     for k in range(1, len(ports) + 1):
         for subset in itertools.combinations(ports, k):
             for in_ports in {subset, subset[::-1]}:
                 channel = proto.photon_channel(plan, model, ports, in_ports)
                 cols = oracle[..., [ports.index(p) for p in in_ports]]
                 assert channel.shape == cols.shape
-                assert np.abs(channel - cols).max() <= 1e-12
+                assert np.abs(channel - cols).max() <= 1e-15
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
@@ -642,13 +661,13 @@ def test_channel_is_kept_on_the_model_read_only(lossy, lossy_model):
 
 def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
     built = []
-    run_plan = proto.run_plan
+    plan_operators = proto.plan_operators
 
-    def counting(state, plan, model, photon):
+    def counting(plan, *args, **kwargs):
         built.append(tuple(plan))
-        return run_plan(state, plan, model, photon)
+        return plan_operators(plan, *args, **kwargs)
 
-    monkeypatch.setattr(proto, "run_plan", counting)
+    monkeypatch.setattr(proto, "plan_operators", counting)
     # one point of the loss analysis through every protocol
     proto.cnot_gate_matrix(lossy_model)
     proto.cnot((1.0, 0.0), (0.6, 0.8), lossy_model)
@@ -697,10 +716,10 @@ def test_models_with_channels_keep_equality_hash_and_repr():
 
 
 def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
-    def no_build(*args):
+    def no_build(*args, **kwargs):
         raise AssertionError("the channel was built")
 
-    monkeypatch.setattr(proto, "run_plan", no_build)
+    monkeypatch.setattr(proto, "plan_operators", no_build)
     model = cav.InteractionModel.ideal()
     with pytest.raises(ValueError, match="'Z'"):
         proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "Z"))
