@@ -9,10 +9,10 @@
   reading the spin in the ± basis heralds which multi-photon state remains.
   The stream applies the gate as its heralded Kraus map, the 4×4
   :func:`cnot_gate_matrix` on (polarization ⊗ spin), so no photon's path or
-  loss flag enters its state.  It is a sequentially generated
-  matrix-product state with the spin as its bond: each photon adds two 2×2
-  Kraus blocks, one per output polarization, and the stream grows one plain
-  (spin × polarizations) array, building a state vector only for its result.
+  loss flag enters its state.  The gate never flips the spin, so the stream
+  is two product states, c↑|↑⟩⊗ₖ(G↑vₖ) + c↓|↓⟩⊗ₖ(G↓vₖ), each written once
+  into one plain (spin × polarizations) array; a state vector is built only
+  for the result.
 * :func:`bsa` — the spin-heralded complete Bell-state analyzer: both photons
   scatter off the cavity in turn, the transmitted arm is folded and mixed with
   the reflected arm on a 50:50 splitter, and the (port, linear polarization,
@@ -350,9 +350,14 @@ def cnot(
 
 def _normalize_pair(amps: tuple[complex, complex]) -> tuple[complex, complex]:
     a, b = complex(amps[0]), complex(amps[1])
-    n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    if n == 0:
+    parts = (a.real, a.imag, b.real, b.imag)
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"amplitude pair must be finite, got {amps!r}")
+    big = max(map(abs, parts))  # divided by it, the norm neither overflows nor underflows
+    if big == 0:
         raise ValueError("amplitude pair must not be zero")
+    a, b = a / big, b / big
+    n = math.hypot(a.real, a.imag, b.real, b.imag)
     return (a / n, b / n)
 
 
@@ -418,59 +423,52 @@ def _stream(
     spin_amps: tuple[complex, complex],
     model: InteractionModel,
     spin_phase_drift: float,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """The stream's normalized amplitudes, shape (2, 2ⁿ) over [spin, pol₁…polₙ],
-    and its heralded probability.  ``amps`` and ``spin_amps`` are normalized.
+    its heralded probability, and the photons' outputs ``pairs[s, k]``, scaled
+    as in the amplitudes.  ``amps`` and ``spin_amps`` are normalized.
 
-    The spin is the bond of a sequentially generated matrix-product state:
-    photon (a, b) contributes the 2×2 Kraus blocks
-    A[p′] = a·G[p′, :, R, :] + b·G[p′, :, L, :] of the gate G[p′, s′, p, s],
-    and ψ′[s′, rest, p′] = (A[p′] ψ)[s′, rest] appends its polarization as
-    the last axis.
+    The gate G[p′, s′, p, s] never flips the spin, so the stream is
+    c↑|↑⟩⊗ₖ(G↑vₖ) + c↓|↓⟩⊗ₖ(G↓vₖ) with G_s = G[:, s, :, s].  Only the two
+    branch weights are looped over per photon, for its herald and a 1/√prob
+    scale on its pair that keeps the branches from underflowing.  Each branch
+    is written once, as the outer product of the Kronecker products of its
+    two halves of photons; the drift is one phase, e^{i(n−1)φ}, on Down.
     """
-    if 2 ** (len(amps) + 1) > qs.MAX_AMPLITUDES:
+    if not math.isfinite(spin_phase_drift):
+        raise ValueError(f"spin_phase_drift must be finite, got {spin_phase_drift!r}")
+    n = len(amps)
+    if 2 ** (n + 1) > qs.MAX_AMPLITUDES:
         raise ValueError(
-            f"{len(amps)} photons need a state of 2^{len(amps) + 1} amplitudes, "
+            f"{n} photons need a state of 2^{n + 1} amplitudes, "
             f"over the budget of {qs.MAX_AMPLITUDES}"
         )
     gate = cnot_gate_matrix(model).reshape(2, 2, 2, 2)
-    phase = np.exp(1j * spin_phase_drift)
-    psi = np.array(spin_amps, dtype=np.complex128).reshape(2, 1)
-    success = 1.0
-    for k, (a, b) in enumerate(amps, start=1):
-        if k > 1 and spin_phase_drift != 0.0:
-            psi[1] *= phase
-        # ψ is normalized only up to rounding: the ratio keeps a lossless
-        # gate's probability at exactly 1
-        before = np.vdot(psi, psi).real
-        blocks = a * gate[:, :, 0, :] + b * gate[:, :, 1, :]
-        out = np.empty((2, psi.shape[1], 2), dtype=np.complex128)
-        for p_out in range(2):
-            np.matmul(blocks[p_out], psi, out=out[:, :, p_out])
-        psi = out.reshape(2, -1)
-        prob = float(np.vdot(psi, psi).real / before)
-        if prob <= 1e-300:
+    # pairs[s, k] = G_s·vₖ: the repeated s takes the gate's diagonal blocks
+    pairs = np.einsum("qsps,kp->skq", gate, np.array(amps, dtype=np.complex128))
+    norms = (pairs.real**2 + pairs.imag**2).sum(axis=2).T.tolist()  # [k][s]
+    weights, probs = [abs(c) ** 2 for c in spin_amps], []
+    for k, norm in enumerate(norms, start=1):
+        grown = [w * x for w, x in zip(weights, norm)]
+        probs.append(sum(grown) / sum(weights))  # the weights sum to 1 only up to rounding
+        if probs[-1] <= 1e-300:
             raise ValueError(f"photon {k}: heralded branch has vanishing probability")
-        success *= prob
-        psi *= 1.0 / math.sqrt(prob)
-    return psi, success
+        weights = [w / probs[-1] for w in grown]
+    pairs /= np.sqrt(probs)[:, None]
+    coefs = np.array([spin_amps[0], spin_amps[1] * np.exp(1j * (n - 1) * spin_phase_drift)])
+    half = n // 2
+    left = _kron(pairs[:, :half], coefs[:, None])
+    right = _kron(pairs[:, half:], np.ones((2, 1)))
+    psi = np.empty((2, 2**n), dtype=np.complex128)
+    np.multiply(left[:, :, None], right[:, None, :], out=psi.reshape(left.shape + right.shape[1:]))
+    return psi, math.prod(probs), pairs
 
 
-def _target_overlap(
-    psi: np.ndarray,
-    amps: Sequence[tuple[complex, complex]],
-    spin_amps: tuple[complex, complex],
-) -> complex:
-    """⟨target|ψ⟩ for perfect gates, where spin Down flips each photon's R/L:
-    Σ_s conj(c_s)·⟨⊗ₖ pairₖ⁽ˢ⁾|ψ[s]⟩, contracted one photon at a time from
-    the last."""
-    total = 0j
-    for s, c in enumerate(spin_amps):
-        v = psi[s]
-        for a, b in reversed(amps):
-            v = v.reshape(-1, 2) @ np.conj([a, b] if s == 0 else [b, a])
-        total += np.conj(c) * v[0]
-    return complex(total)
+def _kron(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start[s] ⊗ rows[s, 0] ⊗ rows[s, 1] ⊗ … for both spins s, flat per spin."""
+    for k in range(rows.shape[1]):
+        start = (start[:, :, None] * rows[:, k, None, :]).reshape(2, -1)
+    return start
 
 
 def entangle_stream(
@@ -485,26 +483,33 @@ def entangle_stream(
     Each photon's pass is the heralded Kraus gate, :func:`cnot_gate_matrix`,
     built once: the photon enters at A and is post-selected alive at D, so
     its path and loss flag never enter the state, which holds only the spin
-    and the polarizations.  The spin is the bond of a matrix-product state:
-    a photon with amplitudes (a, b) acts on it through two 2×2 Kraus blocks,
-    one per output polarization, and each block's product with the
-    (spin × earlier photons) array fills one half of the new photon's axis.
+    and the polarizations.  The gate never flips the spin, so the state is
+    two product states, one per spin, and the fidelity is the scalar
+    Σ_s |c_s|²·Πₖ⟨targetₖ⁽ˢ⁾|G_s vₖ⟩ over the norm².
     ``spin_phase_drift`` adds a deterministic Z rotation of the spin between
     consecutive photons (an inter-photon precession knob; 0 disables it, and
-    any other value leaves the fidelity NaN).  The result state orders
-    registers (spin, pol₁, …, polₙ).  A train whose final state would exceed
-    :data:`~spinphoton.qstate.MAX_AMPLITUDES` is refused before any work.
+    any other value leaves the fidelity NaN); NaN or ±inf is refused.  The
+    result state orders registers (spin, pol₁, …, polₙ).  A train whose final
+    state would exceed :data:`~spinphoton.qstate.MAX_AMPLITUDES` is refused
+    before any work.
     """
     model = model or InteractionModel.ideal()
     spin_amps = _normalize_pair(spin_amps)
     amps = [_normalize_pair(p) for p in photon_amps]
     if not amps:
         raise ValueError("need at least one photon")
-    psi, success = _stream(amps, spin_amps, model, spin_phase_drift)
+    psi, success, pairs = _stream(amps, spin_amps, model, spin_phase_drift)
     regs = (qs.spin(),) + tuple(qs.polarization(k) for k in range(1, len(amps) + 1))
     state = StateVector(regs, psi)
     if spin_phase_drift == 0.0:
-        fid = abs(_target_overlap(psi, amps, spin_amps)) ** 2 / state.norm_sq()
+        # a perfect gate leaves photon k as (a, b) under Up and (b, a) under Down
+        up, down = pairs.tolist()
+        overlap = abs(spin_amps[0]) ** 2 * math.prod(
+            a.conjugate() * u + b.conjugate() * d for (a, b), (u, d) in zip(amps, up)
+        ) + abs(spin_amps[1]) ** 2 * math.prod(
+            b.conjugate() * u + a.conjugate() * d for (a, b), (u, d) in zip(amps, down)
+        )
+        fid = abs(overlap) ** 2 / state.norm_sq()
     else:
         fid = float("nan")
     return ProtocolResult(state, success, fid)
@@ -525,7 +530,7 @@ def ghz(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    psi, success = _stream(
+    psi, success, _ = _stream(
         [(1.0, 0.0)] * n,
         _normalize_pair((_SQ, _SQ)),  # as entangle_stream does, to the last bit
         model or InteractionModel.ideal(),
@@ -533,15 +538,14 @@ def ghz(
     )
     regs = tuple(qs.polarization(k) for k in range(1, n + 1))
     out: dict[str, ProtocolResult] = {}
-    for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
-        branch = _SQ * psi[0] + (sign * _SQ) * psi[1]
-        prob = float(np.vdot(branch, branch).real)
+    for name, sign, combine in (("Plus", 1.0, np.add), ("Minus", -1.0, np.subtract)):
+        branch = combine(psi[0], psi[1])  # √2 times the branch
+        prob = 0.5 * float(np.vdot(branch, branch).real)
         if prob < qs.ATOL:
             raise ValueError(f"the {name} herald has vanishing probability")
-        # |⟨GHZ±|branch⟩|² over both norms²; GHZ± has amplitudes 1/√2, ±1/√2
-        overlap = _SQ * branch[0] + (sign * _SQ) * branch[-1]
-        fid = abs(overlap) ** 2 / (prob * (2.0 * _SQ * _SQ))
-        branch *= 1.0 / math.sqrt(prob)
+        # |⟨GHZ±|branch⟩|² over its norm²; GHZ± has amplitudes 1/√2, ±1/√2
+        fid = abs(branch[0] + sign * branch[-1]) ** 2 / (4.0 * prob)
+        branch *= _SQ / math.sqrt(prob)
         out[name] = ProtocolResult(StateVector(regs, branch), success * prob, fid)
     return out
 
@@ -597,8 +601,9 @@ def bsa(
     The distribution covers only coincidence outcomes (both photons alive on
     detector ports C/D), renormalized; ``success_probability`` is their total
     weight before renormalization.  Only the coincidence slice of the
-    pre-detection state is enumerated: (spin, pol₁, path₁, pol₂, path₂) with
-    each path cut to C/D and each flag to Alive, 32 amplitudes.
+    pre-detection state is enumerated, once and renormalized: (spin, pol₁,
+    path₁, pol₂, path₂) with each path cut to C/D and each flag to Alive,
+    32 amplitudes.
     ``state`` is the whole pre-detection state.
     """
     state = bsa_state(two_photon_pol, model)
@@ -618,11 +623,12 @@ def bsa(
     pol_ids = [reg.id for reg in registers if reg.kind is RegisterKind.POLARIZATION]
     bases = meas.MeasurementBases(dict.fromkeys(pol_ids, "HV"), pol_ids, spin="PlusMinus")
     amps = state.amps.reshape(state.shape)[tuple(cut)]
-    kept = meas.enumerate_outcomes(StateVector(registers, amps), bases)
-    success = kept.total()
-    if success <= 0:
+    success = float(np.vdot(amps, amps).real)
+    if success <= 1e-15:  # the weight below which an outcome is dropped
         raise ValueError("no coincidence outcomes survived the analyzer")
-    dist = meas.Distribution({k: v / success for k, v in kept.items()})
+    # renormalized first, so the records are built and hashed once
+    amps = amps * (1.0 / math.sqrt(success))
+    dist = meas.enumerate_outcomes(StateVector(registers, amps), bases)
     return BsaResult(state=state, distribution=dist, success_probability=success)
 
 

@@ -3,9 +3,10 @@
 Each helper is the direct construction that a faster path in the package
 must agree with: a dense operator, a projection, a phase-blind comparison,
 a plan run step by step on a labelled state, a photon channel read off one
-run of its plan on a Choi input, the outcome table read entry by entry, and
-the loss completion of a two-sided pass by eigendecomposition.  A few small
-helpers that only the tests use live here too.
+run of its plan on a Choi input, the outcome table read entry by entry, the
+loss completion of a two-sided pass by eigendecomposition, and the closed
+forms of the heralded gate and of the GHZ figures.  A few small helpers that
+only the tests use live here too.
 """
 
 from __future__ import annotations
@@ -199,3 +200,38 @@ def choi_channel(
         pairs[:, ports.index(port), 0, :, entry] = scale * np.eye(4)
     state = run_plan(StateVector(live + refs, pairs.reshape(-1)), plan, model, photon=1)
     return state.amps.reshape(state.shape) / scale
+
+
+def gate_closed_form(model: InteractionModel) -> np.ndarray:
+    """The heralded gate on (pol ⊗ spin), basis [R↑, R↓, L↑, L↓], from the
+    model's four amplitudes: |↑⟩⟨↑| ⊗ (t_u·I + r_u·X) + |↓⟩⟨↓| ⊗ (t_c·I + r_c·X)."""
+    blocks = [
+        (model.uncoupled_transmit_amp, model.uncoupled_reflect_amp),
+        (model.coupled_transmit_amp, model.coupled_reflect_amp),
+    ]
+    gate = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # [p′, s′, p, s]
+    for s, (t, r) in enumerate(blocks):
+        gate[:, s, :, s] = [[t, r], [r, t]]
+    return gate.reshape(4, 4)
+
+
+def ghz_closed_form(
+    model: InteractionModel, n: int, spin_phase_drift: float = 0.0
+) -> dict[str, tuple[float, float]]:
+    """(heralded weight, fidelity) of each ``ghz(n)`` branch in closed form.
+
+    With a = t_u² + r_u², b = t_c² + r_c², x = t_u·t_c + r_u·r_c and
+    φ = drift·(n − 1), the ± branch weighs w± = ¼[aⁿ + bⁿ ± 2xⁿ·cos φ], and
+    its fidelity is |(t_uⁿ ± e^{iφ}t_cⁿ) ± (r_uⁿ ± e^{iφ}r_cⁿ)|² / (8·w±).
+    """
+    tu, ru = model.uncoupled_transmit_amp, model.uncoupled_reflect_amp
+    tc, rc = model.coupled_transmit_amp, model.coupled_reflect_amp
+    a, b, x = tu**2 + ru**2, tc**2 + rc**2, tu * tc + ru * rc
+    phi = spin_phase_drift * (n - 1)
+    out = {}
+    for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
+        weight = 0.25 * (a**n + b**n + sign * 2.0 * x**n * math.cos(phi))
+        twist = sign * complex(math.cos(phi), math.sin(phi))
+        overlap = (tu**n + twist * tc**n) + sign * (ru**n + twist * rc**n)
+        out[name] = (weight, abs(overlap) ** 2 / (8.0 * weight))
+    return out

@@ -12,7 +12,14 @@ from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 
-from _oracles import choi_channel, full_matrix, outcomes_by_entry, run_plan
+from _oracles import (
+    choi_channel,
+    full_matrix,
+    gate_closed_form,
+    ghz_closed_form,
+    outcomes_by_entry,
+    run_plan,
+)
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -172,6 +179,43 @@ def test_uniform_superposition_is_loss_immune(lossy_model):
 
 
 # ---------------------------------------------------------------------------
+# the gate in closed form: the spin is a control
+# ---------------------------------------------------------------------------
+
+# every valid model: each branch's reflect + transmit stays within 1
+_valid_models = st.tuples(*[st.floats(0.0, 1.0)] * 4).map(
+    lambda v: cav.InteractionModel(v[0], (1.0 - v[0]) * v[1], v[2], (1.0 - v[2]) * v[3])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_valid_models)
+def test_gate_matches_its_closed_form(model):
+    gate = proto.cnot_gate_matrix(model)
+    assert np.abs(gate - gate_closed_form(model)).max() <= 1e-14
+    # the blocks t·I + r·X have singular values t + r and |t − r|
+    sigma_max = max(
+        model.uncoupled_transmit_amp + model.uncoupled_reflect_amp,
+        model.coupled_transmit_amp + model.coupled_reflect_amp,
+    )
+    assert np.linalg.svd(gate, compute_uv=False)[0] == pytest.approx(sigma_max, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_valid_models)
+def test_no_channel_ever_flips_the_spin(model):
+    gate = proto.cnot_gate_matrix(model).reshape(2, 2, 2, 2)  # [p′, s′, p, s]
+    assert not gate[:, 0, :, 1].any() and not gate[:, 1, :, 0].any()
+    for plan, ports, entries in (
+        (proto.CNOT_PLAN, proto.CNOT_PATHS, ("A", "D")),
+        (proto.BSA_PLAN, proto.BSA_PATHS, ("In", "Refl")),
+        (proto.SPIN_PREP_PLAN, ("In", "Refl", "Trans"), ("In", "Trans")),
+    ):
+        channel = proto.photon_channel(plan, model, ports, entries)  # [s′, …, s, p, entry]
+        assert not channel[0, ..., 1, :, :].any() and not channel[1, ..., 0, :, :].any()
+
+
+# ---------------------------------------------------------------------------
 # heralded spin preparation
 # ---------------------------------------------------------------------------
 
@@ -325,6 +369,81 @@ def test_vanishing_ghz_herald_is_refused():
     blind = cav.InteractionModel(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError, match="Minus herald has vanishing"):
         proto.ghz(2, blind)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        cav.InteractionModel.ideal(),
+        cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)),
+        cav.InteractionModel.from_contrast(cav.ContrastParams(0.5, 2.0)),
+        cav.InteractionModel(0.7, 0.2, 0.6, 0.3),
+    ],
+    ids=["ideal", "lossy", "poor", "generic"],
+)
+@pytest.mark.parametrize("drift", [0.0, 0.4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+def test_ghz_matches_its_closed_form(n, drift, model):
+    out = proto.ghz(n, model, spin_phase_drift=drift)
+    for name, (weight, fid) in ghz_closed_form(model, n, drift).items():
+        assert out[name].success_probability == pytest.approx(weight, abs=1e-12)
+        assert out[name].fidelity == pytest.approx(fid, abs=1e-12)
+
+
+def test_tiny_herald_keeps_the_branches_normalized():
+    # each photon heralds with probability 1e-18, so 18 photons weigh 1e-324,
+    # below the smallest double: the per-photon scaling keeps the state
+    out = proto.ghz(18, cav.InteractionModel(1e-9, 0.0, 1e-9, 0.0))
+    for res in out.values():
+        assert res.state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("a channel was built")
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 0.0), (1.0, math.inf), (complex(0.0, -math.inf), 1.0)])
+def test_non_finite_amplitudes_are_refused_before_any_work(pair, monkeypatch):
+    monkeypatch.setattr(proto, "plan_operators", _no_build)
+    for call in (
+        lambda: proto.cnot(pair, (1.0, 0.0)),
+        lambda: proto.cnot((1.0, 0.0), pair),
+        lambda: proto.entangle_stream([(1.0, 0.0), pair]),
+        lambda: proto.entangle_stream([(1.0, 0.0)], pair),
+        lambda: proto.conditional_spin_prep(pair),
+    ):
+        with pytest.raises(ValueError, match=r"amplitude pair must be finite, got \(.*(nan|inf)"):
+            call()
+
+
+def test_huge_and_subnormal_amplitude_pairs_are_normalized():
+    # the last pair's norm, 1.2e308·√3, is itself past the largest double
+    for pair, same in (
+        ((1e308, 1e308), (1.0, 1.0)),
+        ((1e-320, 0.0), (1.0, 0.0)),
+        ((1.2e308 + 1.2e308j, 1.2e308), (1.0 + 1.0j, 1.0)),
+    ):
+        _assert_same_result(proto.cnot(pair, (1.0, 0.0)), proto.cnot(same, (1.0, 0.0)))
+        _assert_same_result(
+            proto.entangle_stream([pair, (0.6, 0.8)], pair),
+            proto.entangle_stream([same, (0.6, 0.8)], same),
+        )
+        extreme, plain = proto.conditional_spin_prep(pair), proto.conditional_spin_prep(same)
+        assert list(extreme) == list(plain)
+        for port in plain:
+            _assert_same_result(extreme[port], plain[port])
+    with pytest.raises(ValueError, match="must not be zero"):
+        proto.cnot((0.0, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf])
+def test_non_finite_drift_is_refused_before_any_work(drift, monkeypatch):
+    monkeypatch.setattr(proto, "plan_operators", _no_build)
+    with pytest.raises(ValueError, match="spin_phase_drift"):
+        proto.entangle_stream([(1.0, 0.0)], spin_phase_drift=drift)
+    with pytest.raises(ValueError, match="spin_phase_drift"):
+        proto.ghz(3, spin_phase_drift=drift)
 
 
 def test_stream_rejects_empty_input():
