@@ -8,7 +8,7 @@ depends on the photon's spin angular momentum along the cavity axis — set by
 its circular polarization *and* its direction of travel — relative to the
 emitter spin.
 
-Two levels of description live here:
+Three levels of description live here:
 
 * :func:`scatter_coefficients` — the frequency-resolved reflection and
   transmission amplitudes of the cavity for an input detuned by ``delta_omega``
@@ -19,8 +19,12 @@ Two levels of description live here:
   exact (``ideal()``) or built from measured quality factors and the Purcell
   factor (``from_contrast``).
 * :func:`one_sided_operator` / :func:`two_sided_operator` — the unitary of one
-  cavity pass on the spin and one photon's registers.  The ideal pass is the
-  same builder with ``InteractionModel.ideal()`` and no loss-flag register.
+  cavity pass on the spin and one photon's registers.  A pass never flips
+  the spin, so each spin has its own block, in which each polarization
+  writes one small real block: a reflection on at most four modes for the
+  one-sided pass (so the pass is an involution), the pair dilation
+  [[M, L], [L, −M]] for the two-sided pass.  The ideal pass is the same
+  builder with ``InteractionModel.ideal()`` and no loss-flag register.
 
 All scattering operators are exact unitaries: photon loss is represented by
 rotating amplitude into a per-photon Alive/Lost flag register rather than by
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -155,12 +160,20 @@ def quality_ratio_from_losses(
     """(Q/Q₀)² from the mirror, scattering, and radiation loss coefficients.
 
     Q/Q₀ = α_m / (α_m + α_scat + α_rad): the fraction of the total cavity
-    decay that exits through the useful mirror channel.
+    decay that exits through the useful mirror channel.  Each coefficient
+    must be finite, α_m positive and the other two non-negative.
     """
-    total = alpha_mirror + alpha_scatter + alpha_radiation
-    if alpha_mirror <= 0 or total <= 0:
-        raise ValueError("loss coefficients must be positive")
-    return (alpha_mirror / total) ** 2
+    if not (math.isfinite(alpha_mirror) and alpha_mirror > 0):
+        raise ValueError(f"alpha_mirror must be positive and finite, got {alpha_mirror!r}")
+    for name, value in (("alpha_scatter", alpha_scatter), ("alpha_radiation", alpha_radiation)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    q_ratio_sq = (alpha_mirror / (alpha_mirror + alpha_scatter + alpha_radiation)) ** 2
+    if q_ratio_sq == 0.0:
+        raise ValueError(
+            "alpha_mirror / (alpha_mirror + alpha_scatter + alpha_radiation) is 0 in floating point"
+        )
+    return q_ratio_sq
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,14 +340,6 @@ def _flip(pol: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _householder(dim: int, w: np.ndarray) -> np.ndarray:
-    """I − 2|w⟩⟨w| / ⟨w|w⟩ — the reflection swapping the two vectors w bisects."""
-    nrm = np.vdot(w, w).real
-    if nrm < 1e-30:
-        return np.eye(dim, dtype=np.complex128)
-    return np.eye(dim, dtype=np.complex128) - 2.0 / nrm * np.outer(w, w.conj())
-
-
 def _branch_loss_amp(reflect: float, transmit: float) -> float:
     deficit = 1.0 - reflect * reflect - transmit * transmit
     if deficit < -_AMP_TOL:
@@ -356,13 +361,49 @@ def _pair_blocks(reflect: float, transmit: float) -> tuple[np.ndarray, np.ndarra
             raise ValueError("loss completion needs a positive semidefinite deficit")
         roots.append(math.sqrt(max(deficit, 0.0)))
     plus, minus = roots
+    diag, off = 0.5 * (plus + minus), 0.5 * (plus - minus)
     m = np.array([[reflect, -transmit], [-transmit, reflect]])
-    return m, 0.5 * np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]])
+    return m, np.array([[diag, off], [off, diag]])
 
 
-def _check_registers(
-    pol: Register, path: Register, spin: Register, flag: Register | None
-) -> None:
+def _reflection(reflect: float, transmit: float) -> list[list[float]]:
+    """One-sided block on (in, reflect, transmit, Lost(in)): the reflection
+    I − 2|w⟩⟨w|/⟨w|w⟩ with w = e_in − v, which swaps e_in with the unit vector
+    v = (0, r, −t, λ), λ = √(1 − r² − t²)."""
+    lost = _branch_loss_amp(reflect, transmit)
+    w = (1.0, -reflect, transmit, -lost)
+    scale = 2.0 / (1.0 + reflect * reflect + transmit * transmit + lost * lost)
+    return [[float(a == b) - scale * (wa * wb) for b, wb in enumerate(w)] for a, wa in enumerate(w)]
+
+
+def _dilation(reflect: float, transmit: float) -> list[list[float]]:
+    """Two-sided block [[M, L], [L, −M]] from :func:`_pair_blocks`."""
+    m, root = (block.tolist() for block in _pair_blocks(reflect, transmit))
+    minus_m = [[-x for x in row] for row in m]
+    return [m[0] + root[0], m[1] + root[1], root[0] + minus_m[0], root[1] + minus_m[1]]
+
+
+def _cavity_pass(
+    model: InteractionModel,
+    pol: Register,
+    path: Register,
+    spin: Register,
+    flag: Register | None,
+    arrive_from: str,
+    block: Callable[[float, float], list[list[float]]],
+    modes: Callable[[str], tuple[list, list]],
+) -> Operator:
+    """One cavity pass on (spin, pol, path[, flag]), written spin by spin.
+
+    A pass never flips the spin, so the operator is block diagonal in it.
+    Each spin's block starts as the identity.  In it each polarization p,
+    first the one that couples arriving from ``arrive_from``, writes the
+    small real ``block(r, t)`` of its branch: with (outs, ins) = ``modes(p)``,
+    lists of (polarization, port), the block takes (ins, Lost) to
+    (outs, Lost), where Lost holds the flags of the first ins, one per row
+    beyond the outs.  It replaces the identity in those columns.  Without a
+    flag register (a lossless model) only its alive corner is written.
+    """
     if pol.kind is not qs.RegisterKind.POLARIZATION or pol.basis != qs.RL:
         raise ValueError("scattering acts on a circular (R/L) polarization register")
     if path.kind is not qs.RegisterKind.PATH:
@@ -371,6 +412,33 @@ def _check_registers(
         raise ValueError("scattering acts on the spin in the Up/Down basis")
     if flag is not None and flag.kind is not qs.RegisterKind.LOSS_FLAG:
         raise ValueError("flag register must be a loss flag")
+    if flag is None and not model.is_lossless:
+        raise ValueError("a lossy model needs the photon's loss-flag register")
+    blocks = (
+        block(model.coupled_reflect_amp, model.coupled_transmit_amp),
+        block(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
+    )
+    flags = 1 if flag is None else flag.dim
+    ports = path.dim
+    sector = 2 * ports * flags
+    mat = np.eye(2 * sector, dtype=np.complex128)
+    for base, spin_name in zip((0, sector), qs.UP_DOWN):
+        c = coupled_polarization(arrive_from, spin_name)
+        for p, values in zip((c, _flip(c)), blocks):
+            rows, cols = (
+                [base + (qs.RL.index(q) * ports + path.index(port)) * flags for q, port in side]
+                for side in modes(p)
+            )
+            if flag is not None:
+                # a mode's Lost entry directly follows its Alive one
+                lost = [j + 1 for j in cols[: len(values) - len(rows)]]
+                rows, cols = rows + lost, cols + lost
+            for j in cols:
+                mat[j, j] = 0.0
+            for i, row in zip(rows, values):
+                for j, value in zip(cols, row):
+                    mat[i, j] = value
+    return Operator((spin, pol, path) if flag is None else (spin, pol, path, flag), mat)
 
 
 def one_sided_operator(
@@ -389,51 +457,21 @@ def one_sided_operator(
 
     Amplitude entering on ``in_path`` leaves on ``reflect_path`` (polarization
     flipped, + sign) or ``transmit_path`` (polarization kept, − sign); with a
-    lossy model the branch deficit rotates into the photon's Lost flag.  The
-    operator is a product of two commuting reflections, hence an involution:
-    applying it twice is the identity.  Ports other than the three named ones
-    ride along unchanged.
+    lossy model the branch deficit rotates into the photon's Lost flag.  For
+    each spin, each polarization gets the reflection that swaps its input
+    mode with that output state, on at most four modes.  The two reflections
+    act on disjoint modes, so the operator is an involution: applying it
+    twice is the identity.  Ports other than the three named ones ride
+    along unchanged.
     """
-    _check_registers(pol, path, spin, flag)
     if len({in_path, reflect_path, transmit_path}) != 3:
         raise ValueError("in/reflect/transmit ports must be three distinct names")
-    if flag is None and not model.is_lossless:
-        raise ValueError("a lossy model needs the photon's loss-flag register")
 
-    nf = 1 if flag is None else 2
-    sector_dim = 2 * path.dim * nf
+    def modes(p: str) -> tuple[list, list]:
+        alive = [(p, in_path), (_flip(p), reflect_path), (p, transmit_path)]
+        return alive, alive
 
-    def idx(pol_name: str, path_name: str, lost: bool = False) -> int:
-        i = (qs.RL.index(pol_name) * path.dim + path.index(path_name)) * nf
-        return i + (1 if lost else 0)
-
-    lam_c = _branch_loss_amp(model.coupled_reflect_amp, model.coupled_transmit_amp)
-    lam_u = _branch_loss_amp(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
-
-    sectors = []
-    for spin_name in qs.UP_DOWN:
-        c = coupled_polarization(arrive_from, spin_name)
-        u = _flip(c)
-
-        v_c = np.zeros(sector_dim, dtype=np.complex128)
-        v_c[idx(u, reflect_path)] = model.coupled_reflect_amp
-        v_c[idx(c, transmit_path)] = -model.coupled_transmit_amp
-        if lam_c > 0.0:
-            v_c[idx(c, in_path, lost=True)] = lam_c
-
-        v_u = np.zeros(sector_dim, dtype=np.complex128)
-        v_u[idx(c, reflect_path)] = model.uncoupled_reflect_amp
-        v_u[idx(u, transmit_path)] = -model.uncoupled_transmit_amp
-        if lam_u > 0.0:
-            v_u[idx(u, in_path, lost=True)] = lam_u
-
-        w_c = -v_c
-        w_c[idx(c, in_path)] += 1.0
-        w_u = -v_u
-        w_u[idx(u, in_path)] += 1.0
-        sectors.append(_householder(sector_dim, w_c) @ _householder(sector_dim, w_u))
-
-    return Operator(_assemble_domain(pol, path, spin, flag), _spin_block_diag(sectors))
+    return _cavity_pass(model, pol, path, spin, flag, arrive_from, _reflection, modes)
 
 
 def two_sided_operator(
@@ -450,89 +488,17 @@ def two_sided_operator(
 
     The ``lower_path`` arm arrives from below, the ``upper_path`` arm from
     above.  Reflection keeps the arm and flips polarization; transmission
-    crosses to the other arm with a − sign.  Because reflected and transmitted
-    amplitudes recombine coherently, a lossy model loses probability even when
+    crosses to the other arm with a − sign.  So each branch's pair of modes,
+    (p, lower) and (flip p, upper), passes onto the other pair through
+    M = [[r, −t], [−t, r]].  Because reflected and transmitted amplitudes
+    recombine coherently, a lossy model loses probability even when
     r + t = 1 per branch; the deficit is rotated into the Lost flag through
     the exact pair dilation [[M, L], [L, −M]] with L = √(1 − M²).
     """
-    _check_registers(pol, path, spin, flag)
     if lower_path == upper_path:
         raise ValueError("lower and upper arms must differ")
-    if flag is None and not model.is_lossless:
-        raise ValueError("a lossy model needs the photon's loss-flag register")
 
-    nf = 1 if flag is None else 2
-    sector_dim = 2 * path.dim * nf
+    def modes(p: str) -> tuple[list, list]:
+        return [(_flip(p), lower_path), (p, upper_path)], [(p, lower_path), (_flip(p), upper_path)]
 
-    def idx(pol_name: str, path_name: str, lost: bool = False) -> int:
-        i = (qs.RL.index(pol_name) * path.dim + path.index(path_name)) * nf
-        return i + (1 if lost else 0)
-
-    m_c, l_c = _pair_blocks(model.coupled_reflect_amp, model.coupled_transmit_amp)
-    m_u, l_u = _pair_blocks(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
-
-    sectors = []
-    for spin_name in qs.UP_DOWN:
-        # Coupled pair: (c_low, lower) and (c_up, upper); the uncoupled pair
-        # holds the flipped polarizations.  Reflection maps each coupled state
-        # onto the uncoupled state in the same arm and vice versa.
-        c_low = coupled_polarization("below", spin_name)
-        c_up = coupled_polarization("above", spin_name)
-        c_states = [(c_low, lower_path), (c_up, upper_path)]
-        u_states = [(_flip(c_low), lower_path), (_flip(c_up), upper_path)]
-
-        mat = np.eye(sector_dim, dtype=np.complex128)
-        c_a = [idx(p, a) for p, a in c_states]
-        u_a = [idx(p, a) for p, a in u_states]
-        for block in (c_a, u_a):
-            for j in block:
-                mat[j, j] = 0.0
-                if nf == 2:
-                    mat[j + 1, j + 1] = 0.0
-
-        # Column convention: reflection of (c_low, lower) lands on
-        # (flip(c_low), lower) = u_states[0]; transmission crosses the arm,
-        # keeping polarization: (c_low, upper) = u_states[1].
-        for k, j in enumerate(c_a):
-            mat[u_a[0], j] = m_c[0, k]
-            mat[u_a[1], j] = m_c[1, k]
-            if nf == 2:
-                mat[c_a[0] + 1, j] = l_c[0, k]
-                mat[c_a[1] + 1, j] = l_c[1, k]
-        for k, j in enumerate(u_a):
-            mat[c_a[0], j] = m_u[0, k]
-            mat[c_a[1], j] = m_u[1, k]
-            if nf == 2:
-                mat[u_a[0] + 1, j] = l_u[0, k]
-                mat[u_a[1] + 1, j] = l_u[1, k]
-        if nf == 2:
-            # Lost columns: the dilation's lower-right blocks.
-            for k, j in enumerate(c_a):
-                mat[u_a[0], j + 1] = l_c[0, k]
-                mat[u_a[1], j + 1] = l_c[1, k]
-                mat[c_a[0] + 1, j + 1] = -m_c[0, k]
-                mat[c_a[1] + 1, j + 1] = -m_c[1, k]
-            for k, j in enumerate(u_a):
-                mat[c_a[0], j + 1] = l_u[0, k]
-                mat[c_a[1], j + 1] = l_u[1, k]
-                mat[u_a[0] + 1, j + 1] = -m_u[0, k]
-                mat[u_a[1] + 1, j + 1] = -m_u[1, k]
-        sectors.append(mat)
-
-    return Operator(_assemble_domain(pol, path, spin, flag), _spin_block_diag(sectors))
-
-
-def _assemble_domain(
-    pol: Register, path: Register, spin: Register, flag: Register | None
-) -> tuple[Register, ...]:
-    if flag is None:
-        return (spin, pol, path)
-    return (spin, pol, path, flag)
-
-
-def _spin_block_diag(sectors: list[np.ndarray]) -> np.ndarray:
-    d = sectors[0].shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    out[:d, :d] = sectors[0]
-    out[d:, d:] = sectors[1]
-    return out
+    return _cavity_pass(model, pol, path, spin, flag, "below", _dilation, modes)

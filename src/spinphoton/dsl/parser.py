@@ -156,19 +156,24 @@ def _parse_value(cur: _Line) -> float:
         tok = cur.peek()
     if tok.kind == "ident" and tok.text == "pi":
         cur.next()
-        value = math.pi
+        value, text = math.pi, "pi"
         if cur.peek().kind == "punct" and cur.peek().text == "/":
             cur.next()
-            div = cur.next()
-            if div.kind != "number":
-                cur.error("expected a number after 'pi/'", div)
-            value /= float(div.text)
-        return sign * value
-    if tok.kind == "number":
+            tok = cur.next()
+            if tok.kind != "number":
+                cur.error("expected a number after 'pi/'", tok)
+            divisor = float(tok.text)
+            value = value / divisor if divisor else math.inf
+            text = f"pi/{tok.text}"
+    elif tok.kind == "number":
         cur.next()
-        return sign * float(tok.text)
-    cur.error("expected a number or 'pi'", tok)
-    raise AssertionError  # unreachable
+        value, text = float(tok.text), tok.text
+    else:
+        cur.error("expected a number or 'pi'", tok)
+    # reported at the number that makes the value overflow
+    if not math.isfinite(value):
+        cur.error(f"{text} is not a finite number", tok, kind="Semantic")
+    return sign * value
 
 
 def _parse_port_list(cur: _Line) -> tuple[str, ...]:

@@ -126,8 +126,11 @@ def mirror_operator(pol: Register, path: Register, *, at: str) -> Operator:
 def hwp_operator(pol: Register, path: Register, *, at: str, theta: float = 0.0) -> Operator:
     """Half-wave plate at angle ``theta`` on one port.
 
-    In the circular basis: R → e^{-2iθ} L, L → e^{+2iθ} R.
+    In the circular basis: R → e^{-2iθ} L, L → e^{+2iθ} R.  A θ whose 2θ
+    is not finite is refused.
     """
+    if not math.isfinite(2.0 * theta):
+        raise ValueError(f"hwp angle theta={theta!r}: theta and 2*theta must be finite")
     mat = np.eye(2 * path.dim, dtype=np.complex128)
     i_r = _pol_path_index(path, 0, at)
     i_l = _pol_path_index(path, 1, at)
@@ -139,7 +142,9 @@ def hwp_operator(pol: Register, path: Register, *, at: str, theta: float = 0.0) 
 
 
 def phase_operator(path: Register, *, at: str, phi: float) -> Operator:
-    """Phase plate e^{iφ} on one port, both polarizations."""
+    """Phase plate e^{iφ} on one port, both polarizations; φ must be finite."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase angle phi={phi!r} must be finite")
     mat = np.eye(path.dim, dtype=np.complex128)
     mat[path.index(at), path.index(at)] = np.exp(1.0j * phi)
     return Operator((path,), mat)

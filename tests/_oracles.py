@@ -4,9 +4,10 @@ Each helper is the direct construction that a faster path in the package
 must agree with: a dense operator, a projection, a phase-blind comparison,
 a plan run step by step on a labelled state, a photon channel read off one
 run of its plan on a Choi input, the outcome table read entry by entry, the
-loss completion of a two-sided pass by eigendecomposition, and the closed
-forms of the heralded gate and of the GHZ figures.  A few small helpers that
-only the tests use live here too.
+loss completion of a two-sided pass by eigendecomposition, the closed forms
+of the heralded gate and of the GHZ figures, and both cavity passes built at
+full sector size.  A few small helpers that only the tests use live here
+too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import numpy as np
 
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
-from spinphoton.cavity import InteractionModel
+from spinphoton.cavity import (
+    InteractionModel,
+    _branch_loss_amp,
+    _flip,
+    _pair_blocks,
+    coupled_polarization,
+)
 from spinphoton.measurement import Distribution, MeasurementBases, OutcomeRecord, PhotonOutcome
 from spinphoton.qstate import ATOL, Operator, Register, RegisterKey, RegisterKind, StateVector
 
@@ -234,4 +241,199 @@ def ghz_closed_form(
         twist = sign * complex(math.cos(phi), math.sin(phi))
         overlap = (tu**n + twist * tc**n) + sign * (ru**n + twist * rc**n)
         out[name] = (weight, abs(overlap) ** 2 / (8.0 * weight))
+    return out
+
+
+# The cavity builders as they were before the per-spin blocks: full-size
+# Householder reflections for the one-sided pass, entry-by-entry placement
+# for the two-sided pass.  The package's builders must agree with them, with
+# one known exception: without a flag register, dense_one_sided_operator
+# writes the nonzero deficit of a model that is lossless only within
+# tolerance into the next port's mode (or past the end of the sector), where
+# the package's builder leaves it out.
+
+
+def _householder(dim: int, w: np.ndarray) -> np.ndarray:
+    """I − 2|w⟩⟨w| / ⟨w|w⟩ — the reflection swapping the two vectors w bisects."""
+    nrm = np.vdot(w, w).real
+    if nrm < 1e-30:
+        return np.eye(dim, dtype=np.complex128)
+    return np.eye(dim, dtype=np.complex128) - 2.0 / nrm * np.outer(w, w.conj())
+
+
+def _check_registers(
+    pol: Register, path: Register, spin: Register, flag: Register | None
+) -> None:
+    if pol.kind is not qs.RegisterKind.POLARIZATION or pol.basis != qs.RL:
+        raise ValueError("scattering acts on a circular (R/L) polarization register")
+    if path.kind is not qs.RegisterKind.PATH:
+        raise ValueError("second register must be a path register")
+    if spin.kind is not qs.RegisterKind.SPIN or spin.basis != qs.UP_DOWN:
+        raise ValueError("scattering acts on the spin in the Up/Down basis")
+    if flag is not None and flag.kind is not qs.RegisterKind.LOSS_FLAG:
+        raise ValueError("flag register must be a loss flag")
+
+
+def dense_one_sided_operator(
+    model: InteractionModel,
+    *,
+    pol: Register,
+    path: Register,
+    spin: Register,
+    flag: Register | None = None,
+    in_path: str,
+    reflect_path: str,
+    transmit_path: str,
+    arrive_from: str = "below",
+) -> Operator:
+    """Unitary for one photon meeting the cavity from a single input port.
+
+    Amplitude entering on ``in_path`` leaves on ``reflect_path`` (polarization
+    flipped, + sign) or ``transmit_path`` (polarization kept, − sign); with a
+    lossy model the branch deficit rotates into the photon's Lost flag.  The
+    operator is a product of two commuting reflections, hence an involution:
+    applying it twice is the identity.  Ports other than the three named ones
+    ride along unchanged.
+    """
+    _check_registers(pol, path, spin, flag)
+    if len({in_path, reflect_path, transmit_path}) != 3:
+        raise ValueError("in/reflect/transmit ports must be three distinct names")
+    if flag is None and not model.is_lossless:
+        raise ValueError("a lossy model needs the photon's loss-flag register")
+
+    nf = 1 if flag is None else 2
+    sector_dim = 2 * path.dim * nf
+
+    def idx(pol_name: str, path_name: str, lost: bool = False) -> int:
+        i = (qs.RL.index(pol_name) * path.dim + path.index(path_name)) * nf
+        return i + (1 if lost else 0)
+
+    lam_c = _branch_loss_amp(model.coupled_reflect_amp, model.coupled_transmit_amp)
+    lam_u = _branch_loss_amp(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
+
+    sectors = []
+    for spin_name in qs.UP_DOWN:
+        c = coupled_polarization(arrive_from, spin_name)
+        u = _flip(c)
+
+        v_c = np.zeros(sector_dim, dtype=np.complex128)
+        v_c[idx(u, reflect_path)] = model.coupled_reflect_amp
+        v_c[idx(c, transmit_path)] = -model.coupled_transmit_amp
+        if lam_c > 0.0:
+            v_c[idx(c, in_path, lost=True)] = lam_c
+
+        v_u = np.zeros(sector_dim, dtype=np.complex128)
+        v_u[idx(c, reflect_path)] = model.uncoupled_reflect_amp
+        v_u[idx(u, transmit_path)] = -model.uncoupled_transmit_amp
+        if lam_u > 0.0:
+            v_u[idx(u, in_path, lost=True)] = lam_u
+
+        w_c = -v_c
+        w_c[idx(c, in_path)] += 1.0
+        w_u = -v_u
+        w_u[idx(u, in_path)] += 1.0
+        sectors.append(_householder(sector_dim, w_c) @ _householder(sector_dim, w_u))
+
+    return Operator(_assemble_domain(pol, path, spin, flag), _spin_block_diag(sectors))
+
+
+def dense_two_sided_operator(
+    model: InteractionModel,
+    *,
+    pol: Register,
+    path: Register,
+    spin: Register,
+    flag: Register | None = None,
+    lower_path: str,
+    upper_path: str,
+) -> Operator:
+    """Unitary for a photon meeting the cavity inside a two-arm interferometer.
+
+    The ``lower_path`` arm arrives from below, the ``upper_path`` arm from
+    above.  Reflection keeps the arm and flips polarization; transmission
+    crosses to the other arm with a − sign.  Because reflected and transmitted
+    amplitudes recombine coherently, a lossy model loses probability even when
+    r + t = 1 per branch; the deficit is rotated into the Lost flag through
+    the exact pair dilation [[M, L], [L, −M]] with L = √(1 − M²).
+    """
+    _check_registers(pol, path, spin, flag)
+    if lower_path == upper_path:
+        raise ValueError("lower and upper arms must differ")
+    if flag is None and not model.is_lossless:
+        raise ValueError("a lossy model needs the photon's loss-flag register")
+
+    nf = 1 if flag is None else 2
+    sector_dim = 2 * path.dim * nf
+
+    def idx(pol_name: str, path_name: str, lost: bool = False) -> int:
+        i = (qs.RL.index(pol_name) * path.dim + path.index(path_name)) * nf
+        return i + (1 if lost else 0)
+
+    m_c, l_c = _pair_blocks(model.coupled_reflect_amp, model.coupled_transmit_amp)
+    m_u, l_u = _pair_blocks(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
+
+    sectors = []
+    for spin_name in qs.UP_DOWN:
+        # Coupled pair: (c_low, lower) and (c_up, upper); the uncoupled pair
+        # holds the flipped polarizations.  Reflection maps each coupled state
+        # onto the uncoupled state in the same arm and vice versa.
+        c_low = coupled_polarization("below", spin_name)
+        c_up = coupled_polarization("above", spin_name)
+        c_states = [(c_low, lower_path), (c_up, upper_path)]
+        u_states = [(_flip(c_low), lower_path), (_flip(c_up), upper_path)]
+
+        mat = np.eye(sector_dim, dtype=np.complex128)
+        c_a = [idx(p, a) for p, a in c_states]
+        u_a = [idx(p, a) for p, a in u_states]
+        for block in (c_a, u_a):
+            for j in block:
+                mat[j, j] = 0.0
+                if nf == 2:
+                    mat[j + 1, j + 1] = 0.0
+
+        # Column convention: reflection of (c_low, lower) lands on
+        # (flip(c_low), lower) = u_states[0]; transmission crosses the arm,
+        # keeping polarization: (c_low, upper) = u_states[1].
+        for k, j in enumerate(c_a):
+            mat[u_a[0], j] = m_c[0, k]
+            mat[u_a[1], j] = m_c[1, k]
+            if nf == 2:
+                mat[c_a[0] + 1, j] = l_c[0, k]
+                mat[c_a[1] + 1, j] = l_c[1, k]
+        for k, j in enumerate(u_a):
+            mat[c_a[0], j] = m_u[0, k]
+            mat[c_a[1], j] = m_u[1, k]
+            if nf == 2:
+                mat[u_a[0] + 1, j] = l_u[0, k]
+                mat[u_a[1] + 1, j] = l_u[1, k]
+        if nf == 2:
+            # Lost columns: the dilation's lower-right blocks.
+            for k, j in enumerate(c_a):
+                mat[u_a[0], j + 1] = l_c[0, k]
+                mat[u_a[1], j + 1] = l_c[1, k]
+                mat[c_a[0] + 1, j + 1] = -m_c[0, k]
+                mat[c_a[1] + 1, j + 1] = -m_c[1, k]
+            for k, j in enumerate(u_a):
+                mat[c_a[0], j + 1] = l_u[0, k]
+                mat[c_a[1], j + 1] = l_u[1, k]
+                mat[u_a[0] + 1, j + 1] = -m_u[0, k]
+                mat[u_a[1] + 1, j + 1] = -m_u[1, k]
+        sectors.append(mat)
+
+    return Operator(_assemble_domain(pol, path, spin, flag), _spin_block_diag(sectors))
+
+
+def _assemble_domain(
+    pol: Register, path: Register, spin: Register, flag: Register | None
+) -> tuple[Register, ...]:
+    if flag is None:
+        return (spin, pol, path)
+    return (spin, pol, path, flag)
+
+
+def _spin_block_diag(sectors: list[np.ndarray]) -> np.ndarray:
+    d = sectors[0].shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+    out[:d, :d] = sectors[0]
+    out[d:, d:] = sectors[1]
     return out

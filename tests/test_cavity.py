@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from spinphoton import cavity as cav
 from spinphoton import qstate as qs
 
-from _oracles import eigh_loss_completion, interpolate_models, is_unitary, project
+from _oracles import (
+    dense_one_sided_operator,
+    dense_two_sided_operator,
+    eigh_loss_completion,
+    interpolate_models,
+    is_unitary,
+    project,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +113,36 @@ def test_quality_ratio_from_measured_losses():
     # mirror 13.9 /cm against 1.7 /cm scattering and 0.0017 /cm radiation
     q2 = cav.quality_ratio_from_losses(13.9, 1.7, 0.0017)
     assert q2 == pytest.approx(0.79375, abs=5e-5)
+
+
+@pytest.mark.parametrize(
+    "alphas, name",
+    [
+        ((0.0, 1.7, 0.0017), "alpha_mirror"),
+        ((-1.0, 1.7, 0.0017), "alpha_mirror"),
+        ((math.inf, 1.7, 0.0017), "alpha_mirror"),
+        ((13.9, -0.2, 0.0017), "alpha_scatter"),
+        ((13.9, math.nan, 0.0017), "alpha_scatter"),
+        ((1.0, 0.5, -0.4), "alpha_radiation"),
+        ((1.0, 0.5, -math.inf), "alpha_radiation"),
+    ],
+)
+def test_quality_ratio_refuses_a_bad_loss_coefficient(alphas, name):
+    with pytest.raises(ValueError, match=name):
+        cav.quality_ratio_from_losses(*alphas)
+
+
+def test_quality_ratio_takes_lossless_scattering_and_radiation():
+    assert cav.quality_ratio_from_losses(2.0, 0.0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "alphas", [(1e308, 1e308, 0.0), (1e-300, 1e10, 0.0)], ids=["sum-overflows", "ratio-underflows"]
+)
+def test_quality_ratio_of_zero_names_the_coefficients(alphas):
+    # finite, valid coefficients whose (Q/Q₀)² is 0 in floating point
+    with pytest.raises(ValueError, match="alpha_mirror / "):
+        cav.quality_ratio_from_losses(*alphas)
 
 
 def test_contrast_at_operating_point():
@@ -488,3 +525,67 @@ def test_loss_completion_refuses_an_overcomplete_branch(reflect, transmit):
     for completion in (cav._pair_blocks, eigh_loss_completion):
         with pytest.raises(ValueError, match="positive semidefinite"):
             completion(reflect, transmit)
+
+
+# ---------------------------------------------------------------------------
+# per-spin blocks against the full-size builders
+# ---------------------------------------------------------------------------
+
+# the ideal model and the r + t = 1 edges, where a branch's deficit or one of
+# its pair's eigen-deficits is 0
+_ORACLE_MODELS = st.one_of(
+    _MODELS,
+    st.just(cav.InteractionModel.ideal()),
+    st.builds(
+        lambda cr, ut: cav.InteractionModel(cr, 1.0 - cr, ut, 1.0 - ut),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    ),
+)
+
+
+def _flags(model):
+    """With a flag always; without one where the model is lossless and both
+    branch deficits are exactly 0 (for a nonzero deficit within the lossless
+    tolerance the full-size builder writes it into the next port's mode, see
+    test_near_lossless_pass_without_flag_drops_the_deficit)."""
+    deficits = (
+        cav._branch_loss_amp(model.coupled_reflect_amp, model.coupled_transmit_amp),
+        cav._branch_loss_amp(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
+    )
+    if model.is_lossless and deficits == (0.0, 0.0):
+        return (qs.loss_flag(1), None)
+    return (qs.loss_flag(1),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_ORACLE_MODELS, ports=_ports, arrive_from=st.sampled_from(["below", "above"]))
+def test_per_spin_blocks_match_the_full_size_builders(model, ports, arrive_from):
+    basis, roles = ports
+    for flag in _flags(model):
+        regs = dict(pol=qs.polarization(1), path=qs.path(1, basis), spin=qs.spin(), flag=flag)
+        one = dict(in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2])
+        got = cav.one_sided_operator(model, arrive_from=arrive_from, **one, **regs)
+        want = dense_one_sided_operator(model, arrive_from=arrive_from, **one, **regs)
+        assert got.domain == want.domain
+        # only the reflection's norm is summed in another order
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+        for arms in (roles[:2], roles[1::-1]):
+            two = dict(lower_path=arms[0], upper_path=arms[1])
+            got = cav.two_sided_operator(model, **two, **regs)
+            want = dense_two_sided_operator(model, **two, **regs)
+            assert got.domain == want.domain
+            assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("basis", [PATHS, ("Trans", "Refl", "In")], ids=["in-first", "in-last"])
+def test_near_lossless_pass_without_flag_drops_the_deficit(basis):
+    # lossless within tolerance, but the coupled branch's deficit is ~1.4e-5;
+    # with no flag register it has nowhere to go and is left out
+    model = cav.InteractionModel(1.0 - 1e-10, 0.0, 1.0, 0.0)
+    assert model.is_lossless
+    regs = [qs.spin(), qs.polarization(1), qs.path(1, basis)]
+    out = qs.apply(one_sided(model, regs), qs.basis_state(regs, ["Up", "R", "In"]))
+    expected = qs.basis_state(regs, ["Up", "L", "Refl"]).amps * model.coupled_reflect_amp
+    assert np.array_equal(out.amps, expected)
+

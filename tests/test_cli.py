@@ -148,6 +148,30 @@ class TestNonFinite:
             assert row[header.index("xi_re")] in ("", None)
 
 
+    def test_overflowing_hwp_angle_is_one_error_line(self, tmp_path, capsys):
+        # 2θ overflows: refused by the element before numpy warns
+        qc = tmp_path / "hwp.qc"
+        qc.write_text(
+            "component h hwp(theta=1e308) in=[P] out=[P]\n"
+            "input photon 1 port P state R\n"
+            "measure photon 1 pol basis RL\n"
+        )
+        code, out, err = _call(["run", str(qc)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "theta" in err
+
+    @pytest.mark.parametrize("value", ["1e400", "pi/0", "pi/1e-320"])
+    def test_non_finite_angle_in_a_circuit_is_located(self, value, tmp_path, capsys):
+        qc = tmp_path / "phase.qc"
+        qc.write_text(f"component p phase(phi={value}) in=[P] out=[P]\n")
+        code, out, err = _call(["run", str(qc)], capsys)
+        assert code == 1
+        assert err.startswith("error: 1:") and "not a finite number" in err
+        assert err.count("\n") == 1
+
+
 class TestStateBudget:
     def test_oversized_ghz_fails_before_allocating(self, capsys):
         tracemalloc.start()
@@ -322,6 +346,21 @@ class TestModelFlags:
         with pytest.raises(SystemExit) as e:
             main(["ghz", "--model", "lossy", "--alpha-mirror", "1.0"])
         assert e.value.code == 2
+
+
+    @pytest.mark.parametrize(
+        "alphas, name",
+        [(("1", "0.5", "-0.4"), "alpha_radiation"), (("1", "-0.2", "0.1"), "alpha_scatter"),
+         (("0", "0.5", "0.1"), "alpha_mirror")],
+    )
+    def test_bad_loss_coefficient_is_named(self, alphas, name, capsys):
+        argv = ["cnot-table", "--model", "lossy", "--alpha-mirror", alphas[0],
+                "--alpha-scatter", alphas[1], "--alpha-radiation", alphas[2]]
+        code, out, err = _call(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err
 
 
 class TestParserReuse:

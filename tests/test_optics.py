@@ -156,3 +156,15 @@ def test_elements_preserve_norm_on_random_states():
     s = qs.apply(opt.mirror_operator(POL, PATH, at="S"), s)
     s = qs.apply(opt.phase_operator(PATH, at="P", phi=0.4), s)
     assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+def test_hwp_refuses_an_angle_whose_double_is_not_finite(theta):
+    with pytest.raises(ValueError, match="theta"):
+        opt.hwp_operator(POL, PATH, at="P", theta=theta)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_phase_refuses_a_non_finite_angle(phi):
+    with pytest.raises(ValueError, match="phi"):
+        opt.phase_operator(PATH, at="P", phi=phi)
