@@ -10,9 +10,8 @@
   The stream applies the gate as its heralded Kraus map, the 4×4
   :func:`cnot_gate_matrix` on (polarization ⊗ spin), so no photon's path or
   loss flag enters its state.  The gate never flips the spin, so the stream
-  is two product states, c↑|↑⟩⊗ₖ(G↑vₖ) + c↓|↓⟩⊗ₖ(G↓vₖ), each written once
-  into one plain (spin × polarizations) array; a state vector is built only
-  for the result.
+  is two product states, c↑|↑⟩⊗ₖ(G↑vₖ) + c↓|↓⟩⊗ₖ(G↓vₖ), each kept as two
+  factors, one per half of the photons; only the returned states are written.
 * :func:`bsa` — the spin-heralded complete Bell-state analyzer: both photons
   scatter off the cavity in turn, the transmitted arm is folded and mixed with
   the reflected arm on a 50:50 splitter, and the (port, linear polarization,
@@ -423,17 +422,17 @@ def _stream(
     spin_amps: tuple[complex, complex],
     model: InteractionModel,
     spin_phase_drift: float,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The stream's normalized amplitudes, shape (2, 2ⁿ) over [spin, pol₁…polₙ],
-    its heralded probability, and the photons' outputs ``pairs[s, k]``, scaled
-    as in the amplitudes.  ``amps`` and ``spin_amps`` are normalized.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The factors ``left`` (2, 2^⌊n/2⌋) and ``right`` (2, 2^⌈n/2⌉) of the
+    stream's branches, its heralded probability and the photons' outputs
+    ``pairs[s, k]``, scaled alike; ``amps`` and ``spin_amps`` are normalized.
 
     The gate G[p′, s′, p, s] never flips the spin, so the stream is
     c↑|↑⟩⊗ₖ(G↑vₖ) + c↓|↓⟩⊗ₖ(G↓vₖ) with G_s = G[:, s, :, s].  Only the two
     branch weights are looped over per photon, for its herald and a 1/√prob
-    scale on its pair that keeps the branches from underflowing.  Each branch
-    is written once, as the outer product of the Kronecker products of its
-    two halves of photons; the drift is one phase, e^{i(n−1)φ}, on Down.
+    scale on its pair that keeps the branches from underflowing.  Branch s
+    is left[s] ⊗ right[s], the Kronecker products of its two halves of
+    photons; c_s and the drift, one phase e^{i(n−1)φ} on Down, are in left.
     """
     if not math.isfinite(spin_phase_drift):
         raise ValueError(f"spin_phase_drift must be finite, got {spin_phase_drift!r}")
@@ -444,8 +443,8 @@ def _stream(
             f"over the budget of {qs.MAX_AMPLITUDES}"
         )
     gate = cnot_gate_matrix(model).reshape(2, 2, 2, 2)
-    # pairs[s, k] = G_s·vₖ: the repeated s takes the gate's diagonal blocks
-    pairs = np.einsum("qsps,kp->skq", gate, np.array(amps, dtype=np.complex128))
+    # pairs[s, k] = G_s·vₖ, row-major; the repeated s takes the diagonal blocks
+    pairs = np.einsum("qsps,kp->skq", gate, np.array(amps, dtype=np.complex128), order="C")
     norms = (pairs.real**2 + pairs.imag**2).sum(axis=2).T.tolist()  # [k][s]
     weights, probs = [abs(c) ** 2 for c in spin_amps], []
     for k, norm in enumerate(norms, start=1):
@@ -456,12 +455,9 @@ def _stream(
         weights = [w / probs[-1] for w in grown]
     pairs /= np.sqrt(probs)[:, None]
     coefs = np.array([spin_amps[0], spin_amps[1] * np.exp(1j * (n - 1) * spin_phase_drift)])
-    half = n // 2
-    left = _kron(pairs[:, :half], coefs[:, None])
-    right = _kron(pairs[:, half:], np.ones((2, 1)))
-    psi = np.empty((2, 2**n), dtype=np.complex128)
-    np.multiply(left[:, :, None], right[:, None, :], out=psi.reshape(left.shape + right.shape[1:]))
-    return psi, math.prod(probs), pairs
+    left = _kron(pairs[:, : n // 2], coefs[:, None])
+    right = _kron(pairs[:, n // 2 :], np.ones((2, 1)))
+    return left, right, math.prod(probs), pairs
 
 
 def _kron(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -484,7 +480,8 @@ def entangle_stream(
     built once: the photon enters at A and is post-selected alive at D, so
     its path and loss flag never enter the state, which holds only the spin
     and the polarizations.  The gate never flips the spin, so the state is
-    two product states, one per spin, and the fidelity is the scalar
+    two product states, one per spin, each written once as the outer
+    product of its two factors, and the fidelity is the scalar
     Σ_s |c_s|²·Πₖ⟨targetₖ⁽ˢ⁾|G_s vₖ⟩ over the norm².
     ``spin_phase_drift`` adds a deterministic Z rotation of the spin between
     consecutive photons (an inter-photon precession knob; 0 disables it, and
@@ -498,9 +495,9 @@ def entangle_stream(
     amps = [_normalize_pair(p) for p in photon_amps]
     if not amps:
         raise ValueError("need at least one photon")
-    psi, success, pairs = _stream(amps, spin_amps, model, spin_phase_drift)
+    left, right, success, pairs = _stream(amps, spin_amps, model, spin_phase_drift)
     regs = (qs.spin(),) + tuple(qs.polarization(k) for k in range(1, len(amps) + 1))
-    state = StateVector(regs, psi)
+    state = StateVector(regs, left[:, :, None] * right[:, None, :])
     if spin_phase_drift == 0.0:
         # a perfect gate leaves photon k as (a, b) under Up and (b, a) under Down
         up, down = pairs.tolist()
@@ -524,13 +521,13 @@ def ghz(
     """n-photon GHZ generation heralded by the spin ± readout.
 
     All photons enter right-circular with the spin in (↑+↓)/√2; measuring the
-    spin in the ± basis leaves (R…R ± L…L)/√2 with probability ½ each.  The
-    ± branches, (ψ[Up] ± ψ[Down])/√2, are taken straight from the stream's
-    amplitudes.
+    spin in the ± basis leaves (R…R ± L…L)/√2 with probability ½ each.
+    √2·branch± = leftᵀ·diag(1, ±1)·right is one matrix product of the
+    stream's factors; the (spin × polarizations) stream is never built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    psi, success, _ = _stream(
+    left, right, success, _ = _stream(
         [(1.0, 0.0)] * n,
         _normalize_pair((_SQ, _SQ)),  # as entangle_stream does, to the last bit
         model or InteractionModel.ideal(),
@@ -538,8 +535,9 @@ def ghz(
     )
     regs = tuple(qs.polarization(k) for k in range(1, n + 1))
     out: dict[str, ProtocolResult] = {}
-    for name, sign, combine in (("Plus", 1.0, np.add), ("Minus", -1.0, np.subtract)):
-        branch = combine(psi[0], psi[1])  # √2 times the branch
+    for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
+        left[1] *= sign  # the Minus branch takes −c↓
+        branch = (left.T @ right).reshape(-1)  # √2 times the branch
         prob = 0.5 * float(np.vdot(branch, branch).real)
         if prob < qs.ATOL:
             raise ValueError(f"the {name} herald has vanishing probability")

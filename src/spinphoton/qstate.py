@@ -19,9 +19,11 @@ import numpy as np
 #: Absolute tolerance used for "exact" algebraic checks throughout the package.
 ATOL = 1e-12
 
-#: Largest state, in amplitudes, that ``tensor`` and the photon stream build:
-#: 2^25 complex amplitudes are 512 MiB.  Larger requests are refused with
-#: ``ValueError`` before anything is allocated.
+#: Largest state, in amplitudes, that ``tensor`` and the photon streams build:
+#: 2^25 complex amplitudes, 512 MiB; larger requests raise ``ValueError``
+#: before any allocation.  Building a state briefly holds two (``StateVector``
+#: copies its input, so 1 GiB) in ``tensor`` and ``entangle_stream``, three in
+#: ``run_photons``; ``ghz(24)`` holds three 2^24-amplitude branches, 768 MiB.
 MAX_AMPLITUDES = 2**25
 
 RL = ("R", "L")

@@ -5,9 +5,9 @@ must agree with: a dense operator, a projection, a phase-blind comparison,
 a plan run step by step on a labelled state, a photon channel read off one
 run of its plan on a Choi input, the outcome table read entry by entry, the
 loss completion of a two-sided pass by eigendecomposition, the closed forms
-of the heralded gate and of the GHZ figures, and both cavity passes built at
-full sector size.  A few small helpers that only the tests use live here
-too.
+of the heralded gate and of the GHZ figures, the GHZ branches formed from the
+whole stream, and both cavity passes built at full sector size.  A few small
+helpers that only the tests use live here too.
 """
 
 from __future__ import annotations
@@ -241,6 +241,29 @@ def ghz_closed_form(
         twist = sign * complex(math.cos(phi), math.sin(phi))
         overlap = (tu**n + twist * tc**n) + sign * (ru**n + twist * rc**n)
         out[name] = (weight, abs(overlap) ** 2 / (8.0 * weight))
+    return out
+
+
+def dense_ghz_branches(
+    model: InteractionModel, n: int, spin_phase_drift: float = 0.0
+) -> dict[str, tuple[proto.ProtocolResult, float]]:
+    """``ghz(n)`` with each branch formed from the whole stream: the (2, 2ⁿ)
+    amplitudes ψ of :func:`~spinphoton.protocols.entangle_stream`, and
+    √2·branch± = ψ[Up] ± ψ[Down], refused when its weight is below ``ATOL``.
+    Each branch comes with its share of the stream's weight."""
+    stream = proto.entangle_stream([(1.0, 0.0)] * n, model=model, spin_phase_drift=spin_phase_drift)
+    psi = stream.state.amps.reshape(2, -1)
+    regs = tuple(qs.polarization(k) for k in range(1, n + 1))
+    out = {}
+    for name, sign, combine in (("Plus", 1.0, np.add), ("Minus", -1.0, np.subtract)):
+        branch = combine(psi[0], psi[1])
+        prob = 0.5 * float(np.vdot(branch, branch).real)
+        if prob < ATOL:
+            raise ValueError(f"the {name} herald has vanishing probability")
+        fid = abs(branch[0] + sign * branch[-1]) ** 2 / (4.0 * prob)
+        branch *= 1.0 / math.sqrt(2.0) / math.sqrt(prob)
+        result = proto.ProtocolResult(StateVector(regs, branch), stream.success_probability * prob, fid)
+        out[name] = (result, prob)
     return out
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from spinphoton import qstate as qs
 
 from _oracles import (
     choi_channel,
+    dense_ghz_branches,
     full_matrix,
     gate_closed_form,
     ghz_closed_form,
@@ -182,9 +185,11 @@ def test_uniform_superposition_is_loss_immune(lossy_model):
 # the gate in closed form: the spin is a control
 # ---------------------------------------------------------------------------
 
-# every valid model: each branch's reflect + transmit stays within 1
-_valid_models = st.tuples(*[st.floats(0.0, 1.0)] * 4).map(
-    lambda v: cav.InteractionModel(v[0], (1.0 - v[0]) * v[1], v[2], (1.0 - v[2]) * v[3])
+# every valid model: each branch's reflect + transmit stays within 1, and
+# its r + t = 1 edge is drawn on its own
+_branches = st.tuples(st.floats(0.0, 1.0), st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+_valid_models = st.tuples(_branches, _branches).map(
+    lambda b: cav.InteractionModel(b[0][0], (1.0 - b[0][0]) * b[0][1], b[1][0], (1.0 - b[1][0]) * b[1][1])
 )
 
 
@@ -580,6 +585,46 @@ def test_ghz_matches_dense_oracle(n, lossy, drift, lossy_model):
     assert list(fast) == list(dense)
     for name in dense:
         _assert_same_result(fast[name], dense[name])
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_valid_models, n=st.integers(1, 10), drift=st.sampled_from([0.0, 0.4]))
+def test_ghz_branches_match_the_dense_formation(model, n, drift):
+    try:
+        dense = dense_ghz_branches(model, n, drift)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            proto.ghz(n, model, spin_phase_drift=drift)
+        return
+    fast = proto.ghz(n, model, spin_phase_drift=drift)
+    assert list(fast) == list(dense)
+    for name, (want, share) in dense.items():
+        got = fast[name]
+        # a branch of share w of the stream is formed to a few ulps of the
+        # stream and then scaled by 1/√w, so near the refusal (w ≈ ATOL) any
+        # two formations part by up to ~1e-16/√w, and both sit that far from
+        # a 50-digit reference; the bound allows ten times that, and is
+        # 1e-12 for w ≥ 1e-6
+        tol = max(1e-12, 1e-15 / math.sqrt(share))
+        assert got.state.registers == want.state.registers
+        assert np.abs(got.state.amps - want.state.amps).max() <= tol
+        assert got.success_probability == pytest.approx(want.success_probability, abs=1e-12)
+        if math.isnan(want.fidelity):
+            assert math.isnan(got.fidelity)
+        else:
+            assert got.fidelity == pytest.approx(want.fidelity, abs=2.0 * tol)
+
+
+def test_ghz_builds_no_stream_sized_array(lossy_model):
+    # the two branches and the copy one StateVector takes: 3 branch sizes
+    # with a little to spare; a (2, 2ⁿ) stream or a sum of its rows is more
+    tracemalloc.start()
+    try:
+        proto.ghz(14, lossy_model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 16 * 2**14
 
 
 # ---------------------------------------------------------------------------
