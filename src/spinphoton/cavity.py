@@ -249,8 +249,9 @@ class InteractionModel:
     coupled_transmit_amp: float
     uncoupled_transmit_amp: float
     uncoupled_reflect_amp: float
-    #: (plan, ports, entry ports) -> read-only channel; filled only by
-    #: :func:`spinphoton.protocols.photon_channel`.
+    #: (plan, ports, entry ports) -> read-only channel, and the same key
+    #: behind "blocks" -> its read-only spin blocks; filled only by
+    #: :mod:`spinphoton.protocols`.
     _channels: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -27,12 +27,14 @@ Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 its schedule as the same data.  Photons meet only through the spin, so a
 photon's whole trip is one linear map: :func:`photon_channel` composes the
 schedule's operators into it on a plain array, once per model, on its entry
-ports, and :func:`run_photons` applies it once per photon.  The model keeps
-the channel, so a caller that holds one model pays for each plan's channel
-once.  Only this module gives a photon its entry port,
-its path register and, under loss, its Alive/Lost flag.  The stream takes
-the gate, :func:`cnot_gate_matrix`, from the channel of :data:`CNOT_PLAN`.
-The analyzer reads its outcome table off the detector coincidences alone.
+ports, and :func:`run_photons` applies its two spin blocks once per photon.
+The model keeps the channel and its blocks, so a caller that holds one model
+pays for each plan's channel once.  Each protocol writes its result once,
+into the array that the returned state keeps without a copy.  Only this
+module gives a photon its entry port, its path register and, under loss,
+its Alive/Lost flag.  The stream takes the gate, :func:`cnot_gate_matrix`,
+from the channel of :data:`CNOT_PLAN`.  The analyzer reads its outcome
+table off the detector coincidences alone.
 """
 
 from __future__ import annotations
@@ -281,6 +283,30 @@ def photon_channel(
     return channel
 
 
+def _spin_blocks(
+    plan: Sequence[PlanStep],
+    model: InteractionModel,
+    ports: Sequence[str],
+    in_ports: tuple[str, ...],
+) -> np.ndarray:
+    """K[entry, s, out, p]: the spin-s block of :func:`photon_channel`, for
+    the photon entering in polarization p on ``in_ports[entry]`` and leaving
+    in out = (p′, path′[, flag′]).  No channel flips the spin, so these blocks
+    are all of it.  They are built once per model and kept read-only on the
+    model next to the channel."""
+    key = ("blocks", tuple(plan), tuple(ports), in_ports)
+    blocks = model._channels.get(key)
+    if blocks is None:
+        channel = photon_channel(plan, model, ports, in_ports)
+        out_dim = math.prod(channel.shape[1:-3])
+        # the s′ = s diagonal, [out, p, entry, s]
+        diag = np.diagonal(channel.reshape(2, out_dim, 2, 2, len(in_ports)), axis1=0, axis2=2)
+        blocks = np.ascontiguousarray(diag.transpose(2, 3, 0, 1))
+        blocks.flags.writeable = False
+        model._channels[key] = blocks
+    return blocks
+
+
 def run_photons(
     spin_amps: Sequence[complex],
     pols: np.ndarray,
@@ -293,20 +319,23 @@ def run_photons(
     """Send photons through ``plan`` one at a time, in ``photon_ids`` order.
 
     ``pols`` holds the photons' joint R/L amplitudes, one axis per photon in
-    that order, and photon k enters on port ``in_ports[k]``.  Each pass is
-    one product of the photon's (spin, pol) axes with the entry column of
-    the plan's :func:`photon_channel`, built once per model on the distinct
-    entry ports.  The result orders registers (spin, pol, path[, flag]) per
-    photon.  An entry port outside ``ports`` is refused before any work, and
-    a result over :data:`~spinphoton.qstate.MAX_AMPLITUDES` before the first
-    pass.
+    that order, and photon k enters on port ``in_ports[k]``.  The plan's
+    :func:`photon_channel` is built once per model on the distinct entry
+    ports and held as its two spin blocks.  Each pass is one batched
+    product of the photon's entry block with its R/L axis, per spin, that
+    writes a fresh array already in the final register order, so nothing is
+    transposed or copied; the returned state keeps the last pass's array.
+    The result orders registers (spin, pol, path[, flag]) per photon; with
+    no photons it is the spin state times ``pols``' one amplitude.  An entry
+    port outside ``ports`` is refused before any work, and a result over
+    :data:`~spinphoton.qstate.MAX_AMPLITUDES` before the first pass.
     """
     pols = np.asarray(pols, dtype=np.complex128)
     if len(in_ports) != len(photon_ids) or pols.size != 2 ** len(photon_ids):
         raise ValueError("need one R/L axis and one entry port per photon")
     entries = tuple(dict.fromkeys(in_ports))
-    channel = photon_channel(plan, model, ports, entries)
-    out_dim = math.prod(channel.shape[1:-3])  # pol′ × path′ [× flag′]
+    blocks = _spin_blocks(plan, model, ports, entries)
+    out_dim = blocks.shape[2]  # pol′ × path′ [× flag′]
     size = 2 * out_dim ** len(photon_ids)
     if size > qs.MAX_AMPLITUDES:
         raise ValueError(
@@ -316,17 +345,16 @@ def run_photons(
     psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
     done = 1
     for port in in_ports:
-        kraus = channel[..., entries.index(port)].reshape(-1, 4)  # (s′, out) × (s, p)
         rest = psi.size // (4 * done)
-        psi = psi.reshape(2, done, 2, rest).transpose(0, 2, 1, 3).reshape(4, -1)
-        psi = (kraus @ psi).reshape(2, out_dim, done, rest).transpose(0, 2, 1, 3)
+        # [s, done, p, rest] -> [s, done, out, rest]: already in register order
+        psi = np.matmul(blocks[entries.index(port)][:, None], psi.reshape(2, done, 2, rest))
         done *= out_dim
     registers: tuple[Register, ...] = (qs.spin(),)
     for pid in photon_ids:
         registers += (qs.polarization(pid), qs.path(pid, ports))
-        if channel.ndim == 7:  # T has a flag′ axis
+        if out_dim == 4 * len(ports):  # the channel has a flag′ axis
             registers += (qs.loss_flag(pid),)
-    return StateVector(registers, psi.reshape(-1))
+    return StateVector._adopt(registers, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +525,7 @@ def entangle_stream(
         raise ValueError("need at least one photon")
     left, right, success, pairs = _stream(amps, spin_amps, model, spin_phase_drift)
     regs = (qs.spin(),) + tuple(qs.polarization(k) for k in range(1, len(amps) + 1))
-    state = StateVector(regs, left[:, :, None] * right[:, None, :])
+    state = StateVector._adopt(regs, left[:, :, None] * right[:, None, :])
     if spin_phase_drift == 0.0:
         # a perfect gate leaves photon k as (a, b) under Up and (b, a) under Down
         up, down = pairs.tolist()
@@ -512,6 +540,10 @@ def entangle_stream(
     return ProtocolResult(state, success, fid)
 
 
+#: diag(1, ±1) over (Up, Down) for the Plus and the Minus herald, [sign, 1, s]
+_HERALD_SIGNS = np.array([[[1.0, 1.0]], [[1.0, -1.0]]])
+
+
 def ghz(
     n: int,
     model: InteractionModel | None = None,
@@ -522,8 +554,10 @@ def ghz(
 
     All photons enter right-circular with the spin in (↑+↓)/√2; measuring the
     spin in the ± basis leaves (R…R ± L…L)/√2 with probability ½ each.
-    √2·branch± = leftᵀ·diag(1, ±1)·right is one matrix product of the
-    stream's factors; the (spin × polarizations) stream is never built.
+    √2·branch± = leftᵀ·diag(1, ±1)·right, from the stream's factors, for
+    both signs in one batched matrix product into one fresh (2, 2ⁿ) array;
+    each row is scaled in place and kept by its state, so the two branches
+    are read-only rows of one array and nothing else of their size is built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -534,17 +568,17 @@ def ghz(
         spin_phase_drift,
     )
     regs = tuple(qs.polarization(k) for k in range(1, n + 1))
+    # √2 times each branch; the Minus branch takes −c↓
+    branches = np.matmul(left.T * _HERALD_SIGNS, right).reshape(2, -1)
     out: dict[str, ProtocolResult] = {}
-    for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
-        left[1] *= sign  # the Minus branch takes −c↓
-        branch = (left.T @ right).reshape(-1)  # √2 times the branch
+    for (name, sign), branch in zip((("Plus", 1.0), ("Minus", -1.0)), branches):
         prob = 0.5 * float(np.vdot(branch, branch).real)
         if prob < qs.ATOL:
             raise ValueError(f"the {name} herald has vanishing probability")
         # |⟨GHZ±|branch⟩|² over its norm²; GHZ± has amplitudes 1/√2, ±1/√2
         fid = abs(branch[0] + sign * branch[-1]) ** 2 / (4.0 * prob)
         branch *= _SQ / math.sqrt(prob)
-        out[name] = ProtocolResult(StateVector(regs, branch), success * prob, fid)
+        out[name] = ProtocolResult(StateVector._adopt(regs, branch), success * prob, fid)
     return out
 
 

@@ -21,9 +21,12 @@ ATOL = 1e-12
 
 #: Largest state, in amplitudes, that ``tensor`` and the photon streams build:
 #: 2^25 complex amplitudes, 512 MiB; larger requests raise ``ValueError``
-#: before any allocation.  Building a state briefly holds two (``StateVector``
-#: copies its input, so 1 GiB) in ``tensor`` and ``entangle_stream``, three in
-#: ``run_photons``; ``ghz(24)`` holds three 2^24-amplitude branches, 768 MiB.
+#: before any allocation.  Each of these functions writes its result once,
+#: into the array the returned state keeps: ``tensor`` and ``entangle_stream``
+#: hold one result-sized array, ``run_photons`` one and its last pass's input
+#: (2/d of it for d output modes a photon, a third or less for the protocols'
+#: plans), and ``ghz(24)`` one 2^25-amplitude array for both branches,
+#: 512 MiB.
 MAX_AMPLITUDES = 2**25
 
 RL = ("R", "L")
@@ -115,7 +118,10 @@ class StateVector:
 
     ``amps[i]`` is the amplitude of the joint basis state whose per-register
     indices are the row-major digits of ``i``.  Squared norm never exceeds 1;
-    sub-normalized states represent post-selected branches.
+    sub-normalized states represent post-selected branches.  The constructor
+    copies the caller's array, so changing that array later leaves the state
+    as it was; the package's own functions hand over the arrays they have
+    just made with ``_adopt``, which keeps them without a copy.
     """
 
     registers: tuple[Register, ...]
@@ -123,6 +129,25 @@ class StateVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amps", _as_amps(self.amps))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, registers: tuple[Register, ...], amps: np.ndarray) -> "StateVector":
+        """A state that keeps ``amps`` itself, read-only, rather than a copy.
+
+        Only for an array that the caller has just made and never touches
+        again; every check of the public constructor still runs.
+        """
+        amps = np.asarray(amps, dtype=np.complex128)
+        amps.setflags(write=False)
+        amps = amps.reshape(-1)
+        state = object.__new__(cls)
+        object.__setattr__(state, "registers", registers)
+        object.__setattr__(state, "amps", amps)
+        state._check()
+        return state
+
+    def _check(self) -> None:
         expected = math.prod(r.dim for r in self.registers)
         if self.amps.size != expected:
             raise ValueError(
@@ -238,7 +263,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise ValueError(
             f"tensor product of {a.dim * b.dim} amplitudes exceeds the budget of {MAX_AMPLITUDES}"
         )
-    return StateVector(a.registers + b.registers, np.kron(a.amps, b.amps))
+    return StateVector._adopt(a.registers + b.registers, np.kron(a.amps, b.amps))
 
 
 # -- algebra ---------------------------------------------------------------

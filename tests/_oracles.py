@@ -2,7 +2,8 @@
 
 Each helper is the direct construction that a faster path in the package
 must agree with: a dense operator, a projection, a phase-blind comparison,
-a plan run step by step on a labelled state, a photon channel read off one
+a plan run step by step on a labelled state, photons run through the whole
+channel with a transpose around each pass, a photon channel read off one
 run of its plan on a Choi input, the outcome table read entry by entry, the
 loss completion of a two-sided pass by eigendecomposition, the closed forms
 of the heralded gate and of the GHZ figures, the GHZ branches formed from the
@@ -180,6 +181,39 @@ def run_plan(
     for op in ops:
         state = qs.apply(op, state)
     return state
+
+
+def run_photons_by_transpose(
+    spin_amps: Sequence[complex],
+    pols: np.ndarray,
+    photon_ids: Sequence[int],
+    in_ports: Sequence[str],
+    plan: Sequence[proto.PlanStep],
+    model: InteractionModel,
+    ports: Sequence[str],
+) -> StateVector:
+    """:func:`~spinphoton.protocols.run_photons` on the whole channel: each
+    pass moves the photon's (spin, pol) axes to the front, applies the
+    channel's entry column as one (s′, out) × (s, p) matrix and moves the
+    outputs back behind the photons already done."""
+    pols = np.asarray(pols, dtype=np.complex128)
+    entries = tuple(dict.fromkeys(in_ports))
+    channel = proto.photon_channel(plan, model, ports, entries)
+    out_dim = math.prod(channel.shape[1:-3])  # pol′ × path′ [× flag′]
+    psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
+    done = 1
+    for port in in_ports:
+        kraus = channel[..., entries.index(port)].reshape(-1, 4)  # (s′, out) × (s, p)
+        rest = psi.size // (4 * done)
+        psi = psi.reshape(2, done, 2, rest).transpose(0, 2, 1, 3).reshape(4, -1)
+        psi = (kraus @ psi).reshape(2, out_dim, done, rest).transpose(0, 2, 1, 3)
+        done *= out_dim
+    registers: tuple[Register, ...] = (qs.spin(),)
+    for pid in photon_ids:
+        registers += (qs.polarization(pid), qs.path(pid, ports))
+        if channel.ndim == 7:  # T has a flag′ axis
+            registers += (qs.loss_flag(pid),)
+    return StateVector(registers, psi.reshape(-1))
 
 
 def choi_channel(

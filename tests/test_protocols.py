@@ -21,6 +21,7 @@ from _oracles import (
     gate_closed_form,
     ghz_closed_form,
     outcomes_by_entry,
+    run_photons_by_transpose,
     run_plan,
 )
 
@@ -616,15 +617,39 @@ def test_ghz_branches_match_the_dense_formation(model, n, drift):
 
 
 def test_ghz_builds_no_stream_sized_array(lossy_model):
-    # the two branches and the copy one StateVector takes: 3 branch sizes
-    # with a little to spare; a (2, 2ⁿ) stream or a sum of its rows is more
+    # both branches in one array, 2 branch sizes, and the finite check of
+    # one, an eighth more; a (2, 2ⁿ) stream or a copy of a branch is more
     tracemalloc.start()
     try:
         proto.ghz(14, lossy_model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 16 * 2**14
+    assert peak <= 2.5 * 16 * 2**14
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_ghz_branches_are_read_only_rows_of_one_array(lossy, lossy_model):
+    out = proto.ghz(6, lossy_model if lossy else cav.InteractionModel.ideal())
+    plus, minus = out["Plus"].state.amps, out["Minus"].state.amps
+    assert not plus.flags.writeable and not minus.flags.writeable
+    assert plus.base is not None and plus.base is minus.base
+    rows = plus.base.reshape(2, 2**6)
+    assert np.shares_memory(plus, rows[0]) and np.shares_memory(minus, rows[1])
+
+
+def test_entangle_stream_writes_its_state_once(lossy_model):
+    # the outer product of the two factors, its finite check (an eighth of
+    # it) and numpy's fixed 256 KiB buffer for the broadcast product, a half
+    # at this size; a copy of the state is one more
+    tracemalloc.start()
+    try:
+        res = proto.entangle_stream([(1.0, 0.0)] * 14, model=lossy_model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.state.amps.nbytes == 16 * 2**15
+    assert peak <= 1.75 * res.state.amps.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +834,58 @@ def test_entry_port_channel_matches_the_all_port_oracle(name, lossy, lossy_model
                 cols = oracle[..., [ports.index(p) for p in in_ports]]
                 assert channel.shape == cols.shape
                 assert np.abs(channel - cols).max() <= 1e-15
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(list(_PLANS)), model=_valid_models, data=st.data())
+def test_block_pass_matches_the_transpose_oracle(name, model, data):
+    plan, ports = _PLANS[name]
+    n = data.draw(st.integers(0, 3), label="photons")
+    entries = st.lists(st.sampled_from(ports), min_size=n, max_size=n)
+    in_ports = tuple(data.draw(entries, label="entries"))
+    photon_ids = tuple(data.draw(st.permutations(range(1, n + 1)), label="ids"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pols = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    spin_amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+    pols /= np.linalg.norm(pols)
+    spin_amps /= np.linalg.norm(spin_amps)
+    args = (spin_amps, pols.reshape((2,) * n), photon_ids, in_ports, plan, model, ports)
+    got = proto.run_photons(*args)
+    want = run_photons_by_transpose(*args)
+    assert got.registers == want.registers
+    assert np.abs(got.amps - want.amps).max() <= 1e-15
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("name", list(_PLANS))
+def test_zero_photons_leave_the_spin_state(name, lossy, lossy_model):
+    plan, ports = _PLANS[name]
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    state = proto.run_photons((0.6, 0.8j), [1j], (), (), plan, model, ports)
+    assert state.registers == (qs.spin(),)
+    assert np.array_equal(state.amps, [0.6j, -0.8])
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_run_photons_holds_the_result_and_the_last_input(lossy, lossy_model):
+    # each pass writes one fresh array in register order, so the peak is the
+    # result and the last pass's input: 2/d of the result for d output modes
+    # a photon, a sixth lossy (d = 12) and a third ideal (d = 6); a copy of
+    # the state around a pass is one more
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    ports = _PLANS["spin-prep"][1]
+    pols = np.zeros(2**6)
+    pols[0] = 1.0
+    args = ((0.6, 0.8), pols, range(1, 7), ("In",) * 6, proto.SPIN_PREP_PLAN, model, ports)
+    proto.run_photons(*args)  # the channel and its blocks, once per model
+    tracemalloc.start()
+    try:
+        state = proto.run_photons(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.dim == 2 * (12 if lossy else 6) ** 6
+    assert peak <= 1.5 * state.amps.nbytes
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,59 @@ def test_amps_are_write_locked():
     s = qs.from_amplitudes(qs.polarization(1), [1.0, 0.0])
     with pytest.raises(ValueError):
         s.amps[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "registers,amps",
+    [
+        ((qs.polarization(1),), [np.nan, 0.0]),
+        ((qs.polarization(1),), [1.0, np.inf]),
+        ((qs.polarization(1),), [0.0, 1j * np.inf]),
+        ((qs.polarization(1),), [1.0, 1.0]),  # norm² = 2
+        ((qs.polarization(1),), [1.0, 0.0, 0.0]),
+        ((qs.polarization(1), qs.polarization(1, qs.HV)), [1.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["nan", "inf", "imaginary-inf", "norm", "size", "duplicate-keys"],
+)
+def test_adopting_constructor_refuses_what_the_public_one_refuses(registers, amps):
+    with pytest.raises(ValueError) as public:
+        qs.StateVector(registers, np.array(amps, dtype=complex))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(public.value))}$"):
+        qs.StateVector._adopt(registers, np.array(amps, dtype=complex))
+
+
+def test_adopted_array_is_kept_read_only():
+    amps = np.array([0.6, 0.8j])
+    state = qs.StateVector._adopt((qs.spin(),), amps)
+    assert np.shares_memory(state.amps, amps)
+    assert not state.amps.flags.writeable and not amps.flags.writeable
+    with pytest.raises(ValueError):
+        state.amps[0] = 0.0
+    assert np.array_equal(state.amps, [0.6, 0.8j])
+
+
+def test_public_constructor_copies_the_callers_array():
+    amps = np.array([0.6, 0.8j])
+    state = qs.StateVector((qs.spin(),), amps)
+    assert amps.flags.writeable
+    amps[:] = [1.0, 0.0]
+    assert np.array_equal(state.amps, [0.6, 0.8j])
+
+
+def test_tensor_writes_its_product_once():
+    # the product and its finite check, an eighth of it; a copy of the
+    # product is twice as much
+    ports = [f"p{i}" for i in range(512)]
+    a = qs.StateVector((qs.path(1, ports),), np.full(512, 1 / math.sqrt(512)))
+    b = qs.StateVector((qs.path(2, ports),), np.full(512, 1 / math.sqrt(512)))
+    tracemalloc.start()
+    try:
+        s = qs.tensor(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not s.amps.flags.writeable
+    assert peak <= 1.25 * s.amps.nbytes
 
 
 def test_inner_product():
