@@ -240,8 +240,8 @@ class InteractionModel:
     satisfy reflect + transmit ≤ 1 so that the residual probability
     1 − r² − t² can be rotated into the Lost flag by an exact isometry.
 
-    A model keeps the photon channels built on it, so each is built once per
-    model; the memo takes no part in equality, hashing or repr, and
+    A model keeps each plan's spin blocks built on it, so they are built once
+    per model; the memo takes no part in equality, hashing or repr, and
     ``dataclasses.replace`` starts a new, empty one.
     """
 
@@ -249,9 +249,8 @@ class InteractionModel:
     coupled_transmit_amp: float
     uncoupled_transmit_amp: float
     uncoupled_reflect_amp: float
-    #: (plan, ports, entry ports) -> read-only channel, and the same key
-    #: behind "blocks" -> its read-only spin blocks; filled only by
-    #: :mod:`spinphoton.protocols`.
+    #: (plan, ports, entry ports) -> the plan's read-only spin blocks;
+    #: filled only by :mod:`spinphoton.protocols`.
     _channels: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ParseError, CircuitError, FileNotFoundError, ValueError, KeyError, OSError) as e:
+    except (ParseError, CircuitError, FileNotFoundError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 The compiler emits one plan, every photon's schedule, for the shared
 executor :func:`spinphoton.protocols.run_photons`, which also runs the
-built-in protocols: it applies the plan's channel once per photon.
+built-in protocols: it applies the plan's spin blocks once per photon.
 """
 
 from . import ast

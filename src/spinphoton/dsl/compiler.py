@@ -19,7 +19,7 @@ photon.  Compilation is pure and deterministic: equal ASTs give equal plans.
 Running a compiled circuit hands its one
 :data:`~spinphoton.protocols.PlanStep` plan, the photons' polarizations and
 their entry ports to :func:`spinphoton.protocols.run_photons` — the executor
-the protocols use, which applies the plan's channel once per photon.
+the protocols use, which applies the plan's spin blocks once per photon.
 """
 
 from __future__ import annotations

@@ -24,17 +24,17 @@ renormalized.
 
 Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 :data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and the circuit compiler emits
-its schedule as the same data.  Photons meet only through the spin, so a
-photon's whole trip is one linear map: :func:`photon_channel` composes the
-schedule's operators into it on a plain array, once per model, on its entry
-ports, and :func:`run_photons` applies its two spin blocks once per photon.
-The model keeps the channel and its blocks, so a caller that holds one model
-pays for each plan's channel once.  Each protocol writes its result once,
-into the array that the returned state keeps without a copy.  Only this
-module gives a photon its entry port, its path register and, under loss,
-its Alive/Lost flag.  The stream takes the gate, :func:`cnot_gate_matrix`,
-from the channel of :data:`CNOT_PLAN`.  The analyzer reads its outcome
-table off the detector coincidences alone.
+its schedule as the same data.  Photons meet only through the spin, and no
+pass flips it, so a photon's whole trip is two linear maps on the photon,
+one per spin: the spin blocks, composed from the schedule's operators on a
+plain array, once per model, on their entry ports.  :func:`run_photons`
+applies them once per photon.  The model keeps the blocks, so a caller
+that holds one model pays for each plan once.  Each protocol writes its
+result once, into the array that the returned state keeps without a copy.
+Only this module gives a photon its entry port, its path register and,
+under loss, its Alive/Lost flag.  The gate, :func:`cnot_gate_matrix`, and
+the stream read their 2×2 blocks off the blocks of :data:`CNOT_PLAN`.  The
+analyzer reads its outcome table off the detector coincidences alone.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "BSA_PLAN",
     "SPIN_PREP_PLAN",
     "plan_operators",
-    "photon_channel",
     "run_photons",
     "cnot",
     "cnot_gate_matrix",
@@ -236,74 +235,55 @@ def plan_operators(
     return [built[step] for step in plan]
 
 
-def photon_channel(
+def _spin_blocks(
     plan: Sequence[PlanStep],
     model: InteractionModel,
     ports: Sequence[str],
     in_ports: Sequence[str],
 ) -> np.ndarray:
-    """One photon's whole schedule as a linear map on the spin and the photon.
+    """One photon's whole schedule as K[entry, s, out, p]: the photon enters
+    in polarization p on ``in_ports[entry]`` with the spin in s, and leaves
+    in out = (p′, path′[, flag′]), Alive or Lost, with the spin still in s.
+    No pass flips the spin, so these two blocks are the whole pass.
 
-    Returns T[s′, p′, path′(, flag′), s, p, entry]: the photon enters in
-    polarization p on port ``in_ports[entry]`` with the spin in s, and leaves
-    in (s′, p′, path′), Alive or Lost.  The flag axis is there exactly when
-    the model is lossy and the plan passes the cavity.  T starts as the
-    identity on the entry columns and takes each of the plan's operators in
-    turn, contracted with its (spin, pol, path[, flag]) axes.  The channel
-    is built once per model, on its entry ports, and kept on the model; the
-    array returned is read-only.
+    The flag axis is there exactly when the model is lossy and the plan
+    passes the cavity.  Each block starts as the identity's entry columns
+    on out and takes the plan's operators in turn: an optical element
+    contracted with its own axes of out, a cavity pass as its block for the
+    spin.  The blocks are built once per model, on their entry ports, and
+    kept on the model read-only.
     """
     ports, in_ports = tuple(ports), tuple(in_ports)
     for port in in_ports:
         if port not in ports:
             raise ValueError(f"entry port {port!r} is not one of the ports {ports}")
     key = (tuple(plan), ports, in_ports)
-    channel = model._channels.get(key)
-    if channel is not None:
-        return channel
-    registers = (qs.spin(), qs.polarization(1), qs.path(1, ports))
-    if not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan):
-        registers += (qs.loss_flag(1),)
-    # the identity on the entry columns: T[s, p, entry port(, Alive), s, p, entry] = 1
-    channel = np.zeros(tuple(r.dim for r in registers) + (2, 2, len(in_ports)), dtype=np.complex128)
-    alive = (0,) if len(registers) == 4 else ()
-    for entry, port in enumerate(in_ports):
-        column = (slice(None), slice(None), ports.index(port), *alive, ..., entry)
-        channel[column] = np.eye(4).reshape(2, 2, 2, 2)
-    axis = {reg.key: ax for ax, reg in enumerate(registers)}
-    spin, pol, path, *flag = registers
-    ops = plan_operators(plan, model, pol=pol, path=path, spin=spin, flag=flag[0] if flag else None)
-    for op in ops:
-        axes = [axis[reg.key] for reg in op.domain]
-        mat = op.matrix.reshape(tuple(reg.dim for reg in op.domain) * 2)
-        channel = np.tensordot(mat, channel, axes=(range(len(axes), 2 * len(axes)), axes))
-        channel = np.moveaxis(channel, range(len(axes)), axes)
-    channel.flags.writeable = False
-    model._channels[key] = channel
-    return channel
-
-
-def _spin_blocks(
-    plan: Sequence[PlanStep],
-    model: InteractionModel,
-    ports: Sequence[str],
-    in_ports: tuple[str, ...],
-) -> np.ndarray:
-    """K[entry, s, out, p]: the spin-s block of :func:`photon_channel`, for
-    the photon entering in polarization p on ``in_ports[entry]`` and leaving
-    in out = (p′, path′[, flag′]).  No channel flips the spin, so these blocks
-    are all of it.  They are built once per model and kept read-only on the
-    model next to the channel."""
-    key = ("blocks", tuple(plan), tuple(ports), in_ports)
     blocks = model._channels.get(key)
-    if blocks is None:
-        channel = photon_channel(plan, model, ports, in_ports)
-        out_dim = math.prod(channel.shape[1:-3])
-        # the s′ = s diagonal, [out, p, entry, s]
-        diag = np.diagonal(channel.reshape(2, out_dim, 2, 2, len(in_ports)), axis1=0, axis2=2)
-        blocks = np.ascontiguousarray(diag.transpose(2, 3, 0, 1))
-        blocks.flags.writeable = False
-        model._channels[key] = blocks
+    if blocks is not None:
+        return blocks
+    spin, pol, path = qs.spin(), qs.polarization(1), qs.path(1, ports)
+    lossy = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
+    flag = qs.loss_flag(1) if lossy else None
+    out = (pol, path, flag) if lossy else (pol, path)
+    out_dim, columns = math.prod(reg.dim for reg in out), 2 * len(in_ports)
+    # the identity's entry columns, [s, p′, path′, flag′, (p, entry)]: p Alive on its entry port
+    blocks = np.zeros((2, 2, len(ports), 2 if lossy else 1, 2, len(in_ports)), dtype=np.complex128)
+    for entry, port in enumerate(in_ports):
+        blocks[:, :, ports.index(port), 0, :, entry] = np.eye(2)
+    blocks = blocks.reshape(2, *(reg.dim for reg in out), columns)
+    axis = {reg.key: ax for ax, reg in enumerate(out, start=1)}
+    for op in plan_operators(plan, model, pol=pol, path=path, spin=spin, flag=flag):
+        if op.domain[0] == spin:  # a cavity pass on (spin, *out): each spin's own block
+            mat = op.matrix.reshape(2, out_dim, 2, out_dim)[[0, 1], :, [0, 1]]
+            blocks = (mat @ blocks.reshape(2, out_dim, columns)).reshape(blocks.shape)
+        else:  # contracted with its own axes of out
+            axes = [axis[reg.key] for reg in op.domain]
+            mat = op.matrix.reshape(tuple(reg.dim for reg in op.domain) * 2)
+            blocks = np.tensordot(mat, blocks, axes=(range(len(axes), 2 * len(axes)), axes))
+            blocks = np.moveaxis(blocks, range(len(axes)), axes)
+    blocks = np.ascontiguousarray(blocks.reshape(2, out_dim, 2, len(in_ports)).transpose(3, 0, 1, 2))
+    blocks.flags.writeable = False
+    model._channels[key] = blocks
     return blocks
 
 
@@ -319,12 +299,12 @@ def run_photons(
     """Send photons through ``plan`` one at a time, in ``photon_ids`` order.
 
     ``pols`` holds the photons' joint R/L amplitudes, one axis per photon in
-    that order, and photon k enters on port ``in_ports[k]``.  The plan's
-    :func:`photon_channel` is built once per model on the distinct entry
-    ports and held as its two spin blocks.  Each pass is one batched
-    product of the photon's entry block with its R/L axis, per spin, that
-    writes a fresh array already in the final register order, so nothing is
-    transposed or copied; the returned state keeps the last pass's array.
+    that order, and photon k enters on port ``in_ports[k]``.  The plan's two
+    spin blocks are built once per model on the distinct entry ports.  Each
+    pass is one batched product of the photon's entry block with its R/L
+    axis, per spin, that writes a fresh array already in the final register
+    order, so nothing is transposed or copied; the returned state keeps the
+    last pass's array.
     The result orders registers (spin, pol, path[, flag]) per photon; with
     no photons it is the spin state times ``pols``' one amplitude.  An entry
     port outside ``ports`` is refused before any work, and a result over
@@ -352,7 +332,7 @@ def run_photons(
     registers: tuple[Register, ...] = (qs.spin(),)
     for pid in photon_ids:
         registers += (qs.polarization(pid), qs.path(pid, ports))
-        if out_dim == 4 * len(ports):  # the channel has a flag′ axis
+        if out_dim == 4 * len(ports):  # the blocks have a flag′ axis
             registers += (qs.loss_flag(pid),)
     return StateVector._adopt(registers, psi)
 
@@ -388,19 +368,26 @@ def _normalize_pair(amps: tuple[complex, complex]) -> tuple[complex, complex]:
     return (a / n, b / n)
 
 
+def _gate_blocks(model: InteractionModel) -> np.ndarray:
+    """G[s, p′, p]: the gate's block for spin s, the in-at-A, Alive-at-D
+    slice of the :data:`CNOT_PLAN` blocks; a read-only view of the model's."""
+    # [s, p′, path′, flag′, p], with a one-entry flag axis if lossless
+    blocks = _spin_blocks(CNOT_PLAN, model, CNOT_PATHS, ("A",))[0]
+    return blocks.reshape(2, 2, len(CNOT_PATHS), -1, 2)[:, :, CNOT_PATHS.index("D"), 0]
+
+
 def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     """The post-selected gate on (pol ⊗ spin), basis [R↑, R↓, L↑, L↓].
 
     Ideal models give the exact controlled-flip unitary; lossy models give the
-    sub-unitary matrix of the photon-exits-alive-at-D branch: the in-at-A,
-    Alive-at-D slice of the :func:`photon_channel` of :data:`CNOT_PLAN`.
+    sub-unitary matrix of the photon-exits-alive-at-D branch.  The gate never
+    flips the spin, so it is zero but for its two spin blocks, written from
+    :func:`_gate_blocks` into a fresh array.
     """
-    model = model or InteractionModel.ideal()
-    # [s′, p′, path′, flag′, s, p], with a one-entry flag axis if lossless
-    channel = photon_channel(CNOT_PLAN, model, CNOT_PATHS, ("A",))
-    gate = channel.reshape(2, 2, len(CNOT_PATHS), -1, 2, 2)[:, :, CNOT_PATHS.index("D"), 0]
-    # a fresh array: the channel itself is the model's, read-only
-    return gate.transpose(1, 0, 3, 2).reshape(4, 4)
+    blocks = _gate_blocks(model or InteractionModel.ideal())
+    gate = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # [p′, s′, p, s]
+    gate[:, 0, :, 0], gate[:, 1, :, 1] = blocks
+    return gate.reshape(4, 4)
 
 
 def conditional_spin_prep(
@@ -455,24 +442,24 @@ def _stream(
     stream's branches, its heralded probability and the photons' outputs
     ``pairs[s, k]``, scaled alike; ``amps`` and ``spin_amps`` are normalized.
 
-    The gate G[p′, s′, p, s] never flips the spin, so the stream is
-    c↑|↑⟩⊗ₖ(G↑vₖ) + c↓|↓⟩⊗ₖ(G↓vₖ) with G_s = G[:, s, :, s].  Only the two
-    branch weights are looped over per photon, for its herald and a 1/√prob
-    scale on its pair that keeps the branches from underflowing.  Branch s
+    The gate never flips the spin, so the stream is c↑|↑⟩⊗ₖ(G↑vₖ) +
+    c↓|↓⟩⊗ₖ(G↓vₖ) with G_s the spin-s block of :func:`_gate_blocks`.  Only
+    the two branch weights are looped over per photon, for its herald and a
+    1/√prob scale on its pair that keeps the branches from underflowing.
+    The budget is checked on exponents before anything of size n.  Branch s
     is left[s] ⊗ right[s], the Kronecker products of its two halves of
     photons; c_s and the drift, one phase e^{i(n−1)φ} on Down, are in left.
     """
     if not math.isfinite(spin_phase_drift):
         raise ValueError(f"spin_phase_drift must be finite, got {spin_phase_drift!r}")
     n = len(amps)
-    if 2 ** (n + 1) > qs.MAX_AMPLITUDES:
+    if n + 1 >= qs.MAX_AMPLITUDES.bit_length():  # 2^(n+1) > the budget, on exponents
         raise ValueError(
             f"{n} photons need a state of 2^{n + 1} amplitudes, "
             f"over the budget of {qs.MAX_AMPLITUDES}"
         )
-    gate = cnot_gate_matrix(model).reshape(2, 2, 2, 2)
-    # pairs[s, k] = G_s·vₖ, row-major; the repeated s takes the diagonal blocks
-    pairs = np.einsum("qsps,kp->skq", gate, np.array(amps, dtype=np.complex128), order="C")
+    # pairs[s, k] = G_s·vₖ, row-major
+    pairs = np.einsum("sqp,kp->skq", _gate_blocks(model), np.array(amps, dtype=np.complex128), order="C")
     norms = (pairs.real**2 + pairs.imag**2).sum(axis=2).T.tolist()  # [k][s]
     weights, probs = [abs(c) ** 2 for c in spin_amps], []
     for k, norm in enumerate(norms, start=1):
@@ -562,7 +549,7 @@ def ghz(
     if n < 1:
         raise ValueError("n must be at least 1")
     left, right, success, _ = _stream(
-        [(1.0, 0.0)] * n,
+        np.broadcast_to((1.0, 0.0), (n, 2)),  # n R photons, one row: nothing of size n
         _normalize_pair((_SQ, _SQ)),  # as entangle_stream does, to the last bit
         model or InteractionModel.ideal(),
         spin_phase_drift,

@@ -192,15 +192,18 @@ def run_photons_by_transpose(
     model: InteractionModel,
     ports: Sequence[str],
 ) -> StateVector:
-    """:func:`~spinphoton.protocols.run_photons` on the whole channel: each
-    pass moves the photon's (spin, pol) axes to the front, applies the
-    channel's entry column as one (s′, out) × (s, p) matrix and moves the
-    outputs back behind the photons already done."""
+    """:func:`~spinphoton.protocols.run_photons` on the whole
+    :func:`choi_channel`, off-diagonal spin blocks and all: each pass moves
+    the photon's (spin, pol) axes to the front, applies the channel's entry
+    column as one (s′, out) × (s, p) matrix and moves the outputs back
+    behind the photons already done."""
     pols = np.asarray(pols, dtype=np.complex128)
-    entries = tuple(dict.fromkeys(in_ports))
-    channel = proto.photon_channel(plan, model, ports, entries)
-    out_dim = math.prod(channel.shape[1:-3])  # pol′ × path′ [× flag′]
     psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
+    if not in_ports:  # no photon, no channel: the spin state times the one amplitude
+        return StateVector((qs.spin(),), psi.reshape(-1))
+    entries = tuple(dict.fromkeys(in_ports))
+    channel = choi_channel(plan, model, ports, entries)
+    out_dim = math.prod(channel.shape[1:-3])  # pol′ × path′ [× flag′]
     done = 1
     for port in in_ports:
         kraus = channel[..., entries.index(port)].reshape(-1, 4)  # (s′, out) × (s, p)

@@ -174,18 +174,30 @@ class TestNonFinite:
 
 class TestStateBudget:
     def test_oversized_ghz_fails_before_allocating(self, capsys):
-        tracemalloc.start()
-        try:
-            code = main(["ghz", "-n", "40", "--model", "lossy"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "2^41" in captured.err
-        assert peak < 1 << 20
+        for photons in (40, 10**7):
+            tracemalloc.start()
+            try:
+                code = main(["ghz", "-n", str(photons), "--model", "lossy"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
+            assert f"2^{photons + 1}" in captured.err
+            assert peak < 1 << 20
+
+
+def test_an_internal_key_error_is_not_a_user_error(monkeypatch):
+    # no user input reaches a KeyError, so one is a bug and is not caught
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.proto, "ghz", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["ghz", "-n", "2"])
 
 
 class TestRun:

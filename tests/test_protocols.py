@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pathlib
 import re
 import tracemalloc
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphoton import cavity as cav
+from spinphoton import circuits
 from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
+from spinphoton.dsl import compile_circuit, parse
 
 from _oracles import (
     choi_channel,
@@ -26,6 +29,7 @@ from _oracles import (
 )
 
 SQ = 1.0 / math.sqrt(2.0)
+VALID = pathlib.Path(__file__).parent / "data" / "valid"
 
 
 @pytest.fixture
@@ -217,7 +221,7 @@ def test_no_channel_ever_flips_the_spin(model):
         (proto.BSA_PLAN, proto.BSA_PATHS, ("In", "Refl")),
         (proto.SPIN_PREP_PLAN, ("In", "Refl", "Trans"), ("In", "Trans")),
     ):
-        channel = proto.photon_channel(plan, model, ports, entries)  # [s′, …, s, p, entry]
+        channel = choi_channel(plan, model, ports, entries)  # [s′, …, s, p, entry]
         assert not channel[0, ..., 1, :, :].any() and not channel[1, ..., 0, :, :].any()
 
 
@@ -460,6 +464,15 @@ def test_stream_rejects_empty_input():
 def test_stream_over_the_state_budget_is_refused():
     with pytest.raises(ValueError, match=r"2\^26 amplitudes"):
         proto.ghz(25)
+    # refused before anything of size n: a list of n inputs alone would take 80 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^10000001 amplitudes"):
+            proto.ghz(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +823,7 @@ def test_bsa_rejects_non_two_photon_input():
 
 
 # ---------------------------------------------------------------------------
-# the photon channel: entry ports and the per-model memo
+# the photon's spin blocks: entry ports and the per-model memo
 # ---------------------------------------------------------------------------
 
 _PLANS = {
@@ -820,20 +833,53 @@ _PLANS = {
 }
 
 
+def _compiled_plan(source):
+    comp = compile_circuit(parse(source))
+    return comp.plan, comp.ports
+
+
+# the protocols' plans and every compiled circuit: these add cpbs3, hwp and
+# an in-place bs, which no protocol plan has
+_ALL_PLANS = {
+    **_PLANS,
+    **{path.name: _compiled_plan(path.read_text()) for path in sorted(VALID.glob("*.qc"))},
+    **{f"bundled {name}": _compiled_plan(circuits.load(name)) for name in circuits.names()},
+}
+
+
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
 @pytest.mark.parametrize("name", list(_PLANS))
 def test_entry_port_channel_matches_the_all_port_oracle(name, lossy, lossy_model):
     plan, ports = _PLANS[name]
     model = lossy_model if lossy else cav.InteractionModel.ideal()
     # the plan run once on a Choi input over every port, as one labelled state
-    oracle = choi_channel(plan, model, ports, ports)
+    oracle = choi_channel(plan, model, ports, ports)  # [s′, out…, s, p, entry]
+    out_dim = math.prod(oracle.shape[1:-3])
+    oracle = oracle.reshape(2, out_dim, 2, 2, len(ports))
+    diagonal = np.stack([oracle[s, :, s] for s in range(2)])  # [s, out, p, entry]
     for k in range(1, len(ports) + 1):
         for subset in itertools.combinations(ports, k):
             for in_ports in {subset, subset[::-1]}:
-                channel = proto.photon_channel(plan, model, ports, in_ports)
-                cols = oracle[..., [ports.index(p) for p in in_ports]]
-                assert channel.shape == cols.shape
-                assert np.abs(channel - cols).max() <= 1e-15
+                blocks = proto._spin_blocks(plan, model, ports, in_ports)
+                cols = diagonal[..., [ports.index(p) for p in in_ports]].transpose(3, 0, 1, 2)
+                assert blocks.shape == cols.shape
+                assert np.abs(blocks - cols).max() <= 1e-15
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(list(_ALL_PLANS)), model=_valid_models, data=st.data())
+def test_spin_blocks_match_the_choi_oracle(name, model, data):
+    plan, ports = _ALL_PLANS[name]
+    subset = data.draw(st.lists(st.sampled_from(ports), min_size=1, unique=True), label="entries")
+    for in_ports in (subset, subset[::-1]):
+        # the plan run once on a Choi input over the entry ports, as one labelled state
+        oracle = choi_channel(plan, model, ports, in_ports)  # [s′, out…, s, p, entry]
+        out_dim = math.prod(oracle.shape[1:-3])
+        oracle = oracle.reshape(2, out_dim, 2, 2, len(in_ports))
+        want = np.stack([oracle[s, :, s] for s in range(2)]).transpose(3, 0, 1, 2)
+        blocks = proto._spin_blocks(plan, model, ports, in_ports)
+        assert blocks.shape == want.shape
+        assert np.abs(blocks - want).max() <= 1e-15
 
 
 @settings(max_examples=150, deadline=None)
@@ -877,7 +923,7 @@ def test_run_photons_holds_the_result_and_the_last_input(lossy, lossy_model):
     pols = np.zeros(2**6)
     pols[0] = 1.0
     args = ((0.6, 0.8), pols, range(1, 7), ("In",) * 6, proto.SPIN_PREP_PLAN, model, ports)
-    proto.run_photons(*args)  # the channel and its blocks, once per model
+    proto.run_photons(*args)  # the blocks, once per model
     tracemalloc.start()
     try:
         state = proto.run_photons(*args)
@@ -891,12 +937,12 @@ def test_run_photons_holds_the_result_and_the_last_input(lossy, lossy_model):
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
 def test_channel_is_kept_on_the_model_read_only(lossy, lossy_model):
     model = lossy_model if lossy else cav.InteractionModel.ideal()
-    first = proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A",))
-    assert proto.photon_channel(proto.CNOT_PLAN, model, list(proto.CNOT_PATHS), ["A"]) is first
+    first = proto._spin_blocks(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A",))
+    assert proto._spin_blocks(proto.CNOT_PLAN, model, list(proto.CNOT_PATHS), ["A"]) is first
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 1.0
-    other = proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "D"))
+    other = proto._spin_blocks(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "D"))
     assert other is not first
 
 
@@ -938,7 +984,7 @@ def test_models_with_channels_keep_equality_hash_and_repr():
     params = cav.ContrastParams(0.8, 6.0)
     a = cav.InteractionModel.from_contrast(params)
     b = cav.InteractionModel.from_contrast(params)
-    channel = proto.photon_channel(proto.BSA_PLAN, a, proto.BSA_PATHS, ("In",))
+    blocks = proto._spin_blocks(proto.BSA_PLAN, a, proto.BSA_PATHS, ("In",))
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert repr(a) == repr(b) == (
         f"InteractionModel(coupled_reflect_amp={a.coupled_reflect_amp!r}, "
@@ -946,24 +992,26 @@ def test_models_with_channels_keep_equality_hash_and_repr():
         f"uncoupled_transmit_amp={a.uncoupled_transmit_amp!r}, "
         f"uncoupled_reflect_amp={a.uncoupled_reflect_amp!r})"
     )
-    assert proto.photon_channel(proto.BSA_PLAN, b, proto.BSA_PATHS, ("In",)) is not channel
+    assert proto._spin_blocks(proto.BSA_PLAN, b, proto.BSA_PATHS, ("In",)) is not blocks
     replaced = dataclasses.replace(a)
     assert replaced == a
-    assert proto.photon_channel(proto.BSA_PLAN, replaced, proto.BSA_PATHS, ("In",)) is not channel
+    assert proto._spin_blocks(proto.BSA_PLAN, replaced, proto.BSA_PATHS, ("In",)) is not blocks
     lossless = dataclasses.replace(a, coupled_reflect_amp=1.0, coupled_transmit_amp=0.0,
                                    uncoupled_transmit_amp=1.0, uncoupled_reflect_amp=0.0)
     assert lossless == cav.InteractionModel.ideal()
-    assert proto.photon_channel(proto.BSA_PLAN, lossless, proto.BSA_PATHS, ("In",)).ndim == 6
+    # no flag′ axis: out = (p′, path′)
+    lossless_blocks = proto._spin_blocks(proto.BSA_PLAN, lossless, proto.BSA_PATHS, ("In",))
+    assert lossless_blocks.shape == (1, 2, 2 * len(proto.BSA_PATHS), 2)
 
 
 def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
     def no_build(*args, **kwargs):
-        raise AssertionError("the channel was built")
+        raise AssertionError("the blocks were built")
 
     monkeypatch.setattr(proto, "plan_operators", no_build)
     model = cav.InteractionModel.ideal()
     with pytest.raises(ValueError, match="'Z'"):
-        proto.photon_channel(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "Z"))
+        proto._spin_blocks(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "Z"))
     with pytest.raises(ValueError, match="'Out'"):
         proto.run_photons(
             (1.0, 0.0), [1.0, 0.0, 0.0, 0.0], (1, 2), ("In", "Out"),
