@@ -159,7 +159,9 @@ def enumerate_outcomes(state: StateVector, bases: MeasurementBases) -> Distribut
     """Born probabilities of every outcome of ``bases`` on ``state``.
 
     Probabilities sum to the squared norm of the state (post-selected branches
-    keep their shortfall).  Outcomes below 1e-15 are dropped.
+    keep their shortfall).  Outcomes below 1e-15 are dropped.  A photon's
+    polarization or port, or the spin, that ``bases`` reads but ``state``
+    lacks is refused with a ``ValueError`` before any work.
 
     The work is done on the amplitude array: the basis changes, one sum over
     the traced axes, and one outcome axis per measured photon, which folds
@@ -168,6 +170,13 @@ def enumerate_outcomes(state: StateVector, bases: MeasurementBases) -> Distribut
     above 1e-15.  Outcome axes keep the order of their first register, and a
     photon's Lost entry follows its alive ones.
     """
+    present = {reg.key for reg in state.registers}
+    wanted = [(RegisterKind.POLARIZATION, pid) for pid in bases.pol]
+    wanted += [(RegisterKind.PATH, pid) for pid in sorted(bases.ports)]
+    wanted += [(RegisterKind.SPIN, 0)] if bases.spin is not None else []
+    for kind, ident in wanted:
+        if (kind, ident) not in present:
+            raise ValueError(f"the state has no register {kind.value}{ident} to measure")
     amps = state.amps.reshape(state.shape)
     registers = list(state.registers)
     changes = [((RegisterKind.POLARIZATION, pid), basis) for pid, basis in bases.pol.items()]

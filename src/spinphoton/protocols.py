@@ -26,21 +26,26 @@ Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 :data:`BSA_PLAN`, :data:`SPIN_PREP_PLAN` — and the circuit compiler emits
 its schedule as the same data.  Photons meet only through the spin, and no
 pass flips it, so a photon's whole trip is two linear maps on the photon,
-one per spin: the spin blocks, composed from the schedule's operators on a
-plain array, once per model, on their entry ports.  :func:`run_photons`
-applies them once per photon.  The model keeps the blocks, so a caller
-that holds one model pays for each plan once.  Each protocol writes its
-result once, into the array that the returned state keeps without a copy.
-Only this module gives a photon its entry port, its path register and,
-under loss, its Alive/Lost flag.  The gate, :func:`cnot_gate_matrix`, and
-the stream read their 2×2 blocks off the blocks of :data:`CNOT_PLAN`.  The
-analyzer reads its outcome table off the detector coincidences alone.
+one per spin: the spin blocks, composed on a plain array, once per model,
+on their entry ports.  What no model changes, the entry columns and each
+optical element as a matrix on the photon's modes, is the plan's frame,
+built once per process; a model builds only its cavity passes.
+:func:`run_photons` applies the blocks once per photon.  The model keeps
+them, so a caller that holds one model pays for each plan once.  Each
+protocol writes its result once, into the array that the returned state
+keeps without a copy.  Only this module gives a photon its entry port, its
+path register and, under loss, its Alive/Lost flag.  The gate,
+:func:`cnot_gate_matrix`, and the stream read their 2×2 blocks off the
+blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32 coincidence
+amplitudes with one fixed 32×32 matrix and pairs the probabilities with
+records built once per pair of photon ids.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from collections.abc import Sequence
 
@@ -133,18 +138,12 @@ class BellState(enum.Enum):
     PHI_MINUS = "phi-"
 
     def amplitudes(self) -> np.ndarray:
-        """Amplitudes over (pol₁, pol₂) in row-major R/L order."""
-        s = _SQ
-        return {
-            BellState.PSI_PLUS: np.array([0, s, s, 0], dtype=complex),
-            BellState.PSI_MINUS: np.array([0, s, -s, 0], dtype=complex),
-            BellState.PHI_PLUS: np.array([s, 0, 0, s], dtype=complex),
-            BellState.PHI_MINUS: np.array([s, 0, 0, -s], dtype=complex),
-        }[self]
+        """Amplitudes over (pol₁, pol₂) in row-major R/L order; a fresh array."""
+        return _BELL_AMPLITUDES[self].copy()
 
     def state(self, photon_ids: tuple[int, int] = (1, 2)) -> StateVector:
         regs = (qs.polarization(photon_ids[0]), qs.polarization(photon_ids[1]))
-        return StateVector(regs, self.amplitudes())
+        return StateVector(regs, _BELL_AMPLITUDES[self])
 
     @classmethod
     def from_label(cls, label: str) -> "BellState":
@@ -156,6 +155,14 @@ class BellState(enum.Enum):
         if key in names:
             return names[key]
         raise ValueError(f"unknown Bell state {label!r}")
+
+
+_BELL_ROWS = np.array(
+    [[0, _SQ, _SQ, 0], [0, _SQ, -_SQ, 0], [_SQ, 0, 0, _SQ], [_SQ, 0, 0, -_SQ]], dtype=np.complex128
+)
+_BELL_ROWS.flags.writeable = False
+#: Each member's amplitudes: a read-only row of one array.
+_BELL_AMPLITUDES = dict(zip(BellState, _BELL_ROWS))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,7 +186,7 @@ class ProtocolResult:
 
 def _step_operator(
     step: PlanStep,
-    model: InteractionModel,
+    model: InteractionModel | None,
     pol: Register,
     path: Register,
     spin: Register | None,
@@ -215,7 +222,7 @@ def _step_operator(
 
 def plan_operators(
     plan: Sequence[PlanStep],
-    model: InteractionModel,
+    model: InteractionModel | None,
     *,
     pol: Register,
     path: Register,
@@ -226,13 +233,54 @@ def plan_operators(
 
     Each distinct step is built once: a step the plan repeats, like the
     gate's splitter and π plate, reuses its operator.  Cavity steps need the
-    ``spin``; with a lossy model they also need the photon's loss ``flag``.
+    ``model`` and the ``spin``; with a lossy model they also need the
+    photon's loss ``flag``.  Optical steps use neither.
     """
     built: dict[PlanStep, Operator] = {}
     for step in plan:
         if step not in built:
             built[step] = _step_operator(step, model, pol, path, spin, flag)
     return [built[step] for step in plan]
+
+
+# each frame is a few KiB; the protocols need four, a circuit file one or two
+@functools.lru_cache(maxsize=64)
+def _frame(
+    plan: tuple[PlanStep, ...], ports: tuple[str, ...], in_ports: tuple[str, ...], lossy: bool
+) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
+    """The part of a plan's spin blocks that no model changes, built once per
+    process: the identity's entry columns on out = (p′, path′[, flag′]), as
+    [out, (p, entry)] with p Alive on its entry port, and each step of the
+    plan in order, an optical element as its matrix on out and a cavity pass
+    as None.  Every array is read-only."""
+    pol, path = qs.polarization(1), qs.path(1, ports)
+    out = (pol, path, qs.loss_flag(1)) if lossy else (pol, path)
+    dims = tuple(reg.dim for reg in out)
+    out_dim = math.prod(dims)
+    columns = np.zeros((2, len(ports), 2 if lossy else 1, 2, len(in_ports)), dtype=np.complex128)
+    for entry, port in enumerate(in_ports):
+        columns[:, ports.index(port), 0, :, entry] = np.eye(2)
+    columns = columns.reshape(out_dim, -1)
+    columns.flags.writeable = False
+    optical = iter(plan_operators(
+        [step for step in plan if step[0] not in _CAVITY_OPS], None, pol=pol, path=path
+    ))
+    axis = {reg.key: ax for ax, reg in enumerate(out)}
+    eye = np.eye(out_dim, dtype=np.complex128).reshape(dims * 2)
+    steps: list[np.ndarray | None] = []
+    for step in plan:
+        if step[0] in _CAVITY_OPS:
+            steps.append(None)
+            continue
+        op = next(optical)
+        # the element contracted with its own axes of the identity on out
+        axes = [axis[reg.key] for reg in op.domain]
+        mat = op.matrix.reshape(tuple(reg.dim for reg in op.domain) * 2)
+        mat = np.tensordot(mat, eye, axes=(range(len(axes), 2 * len(axes)), axes))
+        mat = np.moveaxis(mat, range(len(axes)), axes).reshape(out_dim, out_dim)
+        mat.flags.writeable = False
+        steps.append(mat)
+    return columns, tuple(steps)
 
 
 def _spin_blocks(
@@ -247,11 +295,12 @@ def _spin_blocks(
     No pass flips the spin, so these two blocks are the whole pass.
 
     The flag axis is there exactly when the model is lossy and the plan
-    passes the cavity.  Each block starts as the identity's entry columns
-    on out and takes the plan's operators in turn: an optical element
-    contracted with its own axes of out, a cavity pass as its block for the
-    spin.  The blocks are built once per model, on their entry ports, and
-    kept on the model read-only.
+    passes the cavity.  The model-free part, the entry columns and each
+    optical element as a matrix on out, is the plan's frame, built once per
+    process (:func:`_frame`); a model builds only its cavity passes, and
+    each takes the columns through its block for the spin, in plan order
+    with the frame's matrices.  The blocks are built once per model, on
+    their entry ports, and kept on the model read-only.
     """
     ports, in_ports = tuple(ports), tuple(in_ports)
     for port in in_ports:
@@ -261,27 +310,21 @@ def _spin_blocks(
     blocks = model._channels.get(key)
     if blocks is not None:
         return blocks
-    spin, pol, path = qs.spin(), qs.polarization(1), qs.path(1, ports)
     lossy = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
-    flag = qs.loss_flag(1) if lossy else None
-    out = (pol, path, flag) if lossy else (pol, path)
-    out_dim, columns = math.prod(reg.dim for reg in out), 2 * len(in_ports)
-    # the identity's entry columns, [s, p′, path′, flag′, (p, entry)]: p Alive on its entry port
-    blocks = np.zeros((2, 2, len(ports), 2 if lossy else 1, 2, len(in_ports)), dtype=np.complex128)
-    for entry, port in enumerate(in_ports):
-        blocks[:, :, ports.index(port), 0, :, entry] = np.eye(2)
-    blocks = blocks.reshape(2, *(reg.dim for reg in out), columns)
-    axis = {reg.key: ax for ax, reg in enumerate(out, start=1)}
-    for op in plan_operators(plan, model, pol=pol, path=path, spin=spin, flag=flag):
-        if op.domain[0] == spin:  # a cavity pass on (spin, *out): each spin's own block
-            mat = op.matrix.reshape(2, out_dim, 2, out_dim)[[0, 1], :, [0, 1]]
-            blocks = (mat @ blocks.reshape(2, out_dim, columns)).reshape(blocks.shape)
-        else:  # contracted with its own axes of out
-            axes = [axis[reg.key] for reg in op.domain]
-            mat = op.matrix.reshape(tuple(reg.dim for reg in op.domain) * 2)
-            blocks = np.tensordot(mat, blocks, axes=(range(len(axes), 2 * len(axes)), axes))
-            blocks = np.moveaxis(blocks, range(len(axes)), axes)
-    blocks = np.ascontiguousarray(blocks.reshape(2, out_dim, 2, len(in_ports)).transpose(3, 0, 1, 2))
+    columns, steps = _frame(key[0], ports, in_ports, lossy)
+    out_dim = columns.shape[0]
+    passes = iter(plan_operators(
+        [step for step in plan if step[0] in _CAVITY_OPS], model,
+        pol=qs.polarization(1), path=qs.path(1, ports), spin=qs.spin(),
+        flag=qs.loss_flag(1) if lossy else None,
+    ))
+    blocks = columns  # [out, (p, entry)] until the first cavity pass, then [s, out, (p, entry)]
+    for mat in steps:
+        if mat is None:  # a cavity pass on (spin, *out): each spin's own block
+            mat = next(passes).matrix.reshape(2, out_dim, 2, out_dim)[[0, 1], :, [0, 1]]
+        blocks = mat @ blocks
+    blocks = np.broadcast_to(blocks, (2, *columns.shape)).reshape(2, out_dim, 2, len(in_ports))
+    blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
     blocks.flags.writeable = False
     model._channels[key] = blocks
     return blocks
@@ -601,6 +644,36 @@ def bsa_state(
 _DETECTOR_PORTS = ("C", "D")
 _DETECTORS = slice(BSA_PATHS.index("C"), BSA_PATHS.index("D") + 1)
 
+#: Detection on the coincidence slice (spin, pol₁, path₁, pol₂, path₂), each
+#: path cut to C/D: the spin in ± and each polarization in H/V, from the
+#: basis changes that the measurement layer uses.
+_DETECTION = np.kron(
+    qs._HADAMARD,
+    np.kron(np.kron(qs._RL_TO_HV, np.eye(2)), np.kron(qs._RL_TO_HV, np.eye(2))),
+)
+_DETECTION.flags.writeable = False
+
+@functools.lru_cache(maxsize=64)
+def _coincidences(
+    pid_lo: int, pid_hi: int
+) -> tuple[tuple[Register, ...], tuple[meas.OutcomeRecord, ...]]:
+    """The registers of the coincidence slice, (spin, pol, path cut to C/D)
+    for the lower id, then the same for the higher, and its 32 records in
+    row-major order after detection: spin ±, then each photon's (H/V, C/D)."""
+    registers = (qs.spin(),)
+    for pid in (pid_lo, pid_hi):
+        registers += (qs.polarization(pid), qs.path(pid, _DETECTOR_PORTS))
+    clicks = [
+        meas.PhotonOutcome(port=port, pol=pol) for pol in qs.HV for port in _DETECTOR_PORTS
+    ]
+    records = tuple(
+        meas.OutcomeRecord(photons=((pid_lo, lo), (pid_hi, hi)), spin=spin)
+        for spin in qs.PLUS_MINUS
+        for lo in clicks
+        for hi in clicks
+    )
+    return registers, records
+
 
 @dataclasses.dataclass(frozen=True)
 class BsaResult:
@@ -620,34 +693,26 @@ def bsa(
     The distribution covers only coincidence outcomes (both photons alive on
     detector ports C/D), renormalized; ``success_probability`` is their total
     weight before renormalization.  Only the coincidence slice of the
-    pre-detection state is enumerated, once and renormalized: (spin, pol₁,
-    path₁, pol₂, path₂) with each path cut to C/D and each flag to Alive,
-    32 amplitudes.
+    pre-detection state is detected: (spin, pol₁, path₁, pol₂, path₂) with
+    each path cut to C/D and each flag to Alive, 32 amplitudes, renormalized
+    and checked as a state.  The outcome probabilities are |D·a|² for the
+    one fixed detection matrix D (spin ±, each polarization H/V), paired
+    with the 32 records of the photon ids, which are built once.
     ``state`` is the whole pre-detection state.
     """
     state = bsa_state(two_photon_pol, model)
-    # the coincidences: both photons Alive on C or D, registers (spin, pol₁,
-    # path₁, pol₂, path₂) with each path cut to the detector ports
-    cut: list = []
-    registers: tuple[Register, ...] = ()
-    for reg in state.registers:
-        if reg.kind is RegisterKind.LOSS_FLAG:
-            cut.append(qs.ALIVE_LOST.index("Alive"))
-        elif reg.kind is RegisterKind.PATH:
-            cut.append(_DETECTORS)
-            registers += (qs.path(reg.id, _DETECTOR_PORTS),)
-        else:
-            cut.append(slice(None))
-            registers += (reg,)
-    pol_ids = [reg.id for reg in registers if reg.kind is RegisterKind.POLARIZATION]
-    bases = meas.MeasurementBases(dict.fromkeys(pol_ids, "HV"), pol_ids, spin="PlusMinus")
-    amps = state.amps.reshape(state.shape)[tuple(cut)]
+    pid_lo, pid_hi = (reg.id for reg in state.registers if reg.kind is RegisterKind.POLARIZATION)
+    # [s, p₁, path₁, flag₁, p₂, path₂, flag₂], with one-entry flag axes if lossless
+    flag = state.registers[-1].dim if state.registers[-1].kind is RegisterKind.LOSS_FLAG else 1
+    amps = state.amps.reshape(2, 2, len(BSA_PATHS), flag, 2, len(BSA_PATHS), flag)
+    amps = amps[:, :, _DETECTORS, 0, :, _DETECTORS, 0]
     success = float(np.vdot(amps, amps).real)
     if success <= 1e-15:  # the weight below which an outcome is dropped
         raise ValueError("no coincidence outcomes survived the analyzer")
-    # renormalized first, so the records are built and hashed once
-    amps = amps * (1.0 / math.sqrt(success))
-    dist = meas.enumerate_outcomes(StateVector(registers, amps), bases)
+    registers, records = _coincidences(pid_lo, pid_hi)
+    detected = StateVector._adopt(registers, amps * (1.0 / math.sqrt(success)))
+    probs = (np.abs(_DETECTION @ detected.amps) ** 2).tolist()
+    dist = meas.Distribution(dict(zip(records, probs)))
     return BsaResult(state=state, distribution=dist, success_probability=success)
 
 

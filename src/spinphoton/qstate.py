@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from collections.abc import Iterable, Sequence
 
@@ -86,24 +87,31 @@ class Register:
             ) from None
 
 
+# registers are immutable values, so every caller can share one; a refused
+# basis raises and is not kept, and typed keeps an id of 1 apart from True
+@functools.lru_cache(maxsize=1024, typed=True)
+def _register(kind: RegisterKind, ident: int, basis: tuple[str, ...]) -> Register:
+    return Register(kind, ident, basis)
+
+
 def polarization(photon: int, basis: tuple[str, ...] = RL) -> Register:
     """Circular-polarization register of one photon."""
-    return Register(RegisterKind.POLARIZATION, photon, basis)
+    return _register(RegisterKind.POLARIZATION, photon, tuple(basis))
 
 
 def path(photon: int, names: Iterable[str]) -> Register:
     """Spatial-mode register of one photon; ``names`` lists the ports."""
-    return Register(RegisterKind.PATH, photon, tuple(names))
+    return _register(RegisterKind.PATH, photon, tuple(names))
 
 
 def spin(ident: int = 0, basis: tuple[str, ...] = UP_DOWN) -> Register:
     """The emitter spin register."""
-    return Register(RegisterKind.SPIN, ident, basis)
+    return _register(RegisterKind.SPIN, ident, tuple(basis))
 
 
 def loss_flag(photon: int) -> Register:
     """Alive/Lost flag register of one photon (pure-state loss bookkeeping)."""
-    return Register(RegisterKind.LOSS_FLAG, photon, ALIVE_LOST)
+    return _register(RegisterKind.LOSS_FLAG, photon, ALIVE_LOST)
 
 
 def _as_amps(values: Sequence[complex] | np.ndarray) -> np.ndarray:

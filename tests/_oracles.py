@@ -5,8 +5,9 @@ must agree with: a dense operator, a projection, a phase-blind comparison,
 a plan run step by step on a labelled state, photons run through the whole
 channel with a transpose around each pass, a photon channel read off one
 run of its plan on a Choi input, the outcome table read entry by entry, the
-loss completion of a two-sided pass by eigendecomposition, the closed forms
-of the heralded gate and of the GHZ figures, the GHZ branches formed from the
+analyzer's outcome table enumerated on its coincidence slice, the loss
+completion of a two-sided pass by eigendecomposition, the closed forms of
+the heralded gate and of the GHZ figures, the GHZ branches formed from the
 whole stream, and both cavity passes built at full sector size.  A few small
 helpers that only the tests use live here too.
 """
@@ -27,7 +28,13 @@ from spinphoton.cavity import (
     _pair_blocks,
     coupled_polarization,
 )
-from spinphoton.measurement import Distribution, MeasurementBases, OutcomeRecord, PhotonOutcome
+from spinphoton.measurement import (
+    Distribution,
+    MeasurementBases,
+    OutcomeRecord,
+    PhotonOutcome,
+    enumerate_outcomes,
+)
 from spinphoton.qstate import ATOL, Operator, Register, RegisterKey, RegisterKind, StateVector
 
 
@@ -156,6 +163,33 @@ def outcomes_by_entry(state: StateVector, bases: MeasurementBases) -> Distributi
         rec = OutcomeRecord(photons=tuple(photon_outs), spin=names.get(("spin", 0)))
         out[rec] = out.get(rec, 0.0) + p
     return Distribution(out)
+
+
+def bsa_by_enumeration(state: StateVector) -> tuple[Distribution, float]:
+    """The analyzer's outcome table and heralded weight from its pre-detection
+    ``state`` (spin, pol₁, path₁[, flag₁], pol₂, path₂[, flag₂]): each
+    register cut to the coincidences, both photons Alive on C or D, the
+    slice renormalized and enumerated in (port, H/V, spin ±)."""
+    detectors = slice(proto.BSA_PATHS.index("C"), proto.BSA_PATHS.index("D") + 1)
+    cut: list = []
+    registers: tuple[Register, ...] = ()
+    for reg in state.registers:
+        if reg.kind is RegisterKind.LOSS_FLAG:
+            cut.append(qs.ALIVE_LOST.index("Alive"))
+        elif reg.kind is RegisterKind.PATH:
+            cut.append(detectors)
+            registers += (qs.path(reg.id, ("C", "D")),)
+        else:
+            cut.append(slice(None))
+            registers += (reg,)
+    pol_ids = [reg.id for reg in registers if reg.kind is RegisterKind.POLARIZATION]
+    bases = MeasurementBases(dict.fromkeys(pol_ids, "HV"), pol_ids, spin="PlusMinus")
+    amps = state.amps.reshape(state.shape)[tuple(cut)]
+    success = float(np.vdot(amps, amps).real)
+    if success <= 1e-15:
+        raise ValueError("no coincidence outcomes survived the analyzer")
+    amps = amps * (1.0 / math.sqrt(success))
+    return enumerate_outcomes(StateVector(registers, amps), bases), success
 
 
 def run_plan(

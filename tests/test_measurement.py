@@ -127,6 +127,33 @@ def test_nothing_measured_is_one_outcome_labelled_dash():
     assert str(next(iter(dist))) == "-"
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a basis was changed")
+
+
+def test_ports_of_photons_without_a_path_register_are_refused(monkeypatch):
+    # once read as port=None, and photon 2, named only in ports, printed as "-"
+    monkeypatch.setattr(qs, "_basis_matrix", _no_work)
+    bases = meas.MeasurementBases(pol={1: "HV"}, ports={1, 2})
+    with pytest.raises(ValueError, match="no register path1 to measure"):
+        meas.enumerate_outcomes(bell_pol_state(), bases)
+
+
+@pytest.mark.parametrize(
+    "bases,missing",
+    [
+        (meas.MeasurementBases(pol={1: "HV", 3: "RL"}), "pol3"),
+        (meas.MeasurementBases(pol={1: "HV"}, spin="PlusMinus"), "spin0"),
+    ],
+    ids=["pol", "spin"],
+)
+def test_polarizations_or_a_spin_the_state_lacks_are_refused(bases, missing, monkeypatch):
+    # once a bare KeyError from the lookup of the register's axis
+    monkeypatch.setattr(qs, "_basis_matrix", _no_work)
+    with pytest.raises(ValueError, match=f"no register {missing} to measure"):
+        meas.enumerate_outcomes(bell_pol_state(), bases)
+
+
 def test_lost_outcome_forbids_port():
     with pytest.raises(ValueError):
         meas.PhotonOutcome(port="C", lost=True)

@@ -18,6 +18,7 @@ from spinphoton import qstate as qs
 from spinphoton.dsl import compile_circuit, parse
 
 from _oracles import (
+    bsa_by_enumeration,
     choi_channel,
     dense_ghz_branches,
     full_matrix,
@@ -54,6 +55,15 @@ def test_bell_state_amplitudes():
     psi_minus = proto.BellState.PSI_MINUS.state()
     assert psi_minus.amplitude("R", "L") == pytest.approx(SQ)
     assert psi_minus.amplitude("L", "R") == pytest.approx(-SQ)
+
+
+@pytest.mark.parametrize("bell", list(proto.BellState), ids=lambda b: b.value)
+def test_bell_amplitudes_are_a_fresh_array_each_call(bell):
+    amps = bell.amplitudes()
+    expected = amps.copy()
+    amps[:] = 0.0
+    assert np.array_equal(bell.amplitudes(), expected)
+    assert np.array_equal(bell.state().amps, expected)
 
 
 @pytest.mark.parametrize(
@@ -816,6 +826,26 @@ def test_bsa_matches_the_filtered_entrywise_enumeration(bell, lossy, lossy_model
         assert abs(res.distribution[rec] - p / success) <= 1e-15
 
 
+@settings(max_examples=150, deadline=None)
+@given(model=_valid_models, ids=st.sampled_from([(1, 2), (5, 2)]), seed=st.integers(0, 2**32 - 1))
+def test_bsa_matches_the_enumerated_coincidence_slice(model, ids, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    regs = (qs.polarization(ids[0]), qs.polarization(ids[1]))
+    state = qs.StateVector(regs, amps / np.linalg.norm(amps))
+    try:
+        want, success = bsa_by_enumeration(proto.bsa_state(state, model))
+    except ValueError:  # nothing reaches both detectors
+        with pytest.raises(ValueError, match="no coincidence"):
+            proto.bsa(state, model)
+        return
+    got = proto.bsa(state, model)
+    assert abs(got.success_probability - success) <= 1e-15
+    assert list(got.distribution) == list(want)
+    for rec, p in want.items():
+        assert abs(got.distribution[rec] - p) <= 1e-15
+
+
 def test_bsa_rejects_non_two_photon_input():
     single = qs.basis_state([qs.polarization(1)], ["R"])
     with pytest.raises(ValueError):
@@ -946,26 +976,68 @@ def test_channel_is_kept_on_the_model_read_only(lossy, lossy_model):
     assert other is not first
 
 
+def _loss_point(model):
+    """One point of the loss analysis through every protocol."""
+    proto.cnot_gate_matrix(model)
+    proto.cnot((1.0, 0.0), (0.6, 0.8), model)
+    for bell in proto.BellState:
+        proto.bsa(bell.state(), model)
+    proto.conditional_spin_prep((0.6, 0.8j), model)
+    proto.ghz(4, model)
+
+
+def _steps(plan, cavity):
+    return tuple(step for step in plan if (step[0] in ("scatter", "loop_cavity")) == cavity)
+
+
 def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
     built = []
     plan_operators = proto.plan_operators
 
-    def counting(plan, *args, **kwargs):
-        built.append(tuple(plan))
-        return plan_operators(plan, *args, **kwargs)
+    def counting(plan, model, **kwargs):
+        built.append((tuple(plan), model))
+        return plan_operators(plan, model, **kwargs)
 
     monkeypatch.setattr(proto, "plan_operators", counting)
-    # one point of the loss analysis through every protocol
-    proto.cnot_gate_matrix(lossy_model)
-    proto.cnot((1.0, 0.0), (0.6, 0.8), lossy_model)
-    for bell in proto.BellState:
-        proto.bsa(bell.state(), lossy_model)
-    proto.conditional_spin_prep((0.6, 0.8j), lossy_model)
-    proto.ghz(4, lossy_model)
-    assert sorted(built) == sorted([proto.CNOT_PLAN, proto.BSA_PLAN, proto.SPIN_PREP_PLAN])
+    proto._frame.cache_clear()
+    plans = [proto.CNOT_PLAN, proto.BSA_PLAN, proto.SPIN_PREP_PLAN]
+    lossy_fresh = cav.InteractionModel.from_contrast(cav.ContrastParams(0.5, 2.0))
+    ideal = cav.InteractionModel.ideal
+    for model, fresh in ((lossy_model, lossy_fresh), (ideal(), ideal())):
+        built.clear()
+        _loss_point(model)
+        # one frame per (plan, ports, entries, lossy), built from its optical
+        # steps with no model; the model builds its cavity steps once
+        frames = sorted(plan for plan, used in built if used is None)
+        assert frames == sorted(_steps(plan, cavity=False) for plan in plans)
+        assert sorted(plan for plan, used in built if used is model) == sorted(
+            _steps(plan, cavity=True) for plan in plans
+        )
+        assert len(built) == 6
+        # a fresh model builds its 3 cavity steps and no frame
+        built.clear()
+        _loss_point(fresh)
+        assert [used for _, used in built] == [fresh] * 3
+    assert proto._frame.cache_info().currsize == 6
     # an equal model built apart keeps its own channels
+    built.clear()
     proto.cnot_gate_matrix(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
-    assert len(built) == 4
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("name", list(_PLANS))
+def test_frames_are_kept_read_only(name, lossy):
+    plan, ports = _PLANS[name]
+    entries = (ports[0], ports[-1])
+    frame = proto._frame(tuple(plan), tuple(ports), entries, lossy)
+    assert proto._frame(tuple(plan), tuple(ports), entries, lossy) is frame
+    columns, steps = frame
+    assert len(steps) == len(plan)
+    for array in (columns, *(step for step in steps if step is not None)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])

@@ -27,6 +27,20 @@ def test_register_rejects_duplicate_basis_names():
         qs.Register(qs.RegisterKind.PATH, 1, ("A", "A"))
 
 
+def test_register_constructors_share_one_value_per_register():
+    assert qs.path(2, ["A", "B"]) is qs.path(2, ("A", "B"))
+    assert qs.polarization(1) is qs.polarization(1, list(qs.RL))
+    assert qs.spin() is qs.spin() and qs.loss_flag(3) is qs.loss_flag(3)
+    # an id that only compares equal is its own register
+    assert qs.polarization(True).id is True and qs.polarization(1).id == 1
+    # a refused basis raises on every call, and direct construction checks too
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            qs.path(1, ("A", "A"))
+        with pytest.raises(ValueError, match="at least one"):
+            qs.Register(qs.RegisterKind.PATH, 1, ())
+
+
 def test_basis_state_row_major_order():
     regs = [qs.polarization(1), qs.spin()]
     s = qs.basis_state(regs, ["L", "Up"])
