@@ -10,33 +10,25 @@ port ends up perfectly correlated with the spin.
 import numpy as np
 
 from spinphoton import measurement as meas
+from spinphoton import protocols as proto
 from spinphoton import qstate as qs
-from spinphoton.cavity import InteractionModel, one_sided_operator
+from spinphoton.cavity import InteractionModel
 
 SQ = 1 / np.sqrt(2)
+PORTS = ("In", "Refl", "Trans")
 
-spin_reg, pol_reg = qs.spin(), qs.polarization(1)
-path_reg = qs.path(1, ("In", "Refl", "Trans"))
-
-spin = qs.from_amplitudes(spin_reg, [SQ, SQ])
+spin = qs.from_amplitudes(qs.spin(), [SQ, SQ])
 photon = qs.tensor(
-    qs.basis_state([pol_reg], ["R"]),
-    qs.basis_state([path_reg], ["In"]),
+    qs.from_amplitudes(qs.polarization(1), [1.0, 0.0]),  # R
+    qs.from_amplitudes(qs.path(1, PORTS), [1.0, 0.0, 0.0]),  # on In
 )
-state = qs.tensor(spin, photon)
-print("before:", qs.format_state(state))
+print("before:", qs.format_state(qs.tensor(spin, photon)))
 
-# the ideal pass needs no loss-flag register
-bounce = one_sided_operator(
-    InteractionModel.ideal(),
-    pol=pol_reg,
-    path=path_reg,
-    spin=spin_reg,
-    in_path="In",
-    reflect_path="Refl",
-    transmit_path="Trans",
+# the bounce is the heralded spin preparation's one-step plan; the ideal
+# pass needs no loss flag
+state = proto.run_photons(
+    spin.amps, [1.0, 0.0], (1,), ("In",), proto.SPIN_PREP_PLAN, InteractionModel.ideal(), PORTS
 )
-state = qs.apply(bounce, state)
 print("after: ", qs.format_state(state))
 print()
 print("spin Up  -> photon reflected (R coupled, label flipped to L)")
@@ -51,6 +43,7 @@ print()
 print("reading the spin in the +/- basis instead erases the which-path")
 print("record; conditioned on '+', the photon is left in a coherent port")
 print("superposition:")
-plus = qs.change_basis(state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
-plus = qs.collapse(plus, (qs.RegisterKind.SPIN, 0), "Plus", check=False)
+# the spin is the first register: '+' keeps (Up + Down)/sqrt(2) of the rest
+up, down = state.amps.reshape(2, -1)
+plus = qs.StateVector(state.registers[1:], (up + down) * SQ)
 print("  " + qs.format_state(plus.normalized()))

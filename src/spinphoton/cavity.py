@@ -18,29 +18,29 @@ Three levels of description live here:
   (coupled/uncoupled × reflect/transmit) used by the gate simulations, either
   exact (``ideal()``) or built from measured quality factors and the Purcell
   factor (``from_contrast``).
-* :func:`one_sided_operator` / :func:`two_sided_operator` — the unitary of one
-  cavity pass on the spin and one photon's registers.  A pass never flips
-  the spin, so each spin has its own block, in which each polarization
-  writes one small real block: a reflection on at most four modes for the
+* :func:`one_sided_operator` / :func:`two_sided_operator` — one cavity pass
+  on one photon's modes, out = (pol, path[, flag]) over its ports.  A pass
+  never flips the spin, so it is two unitary blocks K[s, out, out], one per
+  spin, and nothing else is built.  In each block each polarization writes
+  one small real block: a reflection on at most four modes for the
   one-sided pass (so the pass is an involution), the pair dilation
-  [[M, L], [L, −M]] for the two-sided pass.  The ideal pass is the same
-  builder with ``InteractionModel.ideal()`` and no loss-flag register.
+  [[M, L], [L, −M]] for the two-sided pass.  The flag is there exactly when
+  the model is lossy; the ideal pass is the same builder with
+  ``InteractionModel.ideal()``.
 
-All scattering operators are exact unitaries: photon loss is represented by
-rotating amplitude into a per-photon Alive/Lost flag register rather than by
-dropping norm.
+Every block is an exact unitary: photon loss is represented by rotating
+amplitude into the photon's Alive/Lost flag rather than by dropping norm.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from . import qstate as qs
-from .qstate import Operator, Register
 
 __all__ = [
     "CavityParams",
@@ -336,7 +336,7 @@ def _flip(pol: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Operator construction
+# The two spin blocks of a pass
 # ---------------------------------------------------------------------------
 
 
@@ -385,82 +385,68 @@ def _dilation(reflect: float, transmit: float) -> list[list[float]]:
 
 def _cavity_pass(
     model: InteractionModel,
-    pol: Register,
-    path: Register,
-    spin: Register,
-    flag: Register | None,
+    ports: Sequence[str],
     arrive_from: str,
     block: Callable[[float, float], list[list[float]]],
     modes: Callable[[str], tuple[list, list]],
-) -> Operator:
-    """One cavity pass on (spin, pol, path[, flag]), written spin by spin.
+) -> np.ndarray:
+    """One cavity pass as its two spin blocks K[s, out, out], written spin by
+    spin, on out = (pol, path[, flag]), with a flag when the model is lossy.
 
-    A pass never flips the spin, so the operator is block diagonal in it.
     Each spin's block starts as the identity.  In it each polarization p,
     first the one that couples arriving from ``arrive_from``, writes the
     small real ``block(r, t)`` of its branch: with (outs, ins) = ``modes(p)``,
     lists of (polarization, port), the block takes (ins, Lost) to
     (outs, Lost), where Lost holds the flags of the first ins, one per row
     beyond the outs.  It replaces the identity in those columns.  Without a
-    flag register (a lossless model) only its alive corner is written.
+    flag (a lossless model) only its alive corner is written.
     """
-    if pol.kind is not qs.RegisterKind.POLARIZATION or pol.basis != qs.RL:
-        raise ValueError("scattering acts on a circular (R/L) polarization register")
-    if path.kind is not qs.RegisterKind.PATH:
-        raise ValueError("second register must be a path register")
-    if spin.kind is not qs.RegisterKind.SPIN or spin.basis != qs.UP_DOWN:
-        raise ValueError("scattering acts on the spin in the Up/Down basis")
-    if flag is not None and flag.kind is not qs.RegisterKind.LOSS_FLAG:
-        raise ValueError("flag register must be a loss flag")
-    if flag is None and not model.is_lossless:
-        raise ValueError("a lossy model needs the photon's loss-flag register")
     blocks = (
         block(model.coupled_reflect_amp, model.coupled_transmit_amp),
         block(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
     )
-    flags = 1 if flag is None else flag.dim
-    ports = path.dim
-    sector = 2 * ports * flags
-    mat = np.eye(2 * sector, dtype=np.complex128)
-    for base, spin_name in zip((0, sector), qs.UP_DOWN):
+    flags = 1 if model.is_lossless else 2
+    n = len(ports)
+    dim = 2 * n * flags
+    mat = np.zeros((2, dim, dim), dtype=np.complex128)
+    mat.reshape(2, -1)[:, :: dim + 1] = 1.0  # the identity in each spin
+    for spin_block, spin_name in zip(mat, qs.UP_DOWN):
         c = coupled_polarization(arrive_from, spin_name)
         for p, values in zip((c, _flip(c)), blocks):
             rows, cols = (
-                [base + (qs.RL.index(q) * ports + path.index(port)) * flags for q, port in side]
+                [(qs.RL.index(q) * n + qs._port_index(ports, port)) * flags for q, port in side]
                 for side in modes(p)
             )
-            if flag is not None:
-                # a mode's Lost entry directly follows its Alive one
+            if flags == 2:  # a mode's Lost entry directly follows its Alive one
                 lost = [j + 1 for j in cols[: len(values) - len(rows)]]
                 rows, cols = rows + lost, cols + lost
             for j in cols:
-                mat[j, j] = 0.0
+                spin_block[j, j] = 0.0
             for i, row in zip(rows, values):
                 for j, value in zip(cols, row):
-                    mat[i, j] = value
-    return Operator((spin, pol, path) if flag is None else (spin, pol, path, flag), mat)
+                    spin_block[i, j] = value
+    mat.flags.writeable = False
+    return mat
 
 
 def one_sided_operator(
     model: InteractionModel,
+    ports: Sequence[str],
     *,
-    pol: Register,
-    path: Register,
-    spin: Register,
-    flag: Register | None = None,
     in_path: str,
     reflect_path: str,
     transmit_path: str,
     arrive_from: str = "below",
-) -> Operator:
-    """Unitary for one photon meeting the cavity from a single input port.
+) -> np.ndarray:
+    """The two spin blocks of one photon meeting the cavity from a single
+    input port, K[s, out, out] on out = (pol, path[, flag]) over ``ports``.
 
     Amplitude entering on ``in_path`` leaves on ``reflect_path`` (polarization
     flipped, + sign) or ``transmit_path`` (polarization kept, − sign); with a
     lossy model the branch deficit rotates into the photon's Lost flag.  For
     each spin, each polarization gets the reflection that swaps its input
     mode with that output state, on at most four modes.  The two reflections
-    act on disjoint modes, so the operator is an involution: applying it
+    act on disjoint modes, so each block is an involution: applying it
     twice is the identity.  Ports other than the three named ones ride
     along unchanged.
     """
@@ -471,20 +457,18 @@ def one_sided_operator(
         alive = [(p, in_path), (_flip(p), reflect_path), (p, transmit_path)]
         return alive, alive
 
-    return _cavity_pass(model, pol, path, spin, flag, arrive_from, _reflection, modes)
+    return _cavity_pass(model, ports, arrive_from, _reflection, modes)
 
 
 def two_sided_operator(
     model: InteractionModel,
+    ports: Sequence[str],
     *,
-    pol: Register,
-    path: Register,
-    spin: Register,
-    flag: Register | None = None,
     lower_path: str,
     upper_path: str,
-) -> Operator:
-    """Unitary for a photon meeting the cavity inside a two-arm interferometer.
+) -> np.ndarray:
+    """The two spin blocks of a photon meeting the cavity inside a two-arm
+    interferometer, K[s, out, out] on out = (pol, path[, flag]) over ``ports``.
 
     The ``lower_path`` arm arrives from below, the ``upper_path`` arm from
     above.  Reflection keeps the arm and flips polarization; transmission
@@ -501,4 +485,4 @@ def two_sided_operator(
     def modes(p: str) -> tuple[list, list]:
         return [(_flip(p), lower_path), (p, upper_path)], [(p, lower_path), (_flip(p), upper_path)]
 
-    return _cavity_pass(model, pol, path, spin, flag, "below", _dilation, modes)
+    return _cavity_pass(model, ports, "below", _dilation, modes)

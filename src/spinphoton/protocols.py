@@ -29,16 +29,16 @@ pass flips it, so a photon's whole trip is two linear maps on the photon,
 one per spin: the spin blocks, composed on a plain array, once per model,
 on their entry ports.  What no model changes, the entry columns and each
 optical element as a matrix on the photon's modes, is the plan's frame,
-built once per process; a model builds only its cavity passes.
-:func:`run_photons` applies the blocks once per photon.  The model keeps
-them, so a caller that holds one model pays for each plan once.  Each
-protocol writes its result once, into the array that the returned state
-keeps without a copy.  Only this module gives a photon its entry port, its
-path register and, under loss, its Alive/Lost flag.  The gate,
-:func:`cnot_gate_matrix`, and the stream read their 2×2 blocks off the
-blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32 coincidence
-amplitudes with one fixed 32×32 matrix and pairs the probabilities with
-records built once per pair of photon ids.
+built once per process; a model builds only its cavity passes, each as
+its two spin blocks.  :func:`run_photons` applies the blocks once per
+photon.  The model keeps them, so a caller that holds one model pays for
+each plan once.  Each protocol writes its result once, into the array
+that the returned state keeps without a copy.  Only this module gives a
+photon its entry port, its path register and, under loss, its Alive/Lost
+flag.  The gate, :func:`cnot_gate_matrix`, and the stream read their 2×2
+blocks off the blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32
+coincidence amplitudes with one fixed 32×32 matrix and pairs the
+probabilities with records built once per pair of photon ids.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from . import measurement as meas
 from . import optics as opt
 from . import qstate as qs
 from .cavity import InteractionModel
-from .qstate import Operator, Register, RegisterKind, StateVector
+from .qstate import Register, RegisterKind, StateVector
 
 __all__ = [
     "BellState",
@@ -67,7 +67,6 @@ __all__ = [
     "CNOT_PLAN",
     "BSA_PLAN",
     "SPIN_PREP_PLAN",
-    "plan_operators",
     "run_photons",
     "cnot",
     "cnot_gate_matrix",
@@ -184,63 +183,33 @@ class ProtocolResult:
 # ---------------------------------------------------------------------------
 
 
-def _step_operator(
-    step: PlanStep,
-    model: InteractionModel | None,
-    pol: Register,
-    path: Register,
-    spin: Register | None,
-    flag: Register | None,
-) -> Operator:
-    op, ports, param = step
+def _step_matrix(
+    step: PlanStep, ports: tuple[str, ...], model: InteractionModel | None = None
+) -> np.ndarray:
+    """One step of a plan on the photon's modes over ``ports``: an optical
+    element as its matrix on (pol, path), or on path alone for ``bs`` and
+    ``phase``; a cavity pass on the ``model`` as its two spin blocks
+    K[s, out, out], out = (pol, path[, flag]).  Every array is read-only."""
+    op, at, param = step
     if op == "cpbs3":
-        return opt.cpbs_operator(pol, path, in_path=ports[0], r_out=ports[1], l_out=ports[2])
+        return opt.cpbs_operator(ports, in_path=at[0], r_out=at[1], l_out=at[2])
     if op == "cpbs4":
-        return opt.cpbs4_operator(pol, path, in_paths=ports[:2], out_paths=ports[2:])
+        return opt.cpbs4_operator(ports, in_paths=at[:2], out_paths=at[2:])
     if op == "bs":
-        in_a, in_b, out_c, out_d = ports
-        return opt.bs_operator(path, in_a=in_a, in_b=in_b, out_c=out_c, out_d=out_d)
+        return opt.bs_operator(ports, in_a=at[0], in_b=at[1], out_c=at[2], out_d=at[3])
     if op == "mirror":
-        return opt.mirror_operator(pol, path, at=ports[0])
+        return opt.mirror_operator(ports, at=at[0])
     if op == "hwp":
-        return opt.hwp_operator(pol, path, at=ports[0], theta=param)
+        return opt.hwp_operator(ports, at=at[0], theta=param)
     if op == "phase":
-        return opt.phase_operator(path, at=ports[0], phi=param)
+        return opt.phase_operator(ports, at=at[0], phi=param)
     if op == "scatter":
-        in_path, reflect_path, transmit_path = ports
         return cav.one_sided_operator(
-            model, pol=pol, path=path, spin=spin, flag=flag,
-            in_path=in_path, reflect_path=reflect_path, transmit_path=transmit_path,
+            model, ports, in_path=at[0], reflect_path=at[1], transmit_path=at[2]
         )
     if op == "loop_cavity":
-        return cav.two_sided_operator(
-            model, pol=pol, path=path, spin=spin, flag=flag,
-            lower_path=ports[0], upper_path=ports[1],
-        )
+        return cav.two_sided_operator(model, ports, lower_path=at[0], upper_path=at[1])
     raise ValueError(f"unknown plan step {op!r}")
-
-
-def plan_operators(
-    plan: Sequence[PlanStep],
-    model: InteractionModel | None,
-    *,
-    pol: Register,
-    path: Register,
-    spin: Register | None = None,
-    flag: Register | None = None,
-) -> list[Operator]:
-    """The operators of one photon's schedule, in order of application.
-
-    Each distinct step is built once: a step the plan repeats, like the
-    gate's splitter and π plate, reuses its operator.  Cavity steps need the
-    ``model`` and the ``spin``; with a lossy model they also need the
-    photon's loss ``flag``.  Optical steps use neither.
-    """
-    built: dict[PlanStep, Operator] = {}
-    for step in plan:
-        if step not in built:
-            built[step] = _step_operator(step, model, pol, path, spin, flag)
-    return [built[step] for step in plan]
 
 
 # each frame is a few KiB; the protocols need four, a circuit file one or two
@@ -251,36 +220,24 @@ def _frame(
     """The part of a plan's spin blocks that no model changes, built once per
     process: the identity's entry columns on out = (p′, path′[, flag′]), as
     [out, (p, entry)] with p Alive on its entry port, and each step of the
-    plan in order, an optical element as its matrix on out and a cavity pass
-    as None.  Every array is read-only."""
-    pol, path = qs.polarization(1), qs.path(1, ports)
-    out = (pol, path, qs.loss_flag(1)) if lossy else (pol, path)
-    dims = tuple(reg.dim for reg in out)
-    out_dim = math.prod(dims)
-    columns = np.zeros((2, len(ports), 2 if lossy else 1, 2, len(in_ports)), dtype=np.complex128)
+    plan in order, an optical element as its matrix on out, the identity on
+    what it does not see, and a cavity pass as None.  Every array is
+    read-only."""
+    flags = 2 if lossy else 1
+    columns = np.zeros((2, len(ports), flags, 2, len(in_ports)), dtype=np.complex128)
     for entry, port in enumerate(in_ports):
         columns[:, ports.index(port), 0, :, entry] = np.eye(2)
-    columns = columns.reshape(out_dim, -1)
+    columns = columns.reshape(2 * len(ports) * flags, -1)
     columns.flags.writeable = False
-    optical = iter(plan_operators(
-        [step for step in plan if step[0] not in _CAVITY_OPS], None, pol=pol, path=path
-    ))
-    axis = {reg.key: ax for ax, reg in enumerate(out)}
-    eye = np.eye(out_dim, dtype=np.complex128).reshape(dims * 2)
-    steps: list[np.ndarray | None] = []
-    for step in plan:
-        if step[0] in _CAVITY_OPS:
-            steps.append(None)
-            continue
-        op = next(optical)
-        # the element contracted with its own axes of the identity on out
-        axes = [axis[reg.key] for reg in op.domain]
-        mat = op.matrix.reshape(tuple(reg.dim for reg in op.domain) * 2)
-        mat = np.tensordot(mat, eye, axes=(range(len(axes), 2 * len(axes)), axes))
-        mat = np.moveaxis(mat, range(len(axes)), axes).reshape(out_dim, out_dim)
-        mat.flags.writeable = False
-        steps.append(mat)
-    return columns, tuple(steps)
+    optical = {}
+    for step in dict.fromkeys(plan):
+        if step[0] not in _CAVITY_OPS:
+            mat = _step_matrix(step, ports)
+            if step[0] in ("bs", "phase"):
+                mat = np.kron(np.eye(2), mat)
+            optical[step] = np.kron(mat, np.eye(flags))
+            optical[step].flags.writeable = False
+    return columns, tuple(optical.get(step) for step in plan)
 
 
 def _spin_blocks(
@@ -297,10 +254,11 @@ def _spin_blocks(
     The flag axis is there exactly when the model is lossy and the plan
     passes the cavity.  The model-free part, the entry columns and each
     optical element as a matrix on out, is the plan's frame, built once per
-    process (:func:`_frame`); a model builds only its cavity passes, and
-    each takes the columns through its block for the spin, in plan order
-    with the frame's matrices.  The blocks are built once per model, on
-    their entry ports, and kept on the model read-only.
+    process (:func:`_frame`); a model builds only its cavity passes, each
+    once, as their two spin blocks, and each takes the columns through its
+    block for the spin, in plan order with the frame's matrices.  The blocks
+    are built once per model, on their entry ports, and kept on the model
+    read-only.
     """
     ports, in_ports = tuple(ports), tuple(in_ports)
     for port in in_ports:
@@ -312,17 +270,16 @@ def _spin_blocks(
         return blocks
     lossy = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
     columns, steps = _frame(key[0], ports, in_ports, lossy)
-    out_dim = columns.shape[0]
-    passes = iter(plan_operators(
-        [step for step in plan if step[0] in _CAVITY_OPS], model,
-        pol=qs.polarization(1), path=qs.path(1, ports), spin=qs.spin(),
-        flag=qs.loss_flag(1) if lossy else None,
-    ))
+    # each distinct cavity pass as its two spin blocks [s, out, out]
+    passes = {
+        step: _step_matrix(step, ports, model)
+        for step in dict.fromkeys(key[0])
+        if step[0] in _CAVITY_OPS
+    }
     blocks = columns  # [out, (p, entry)] until the first cavity pass, then [s, out, (p, entry)]
-    for mat in steps:
-        if mat is None:  # a cavity pass on (spin, *out): each spin's own block
-            mat = next(passes).matrix.reshape(2, out_dim, 2, out_dim)[[0, 1], :, [0, 1]]
-        blocks = mat @ blocks
+    for step, mat in zip(key[0], steps):
+        blocks = (passes[step] if mat is None else mat) @ blocks
+    out_dim = columns.shape[0]
     blocks = np.broadcast_to(blocks, (2, *columns.shape)).reshape(2, out_dim, 2, len(in_ports))
     blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
     blocks.flags.writeable = False

@@ -114,6 +114,14 @@ def loss_flag(photon: int) -> Register:
     return _register(RegisterKind.LOSS_FLAG, photon, ALIVE_LOST)
 
 
+def _port_index(ports: Sequence[str], port: str) -> int:
+    """The position of ``port`` among a photon's ``ports``; refuses an unknown one."""
+    try:
+        return ports.index(port)
+    except ValueError:
+        raise ValueError(f"{port!r} is not one of the ports {tuple(ports)}") from None
+
+
 def _as_amps(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     amps = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
     amps.setflags(write=False)
@@ -221,7 +229,8 @@ class StateVector:
 
 @dataclasses.dataclass(frozen=True)
 class Operator:
-    """A square matrix acting on an ordered subset of a state's registers."""
+    """A square matrix acting on an ordered subset of a state's registers;
+    only the tests' reference computations build one."""
 
     domain: tuple[Register, ...]
     matrix: np.ndarray
@@ -249,19 +258,6 @@ def from_amplitudes(register: Register, values: Sequence[complex]) -> StateVecto
     return StateVector((register,), np.asarray(values, dtype=np.complex128))
 
 
-def basis_state(registers: Sequence[Register], names: Sequence[str]) -> StateVector:
-    """Joint computational basis state, one basis name per register."""
-    registers = tuple(registers)
-    if len(names) != len(registers):
-        raise ValueError("one basis name per register required")
-    amps = np.zeros(math.prod(r.dim for r in registers), dtype=np.complex128)
-    idx = 0
-    for reg, name in zip(registers, names):
-        idx = idx * reg.dim + reg.index(name)
-    amps[idx] = 1.0
-    return StateVector(registers, amps)
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; ``a``'s registers come first (row-major)."""
     overlap_keys = {r.key for r in a.registers} & {r.key for r in b.registers}
@@ -282,31 +278,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
     if a.registers != b.registers:
         raise ValueError("inner product requires identical register lists")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def apply(op: Operator, state: StateVector) -> StateVector:
-    """Apply ``op`` to the registers of ``state`` matching ``op.domain``.
-
-    Domain registers are matched by (kind, id) and must carry the same basis
-    names the operator was built against.
-    """
-    axes = []
-    for reg in op.domain:
-        ax = state.axis(reg.key)
-        present = state.registers[ax]
-        if present.basis != reg.basis:
-            raise ValueError(
-                f"operator built for basis {reg.basis} but state register "
-                f"{reg.kind.value}{reg.id} has basis {present.basis}"
-            )
-        axes.append(ax)
-    tensor_amps = state.amps.reshape(state.shape)
-    moved = np.moveaxis(tensor_amps, axes, range(len(axes)))
-    moved_shape = moved.shape
-    flat = moved.reshape(op.dim, -1)
-    out = op.matrix @ flat
-    out = np.moveaxis(out.reshape(moved_shape), range(len(axes)), axes)
-    return StateVector(state.registers, out.reshape(-1))
 
 
 def collapse(
@@ -390,22 +361,6 @@ def _basis_matrix(reg: Register, target: str) -> tuple[np.ndarray | None, Regist
     except KeyError:
         raise ValueError(f"no conversion from basis {reg.basis} to {target!r}") from None
     return mat, Register(reg.kind, reg.id, new_names)
-
-
-def change_basis(state: StateVector, key: RegisterKey | Register, target: str) -> StateVector:
-    """Re-express one register in a different basis (renaming its basis states).
-
-    Polarization converts between ``RL`` and ``HV``; spin between ``UpDown``
-    and ``PlusMinus``.  Converting to the basis already in use is a no-op.
-    """
-    ax = state.axis(key)
-    mat, reg = _basis_matrix(state.registers[ax], target)
-    if mat is None:
-        return state
-    out = np.tensordot(mat, state.amps.reshape(state.shape), axes=(1, ax))
-    new_regs = list(state.registers)
-    new_regs[ax] = reg
-    return StateVector(tuple(new_regs), np.moveaxis(out, 0, ax).reshape(-1))
 
 
 # -- comparison ------------------------------------------------------------

@@ -8,8 +8,11 @@ run of its plan on a Choi input, the outcome table read entry by entry, the
 analyzer's outcome table enumerated on its coincidence slice, the loss
 completion of a two-sided pass by eigendecomposition, the closed forms of
 the heralded gate and of the GHZ figures, the GHZ branches formed from the
-whole stream, and both cavity passes built at full sector size.  A few small
-helpers that only the tests use live here too.
+whole stream, and both cavity passes built at full sector size.  The
+labelled state layer that the package no longer runs lives here too: a
+basis state, a register-labelled operator applied to a state, a basis
+change, and each plan step as a labelled operator.  So do a few small
+helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -38,6 +41,60 @@ from spinphoton.measurement import (
 from spinphoton.qstate import ATOL, Operator, Register, RegisterKey, RegisterKind, StateVector
 
 
+def basis_state(registers: Sequence[Register], names: Sequence[str]) -> StateVector:
+    """Joint computational basis state, one basis name per register."""
+    registers = tuple(registers)
+    if len(names) != len(registers):
+        raise ValueError("one basis name per register required")
+    amps = np.zeros(math.prod(r.dim for r in registers), dtype=np.complex128)
+    idx = 0
+    for reg, name in zip(registers, names):
+        idx = idx * reg.dim + reg.index(name)
+    amps[idx] = 1.0
+    return StateVector(registers, amps)
+
+
+def apply(op: Operator, state: StateVector) -> StateVector:
+    """Apply ``op`` to the registers of ``state`` matching ``op.domain``.
+
+    Domain registers are matched by (kind, id) and must carry the same basis
+    names the operator was built against.
+    """
+    axes = []
+    for reg in op.domain:
+        ax = state.axis(reg.key)
+        present = state.registers[ax]
+        if present.basis != reg.basis:
+            raise ValueError(
+                f"operator built for basis {reg.basis} but state register "
+                f"{reg.kind.value}{reg.id} has basis {present.basis}"
+            )
+        axes.append(ax)
+    tensor_amps = state.amps.reshape(state.shape)
+    moved = np.moveaxis(tensor_amps, axes, range(len(axes)))
+    moved_shape = moved.shape
+    flat = moved.reshape(op.dim, -1)
+    out = op.matrix @ flat
+    out = np.moveaxis(out.reshape(moved_shape), range(len(axes)), axes)
+    return StateVector(state.registers, out.reshape(-1))
+
+
+def change_basis(state: StateVector, key: RegisterKey | Register, target: str) -> StateVector:
+    """Re-express one register in a different basis (renaming its basis states).
+
+    Polarization converts between ``RL`` and ``HV``; spin between ``UpDown``
+    and ``PlusMinus``.  Converting to the basis already in use is a no-op.
+    """
+    ax = state.axis(key)
+    mat, reg = qs._basis_matrix(state.registers[ax], target)
+    if mat is None:
+        return state
+    out = np.tensordot(mat, state.amps.reshape(state.shape), axes=(1, ax))
+    new_regs = list(state.registers)
+    new_regs[ax] = reg
+    return StateVector(tuple(new_regs), np.moveaxis(out, 0, ax).reshape(-1))
+
+
 def full_matrix(op: Operator, registers: Sequence[Register]) -> np.ndarray:
     """Embed ``op`` into the full space spanned by ``registers`` (identity elsewhere)."""
     registers = tuple(registers)
@@ -46,7 +103,7 @@ def full_matrix(op: Operator, registers: Sequence[Register]) -> np.ndarray:
     for j in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
         e[j] = 1.0
-        cols[:, j] = qs.apply(op, StateVector(registers, e)).amps
+        cols[:, j] = apply(op, StateVector(registers, e)).amps
     return cols
 
 
@@ -122,9 +179,9 @@ def outcomes_by_entry(state: StateVector, bases: MeasurementBases) -> Distributi
     builds a state, and every entry of the marginal above 1e-15 adds its
     probability to its record."""
     for pid, basis in bases.pol.items():
-        state = qs.change_basis(state, (RegisterKind.POLARIZATION, pid), basis)
+        state = change_basis(state, (RegisterKind.POLARIZATION, pid), basis)
     if bases.spin is not None:
-        state = qs.change_basis(state, (RegisterKind.SPIN, 0), bases.spin)
+        state = change_basis(state, (RegisterKind.SPIN, 0), bases.spin)
     probs_tensor = np.abs(state.amps.reshape(state.shape)) ** 2
 
     # measured axes, described as (axis, role, photon/spin id, basis names);
@@ -192,6 +249,51 @@ def bsa_by_enumeration(state: StateVector) -> tuple[Distribution, float]:
     return enumerate_outcomes(StateVector(registers, amps), bases), success
 
 
+def step_operator(
+    step: proto.PlanStep,
+    model: InteractionModel | None,
+    *,
+    pol: Register,
+    path: Register,
+    spin: Register | None = None,
+    flag: Register | None = None,
+) -> Operator:
+    """The package's matrix of one plan step as a labelled operator: an
+    optical element on (pol, path), or on path for ``bs`` and ``phase``; a
+    cavity pass as its two spin blocks on the diagonal of (spin, pol, path),
+    with the photon's ``flag`` after them when the model is lossy."""
+    mat = proto._step_matrix(step, path.basis, model)
+    if step[0] in ("scatter", "loop_cavity"):
+        domain = (spin, pol, path)
+        if not model.is_lossless:
+            if flag is None:
+                raise ValueError("a lossy model needs the photon's loss-flag register")
+            domain += (flag,)
+        return spin_block_operator(mat, domain)
+    return Operator((path,) if step[0] in ("bs", "phase") else (pol, path), mat)
+
+
+def spin_block_operator(blocks: np.ndarray, domain: Sequence[Register]) -> Operator:
+    """Two spin blocks K[s, out, out] as one labelled operator on ``domain``,
+    (spin, *out), zero off the spin diagonal."""
+    return Operator(tuple(domain), _spin_block_diag(list(blocks)))
+
+
+def plan_operators(
+    plan: Sequence[proto.PlanStep],
+    model: InteractionModel | None,
+    *,
+    pol: Register,
+    path: Register,
+    spin: Register | None = None,
+    flag: Register | None = None,
+) -> list[Operator]:
+    """The labelled operators of one photon's schedule, in order of application."""
+    return [
+        step_operator(step, model, pol=pol, path=path, spin=spin, flag=flag) for step in plan
+    ]
+
+
 def run_plan(
     state: StateVector, plan: Sequence[proto.PlanStep], model: InteractionModel, photon: int
 ) -> StateVector:
@@ -204,7 +306,7 @@ def run_plan(
     if pol.basis != qs.RL:
         raise ValueError("optics elements are defined on the circular (R/L) basis")
     present = {r.key: r for r in state.registers}
-    ops = proto.plan_operators(
+    ops = plan_operators(
         plan,
         model,
         pol=pol,
@@ -213,7 +315,7 @@ def run_plan(
         flag=present.get((RegisterKind.LOSS_FLAG, photon)),
     )
     for op in ops:
-        state = qs.apply(op, state)
+        state = apply(op, state)
     return state
 
 

@@ -28,7 +28,15 @@ from spinphoton.cavity import (
 from spinphoton.dsl import ParseError, compile_circuit, parse, pretty_print
 from spinphoton.qstate import RegisterKind
 
-from _oracles import full_matrix, interpolate_models, total_variation
+from _oracles import (
+    apply,
+    basis_state,
+    full_matrix,
+    interpolate_models,
+    plan_operators,
+    spin_block_operator,
+    total_variation,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 SQ = 1.0 / math.sqrt(2.0)
@@ -85,11 +93,13 @@ def test_c02_spin_selective_scattering():
     worst = 0.0
     rng = np.random.default_rng(2)
     for side in ("below", "above"):
-        op = cav.one_sided_operator(
-            InteractionModel.ideal(),
-            pol=regs[1], path=regs[2], spin=regs[0],
-            in_path="In", reflect_path="Refl", transmit_path="Trans",
-            arrive_from=side,
+        op = spin_block_operator(
+            cav.one_sided_operator(
+                InteractionModel.ideal(), regs[2].basis,
+                in_path="In", reflect_path="Refl", transmit_path="Trans",
+                arrive_from=side,
+            ),
+            regs,
         )
         mat = op.matrix
         worst = max(
@@ -97,7 +107,7 @@ def test_c02_spin_selective_scattering():
         )
         for spin_name in ("Up", "Down"):
             for pol in ("R", "L"):
-                out = qs.apply(op, qs.basis_state(regs, [spin_name, pol, "In"]))
+                out = apply(op, basis_state(regs, [spin_name, pol, "In"]))
                 if cav.coupled_polarization(side, spin_name) == pol:
                     flipped = "L" if pol == "R" else "R"
                     amp = out.amplitude(spin_name, flipped, "Refl")
@@ -108,7 +118,7 @@ def test_c02_spin_selective_scattering():
         for _ in range(50):
             v = rng.normal(size=op.matrix.shape[0]) + 1j * rng.normal(size=op.matrix.shape[0])
             st = qs.StateVector(regs, v / np.linalg.norm(v))
-            worst = max(worst, abs(qs.apply(op, st).norm_sq() - 1.0))
+            worst = max(worst, abs(apply(op, st).norm_sq() - 1.0))
     _verdict(
         "c2 spin-selective scattering rules and unitarity (100 random states)",
         ok and worst < 1e-12,
@@ -194,7 +204,7 @@ def _pipeline_worst(ops, regs, rng, shots=25) -> float:
         v /= np.linalg.norm(v)
         st = qs.StateVector(tuple(regs), v.copy())
         for op in ops:
-            st = qs.apply(op, st)
+            st = apply(op, st)
         worst = max(worst, float(np.abs(st.amps - total @ v).max()))
     return worst
 
@@ -209,14 +219,14 @@ def test_c07_pipelines_match_full_matrix_products():
 
         gate_path = qs.path(1, proto.CNOT_PATHS)
         gate_regs = [spin, pol, gate_path] + ([flag] if lossy else [])
-        gate_ops = proto.plan_operators(
+        gate_ops = plan_operators(
             proto.CNOT_PLAN, model, pol=pol, path=gate_path, spin=spin, flag=flag
         )
         worst = max(worst, _pipeline_worst(gate_ops, gate_regs, rng))
 
         bsa_path = qs.path(1, proto.BSA_PATHS)
         bsa_regs = [spin, pol, bsa_path] + ([flag] if lossy else [])
-        bsa_ops = proto.plan_operators(
+        bsa_ops = plan_operators(
             proto.BSA_PLAN, model, pol=pol, path=bsa_path, spin=spin, flag=flag
         )
         worst = max(worst, _pipeline_worst(bsa_ops, bsa_regs, rng))

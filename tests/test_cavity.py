@@ -13,8 +13,11 @@ from _oracles import (
     dense_two_sided_operator,
     eigh_loss_completion,
     interpolate_models,
+    apply,
+    basis_state,
     is_unitary,
     project,
+    spin_block_operator,
 )
 
 
@@ -217,24 +220,21 @@ PATHS = ("In", "Refl", "Trans")
 
 def one_sided(model, regs, arrive_from="below"):
     """The one-sided pass In -> Refl/Trans on registers (spin, pol, path[, flag])."""
-    spin, pol, path, *flag = regs
-    return cav.one_sided_operator(
+    blocks = cav.one_sided_operator(
         model,
-        pol=pol,
-        path=path,
-        spin=spin,
-        flag=flag[0] if flag else None,
+        regs[2].basis,
         in_path="In",
         reflect_path="Refl",
         transmit_path="Trans",
         arrive_from=arrive_from,
     )
+    return spin_block_operator(blocks, regs)
 
 
 def scatter_input(pol, spin_name, arrive_from):
     regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS)]
-    state = qs.basis_state(regs, [spin_name, pol, "In"])
-    return qs.apply(one_sided(cav.InteractionModel.ideal(), regs, arrive_from), state)
+    state = basis_state(regs, [spin_name, pol, "In"])
+    return apply(one_sided(cav.InteractionModel.ideal(), regs, arrive_from), state)
 
 
 # (arrive_from, pol, spin) -> (out_pol, out_port, sign): the eight selection rules.
@@ -263,9 +263,9 @@ def test_superposed_spin_entangles_with_photon():
     sq = 1.0 / math.sqrt(2.0)
     state = qs.tensor(
         qs.from_amplitudes(qs.spin(), [sq, sq]),
-        qs.basis_state(regs[1:], ["L", "In"]),
+        basis_state(regs[1:], ["L", "In"]),
     )
-    out = qs.apply(one_sided(cav.InteractionModel.ideal(), regs, "above"), state)
+    out = apply(one_sided(cav.InteractionModel.ideal(), regs, "above"), state)
     assert out.amplitude("Up", "R", "Refl") == pytest.approx(sq)
     assert out.amplitude("Down", "L", "Trans") == pytest.approx(-sq)
 
@@ -273,21 +273,13 @@ def test_superposed_spin_entangles_with_photon():
 def test_ideal_one_sided_operator_is_unitary_on_random_states():
     rng = np.random.default_rng(42)
     regs = (qs.spin(), qs.polarization(1), qs.path(1, PATHS))
-    op = cav.one_sided_operator(
-        cav.InteractionModel.ideal(),
-        pol=regs[1],
-        path=regs[2],
-        spin=regs[0],
-        in_path="In",
-        reflect_path="Refl",
-        transmit_path="Trans",
-    )
+    op = one_sided(cav.InteractionModel.ideal(), regs)
     assert is_unitary(op)
     for _ in range(25):
         amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         amps /= np.linalg.norm(amps)
         s = qs.StateVector(regs, amps)
-        assert qs.apply(op, s).norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert apply(op, s).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scatter_twice_is_identity():
@@ -297,7 +289,7 @@ def test_scatter_twice_is_identity():
     amps /= np.linalg.norm(amps)
     s = qs.StateVector(regs, amps)
     op = one_sided(cav.InteractionModel.ideal(), regs)
-    back = qs.apply(op, qs.apply(op, s))
+    back = apply(op, apply(op, s))
     assert np.allclose(back.amps, s.amps, atol=1e-12)
 
 
@@ -312,17 +304,16 @@ _ports = st.lists(
 @given(ports=_ports, arrive_from=st.sampled_from(["below", "above"]))
 def test_ideal_one_sided_operator_is_an_involution(ports, arrive_from):
     basis, roles = ports
-    op = cav.one_sided_operator(
+    blocks = cav.one_sided_operator(
         cav.InteractionModel.ideal(),
-        pol=qs.polarization(1),
-        path=qs.path(1, basis),
-        spin=qs.spin(),
+        basis,
         in_path=roles[0],
         reflect_path=roles[1],
         transmit_path=roles[2],
         arrive_from=arrive_from,
     )
-    assert np.abs(op.matrix @ op.matrix - np.eye(op.dim)).max() <= 1e-12
+    assert blocks.shape == (2, 2 * len(basis), 2 * len(basis))
+    assert np.abs(blocks @ blocks - np.eye(blocks.shape[1])).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -337,16 +328,16 @@ def test_lossy_builders_keep_the_norm_with_the_flag(ports, two_sided, q2, fp, se
     basis, roles = ports
     model = cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp))
     regs = (qs.spin(), qs.polarization(1), qs.path(1, basis), qs.loss_flag(1))
-    common = dict(pol=regs[1], path=regs[2], spin=regs[0], flag=regs[3])
     if two_sided:
-        op = cav.two_sided_operator(model, lower_path=roles[0], upper_path=roles[1], **common)
+        blocks = cav.two_sided_operator(model, basis, lower_path=roles[0], upper_path=roles[1])
     else:
-        op = cav.one_sided_operator(
-            model, in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2], **common
+        blocks = cav.one_sided_operator(
+            model, basis, in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2]
         )
+    op = spin_block_operator(blocks, regs)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-    out = qs.apply(op, qs.StateVector(regs, amps / np.linalg.norm(amps)))
+    out = apply(op, qs.StateVector(regs, amps / np.linalg.norm(amps)))
     # the weight missing from the Alive branch is all in the Lost branch
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
@@ -363,8 +354,8 @@ def lossy_model():
 
 def test_lossy_branch_probabilities(lossy_model):
     regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS), qs.loss_flag(1)]
-    state = qs.basis_state(regs, ["Up", "R", "In", "Alive"])  # coupled branch
-    out = qs.apply(one_sided(lossy_model, regs), state)
+    state = basis_state(regs, ["Up", "R", "In", "Alive"])  # coupled branch
+    out = apply(one_sided(lossy_model, regs), state)
     cr, ct = lossy_model.coupled_reflect_amp, lossy_model.coupled_transmit_amp
     assert out.amplitude("Up", "L", "Refl", "Alive") == pytest.approx(cr)
     assert out.amplitude("Up", "R", "Trans", "Alive") == pytest.approx(-ct)
@@ -375,25 +366,10 @@ def test_lossy_branch_probabilities(lossy_model):
 
 def test_lossy_operator_is_exactly_unitary(lossy_model):
     regs = (qs.spin(), qs.polarization(1), qs.path(1, PATHS), qs.loss_flag(1))
-    op = cav.one_sided_operator(
-        lossy_model,
-        pol=regs[1],
-        path=regs[2],
-        spin=regs[0],
-        flag=regs[3],
-        in_path="In",
-        reflect_path="Refl",
-        transmit_path="Trans",
-    )
+    op = one_sided(lossy_model, regs)
     assert is_unitary(op, atol=1e-12)
     # the reflection construction makes even the lossy pass an involution
     assert np.allclose(op.matrix @ op.matrix, np.eye(op.dim), atol=1e-12)
-
-
-def test_lossy_model_without_flag_register_is_an_error(lossy_model):
-    regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS)]
-    with pytest.raises(ValueError, match="loss-flag"):
-        one_sided(lossy_model, regs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,48 +381,32 @@ ARMS = ("A", "B", "C", "D")
 
 def two_sided(model, regs):
     """The two-arm pass, lower arm B and upper arm C, on (spin, pol, path[, flag])."""
-    spin, pol, path, *flag = regs
-    return cav.two_sided_operator(
-        model,
-        pol=pol,
-        path=path,
-        spin=spin,
-        flag=flag[0] if flag else None,
-        lower_path="B",
-        upper_path="C",
-    )
+    blocks = cav.two_sided_operator(model, regs[2].basis, lower_path="B", upper_path="C")
+    return spin_block_operator(blocks, regs)
 
 
 def test_ideal_two_sided_reflects_in_place():
     regs = [qs.spin(), qs.polarization(1), qs.path(1, ARMS)]
     op = two_sided(cav.InteractionModel.ideal(), regs)
-    state = qs.basis_state(regs, ["Up", "R", "B"])  # lower arm, coupled
-    out = qs.apply(op, state)
+    state = basis_state(regs, ["Up", "R", "B"])  # lower arm, coupled
+    out = apply(op, state)
     assert out.amplitude("Up", "L", "B") == pytest.approx(1.0)
 
-    state = qs.basis_state(regs, ["Up", "L", "B"])  # lower arm, uncoupled
-    out = qs.apply(op, state)
+    state = basis_state(regs, ["Up", "L", "B"])  # lower arm, uncoupled
+    out = apply(op, state)
     assert out.amplitude("Up", "L", "C") == pytest.approx(-1.0)
 
 
 def test_ideal_two_sided_leaves_other_arms_alone():
     regs = [qs.spin(), qs.polarization(1), qs.path(1, ARMS)]
-    state = qs.basis_state(regs, ["Down", "R", "A"])
-    out = qs.apply(two_sided(cav.InteractionModel.ideal(), regs), state)
+    state = basis_state(regs, ["Down", "R", "A"])
+    out = apply(two_sided(cav.InteractionModel.ideal(), regs), state)
     assert out.amplitude("Down", "R", "A") == pytest.approx(1.0)
 
 
 def test_lossy_two_sided_is_unitary_with_flag(lossy_model):
     regs = (qs.spin(), qs.polarization(1), qs.path(1, ARMS), qs.loss_flag(1))
-    op = cav.two_sided_operator(
-        lossy_model,
-        pol=regs[1],
-        path=regs[2],
-        spin=regs[0],
-        flag=regs[3],
-        lower_path="B",
-        upper_path="C",
-    )
+    op = two_sided(lossy_model, regs)
     assert is_unitary(op, atol=1e-12)
 
 
@@ -456,20 +416,20 @@ def test_lossy_two_sided_sheds_probability_coherently(lossy_model):
     # r+t = 1; the antisymmetric combination sees r+t = 1 and loses nothing.
     sq = 1.0 / math.sqrt(2.0)
     regs = (qs.spin(), qs.polarization(1), qs.path(1, ARMS), qs.loss_flag(1))
-    a = qs.basis_state(regs, ["Up", "R", "B", "Alive"])
-    b = qs.basis_state(regs, ["Up", "L", "C", "Alive"])
+    a = basis_state(regs, ["Up", "R", "B", "Alive"])
+    b = basis_state(regs, ["Up", "L", "C", "Alive"])
     cr, ct = lossy_model.coupled_reflect_amp, lossy_model.coupled_transmit_amp
 
     sym = qs.StateVector(regs, (a.amps + b.amps) * sq)
     op = two_sided(lossy_model, regs)
-    out = qs.apply(op, sym)
+    out = apply(op, sym)
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
     _, lost_p = project(out, (qs.RegisterKind.LOSS_FLAG, 1), "Lost")
     assert lost_p == pytest.approx(1.0 - (cr - ct) ** 2, abs=1e-12)
     assert lost_p == pytest.approx(4.0 * ct * (1.0 - ct), abs=1e-12)
 
     anti = qs.StateVector(regs, (a.amps - b.amps) * sq)
-    out = qs.apply(op, anti)
+    out = apply(op, anti)
     _, lost_p = project(out, (qs.RegisterKind.LOSS_FLAG, 1), "Lost")
     assert lost_p == pytest.approx(0.0, abs=1e-12)
     # and it comes out as the matching uncoupled-pair combination, unattenuated
@@ -544,38 +504,42 @@ _ORACLE_MODELS = st.one_of(
 )
 
 
-def _flags(model):
-    """With a flag always; without one where the model is lossless and both
-    branch deficits are exactly 0 (for a nonzero deficit within the lossless
-    tolerance the full-size builder writes it into the next port's mode, see
+def _diagonal_blocks(dense, model, basis, **roles):
+    """The two spin blocks of a full-size builder's operator, which must be
+    zero off the spin diagonal, with the flag the model gives.  A lossless
+    model whose branch deficits are not exactly 0 takes the Alive corner of
+    the flagged build: unflagged, the full-size builder writes a deficit
+    within the lossless tolerance into the next port's mode (see
     test_near_lossless_pass_without_flag_drops_the_deficit)."""
     deficits = (
         cav._branch_loss_amp(model.coupled_reflect_amp, model.coupled_transmit_amp),
         cav._branch_loss_amp(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
     )
-    if model.is_lossless and deficits == (0.0, 0.0):
-        return (qs.loss_flag(1), None)
-    return (qs.loss_flag(1),)
+    flag = None if model.is_lossless and deficits == (0.0, 0.0) else qs.loss_flag(1)
+    regs = dict(pol=qs.polarization(1), path=qs.path(1, basis), spin=qs.spin(), flag=flag)
+    out = (2 if flag is None else 4) * len(basis)
+    full = dense(model, **roles, **regs).matrix.reshape(2, out, 2, out)
+    assert not full[0, :, 1].any() and not full[1, :, 0].any()
+    blocks = full[[0, 1], :, [0, 1]]
+    return blocks[:, ::2, ::2] if model.is_lossless and flag is not None else blocks
 
 
 @settings(max_examples=150, deadline=None)
 @given(model=_ORACLE_MODELS, ports=_ports, arrive_from=st.sampled_from(["below", "above"]))
 def test_per_spin_blocks_match_the_full_size_builders(model, ports, arrive_from):
     basis, roles = ports
-    for flag in _flags(model):
-        regs = dict(pol=qs.polarization(1), path=qs.path(1, basis), spin=qs.spin(), flag=flag)
-        one = dict(in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2])
-        got = cav.one_sided_operator(model, arrive_from=arrive_from, **one, **regs)
-        want = dense_one_sided_operator(model, arrive_from=arrive_from, **one, **regs)
-        assert got.domain == want.domain
-        # only the reflection's norm is summed in another order
-        assert np.abs(got.matrix - want.matrix).max() <= 1e-15
-        for arms in (roles[:2], roles[1::-1]):
-            two = dict(lower_path=arms[0], upper_path=arms[1])
-            got = cav.two_sided_operator(model, **two, **regs)
-            want = dense_two_sided_operator(model, **two, **regs)
-            assert got.domain == want.domain
-            assert np.array_equal(got.matrix, want.matrix)
+    one = dict(in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2])
+    got = cav.one_sided_operator(model, basis, arrive_from=arrive_from, **one)
+    want = _diagonal_blocks(dense_one_sided_operator, model, basis, arrive_from=arrive_from, **one)
+    assert got.shape == want.shape
+    # only the reflection's norm is summed in another order
+    assert np.abs(got - want).max() <= 1e-15
+    for arms in (roles[:2], roles[1::-1]):
+        two = dict(lower_path=arms[0], upper_path=arms[1])
+        got = cav.two_sided_operator(model, basis, **two)
+        want = _diagonal_blocks(dense_two_sided_operator, model, basis, **two)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("basis", [PATHS, ("Trans", "Refl", "In")], ids=["in-first", "in-last"])
@@ -585,7 +549,7 @@ def test_near_lossless_pass_without_flag_drops_the_deficit(basis):
     model = cav.InteractionModel(1.0 - 1e-10, 0.0, 1.0, 0.0)
     assert model.is_lossless
     regs = [qs.spin(), qs.polarization(1), qs.path(1, basis)]
-    out = qs.apply(one_sided(model, regs), qs.basis_state(regs, ["Up", "R", "In"]))
-    expected = qs.basis_state(regs, ["Up", "L", "Refl"]).amps * model.coupled_reflect_amp
+    out = apply(one_sided(model, regs), basis_state(regs, ["Up", "R", "In"]))
+    expected = basis_state(regs, ["Up", "L", "Refl"]).amps * model.coupled_reflect_amp
     assert np.array_equal(out.amps, expected)
 

