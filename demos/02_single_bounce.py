@@ -17,17 +17,18 @@ from spinphoton.cavity import InteractionModel
 SQ = 1 / np.sqrt(2)
 PORTS = ("In", "Refl", "Trans")
 
-spin = qs.from_amplitudes(qs.spin(), [SQ, SQ])
-photon = qs.tensor(
-    qs.from_amplitudes(qs.polarization(1), [1.0, 0.0]),  # R
-    qs.from_amplitudes(qs.path(1, PORTS), [1.0, 0.0, 0.0]),  # on In
+spin_amps = np.array([SQ, SQ])
+photon = np.zeros((2, len(PORTS)))  # (pol, port)
+photon[0, PORTS.index("In")] = 1.0  # R on In
+before = qs.StateVector(
+    (qs.spin(), qs.polarization(1), qs.path(1, PORTS)), np.multiply.outer(spin_amps, photon)
 )
-print("before:", qs.format_state(qs.tensor(spin, photon)))
+print("before:", qs.format_state(before))
 
 # the bounce is the heralded spin preparation's one-step plan; the ideal
 # pass needs no loss flag
 state = proto.run_photons(
-    spin.amps, [1.0, 0.0], (1,), ("In",), proto.SPIN_PREP_PLAN, InteractionModel.ideal(), PORTS
+    spin_amps, [1.0, 0.0], (1,), ("In",), proto.SPIN_PREP_PLAN, InteractionModel.ideal(), PORTS
 )
 print("after: ", qs.format_state(state))
 print()

@@ -215,6 +215,8 @@ def transmission_contrast(params: ContrastParams) -> float:
     The difference between the empty-cavity and coupled-cavity transmission
     probabilities; the working figure of merit of the interface.
     """
+    if params.purcell > 1e100:  # (1 + F_P)² may overflow; Δ is (Q/Q₀)² to the last bit
+        return params.q_ratio_sq
     return params.q_ratio_sq * (1.0 - 1.0 / (1.0 + params.purcell) ** 2)
 
 

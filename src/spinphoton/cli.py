@@ -11,10 +11,10 @@ Every command emits a flat table, as CSV (default) or as a JSON document
     {"schema_version": 1, "command": ..., "model": ..., "seed": ...,
      "rng": ..., "columns": [...], "rows": [[...], ...]}
 
-Real-valued options must be finite numbers; ``run --samples`` must be at
-least 1 and ``--seed`` non-negative.  Exit codes: 0 on success, 1 when the
-input or circuit is at fault (or a result is not finite, which JSON cannot
-carry), 2 for bad command lines.
+Real-valued options must be finite numbers; ``run --samples`` must lie in
+[1, 2^63 - 1] and ``--seed`` must be non-negative.  Exit codes: 0 on success,
+1 when the input or circuit is at fault (or a result is not finite, which
+JSON cannot carry), 2 for bad command lines.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused: it holds only immutable defaults, and every call parses
@@ -253,8 +253,8 @@ def _cmd_sweep_delta(args, parser) -> int:
 
 
 def _cmd_run(args, parser) -> int:
-    if args.samples is not None and args.samples < 1:
-        parser.error("--samples must be at least 1")
+    if args.samples is not None and not 1 <= args.samples <= meas.MAX_SHOTS:
+        parser.error(f"--samples must be at least 1 and at most {meas.MAX_SHOTS}")
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be non-negative")
     if args.samples is not None and args.seed is None:

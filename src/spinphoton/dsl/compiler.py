@@ -25,11 +25,13 @@ the protocols use, which applies the plan's spin blocks once per photon.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+
+import numpy as np
 
 from .. import measurement as meas
 from .. import protocols as proto
-from .. import qstate as qs
 from ..cavity import InteractionModel
 from ..qstate import StateVector
 from . import ast
@@ -96,29 +98,30 @@ class CompiledCircuit:
         return meas.MeasurementBases(pol=pol, ports=frozenset(port_ids), spin=spin_basis)
 
     def run(self, model: InteractionModel | None = None) -> RunResult:
+        model = model or InteractionModel.ideal()
         spin_amps = (1.0, 0.0)  # without a spin input there is no cavity
-        pieces: list[StateVector] = []
+        factors: list[np.ndarray] = []
+        ids: list[int] = []
         in_ports: dict[int, str] = {}
         for inp in self.source.inputs:
             if isinstance(inp, ast.SpinInput):
                 spin_amps = _SPIN_AMPS[inp.state]
                 continue
             if len(inp.photons) == 1:
-                amps = _PHOTON_AMPS[inp.state]
-                pieces.append(qs.from_amplitudes(qs.polarization(inp.photons[0]), amps))
+                factors.append(np.array(_PHOTON_AMPS[inp.state], dtype=np.complex128))
             else:
-                pieces.append(_PAIR_STATES[inp.state].state(inp.photons))
+                factors.append(_PAIR_STATES[inp.state].amplitudes().reshape(2, 2))
+            ids += inp.photons
             in_ports.update(dict.fromkeys(inp.photons, inp.port))
-        pols = pieces[0]
-        for piece in pieces[1:]:
-            pols = qs.tensor(pols, piece)
-        pols = qs.reorder(pols, [(qs.RegisterKind.POLARIZATION, pid) for pid in self.photon_ids])
+        entries = [in_ports[pid] for pid in self.photon_ids]
+        proto._entry_blocks(self.plan, model, self.ports, entries)  # the budget, before any 2^n array
+        # one axis per photon, in input order, then one transpose into id order
+        pols = functools.reduce(np.multiply.outer, factors).transpose(np.argsort(ids))
         state = proto.run_photons(
-            spin_amps, pols.amps, self.photon_ids, [in_ports[pid] for pid in self.photon_ids],
-            self.plan, model or InteractionModel.ideal(), self.ports,
+            spin_amps, pols, self.photon_ids, entries, self.plan, model, self.ports
         )
-        if not self.has_spin:
-            state = qs.collapse(state, (qs.RegisterKind.SPIN, 0), "Up")
+        if not self.has_spin:  # no pass flips the spin, so its Down row is zero
+            state = StateVector._adopt(state.registers[1:], state.amps[: state.dim // 2])
         bases = self.bases()
         return RunResult(state=state, distribution=meas.enumerate_outcomes(state, bases), bases=bases)
 

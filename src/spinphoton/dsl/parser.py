@@ -1,7 +1,7 @@
 """Parser for the line-oriented circuit description language.
 
-Grammar (one statement per line; ``#`` starts a comment; blank lines and CRLF
-line endings are fine)::
+Grammar (one statement per line; blanks are spaces and tabs; ``#`` starts a
+comment; blank lines and CRLF line endings are fine)::
 
     component <name> <kind>[(p=v, ...)] in=[P, ...] out=[P, ...]
     input photon <k> port <P> state <R|L|H|V>
@@ -21,8 +21,9 @@ the compiler reports those as :class:`~spinphoton.dsl.compiler.CircuitError`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import re
+from typing import NamedTuple
 
 from . import ast
 
@@ -40,59 +41,33 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclasses.dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     kind: str  # ident | number | punct | end
     line: int
     col: int
 
 
-_PUNCT = set("()[],=/*-")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+#: One token per match, its kind the group's name; blanks (space and tab)
+#: match nothing and are skipped, and any other character is a Lex error.
+_TOKEN = re.compile(
+    r"(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[()\[\],=/*-])"
+    r"|(?P<comment>#)"
+    r"|(?P<bad>[^ \t])"
+)
 
 
 def _tokenize(line: str, line_no: int) -> list[_Token]:
     out: list[_Token] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch == "#":
+    for m in _TOKEN.finditer(line):
+        kind = m.lastgroup
+        if kind == "comment":
             break
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and line[j] in _IDENT_CONT:
-                j += 1
-            out.append(_Token(line[i:j], "ident", line_no, col))
-            i = j
-        elif ch in _DIGITS or (ch == "." and i + 1 < n and line[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (line[j] in _DIGITS or (line[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or line[j] == "."
-                j += 1
-            if j < n and line[j] in "eE":
-                k = j + 1
-                if k < n and line[k] in "+-":
-                    k += 1
-                if k < n and line[k] in _DIGITS:
-                    j = k
-                    while j < n and line[j] in _DIGITS:
-                        j += 1
-            out.append(_Token(line[i:j], "number", line_no, col))
-            i = j
-        elif ch in _PUNCT:
-            out.append(_Token(ch, "punct", line_no, col))
-            i += 1
-        else:
-            raise ParseError("Lex", f"unexpected character {ch!r}", line_no, col)
+        if kind == "bad":
+            raise ParseError("Lex", f"unexpected character {m[0]!r}", line_no, m.start() + 1)
+        out.append(_Token(m[0], kind, line_no, m.start() + 1))
     out.append(_Token("", "end", line_no, len(line.rstrip()) + 1 if line.strip() else 1))
     return out
 

@@ -12,9 +12,9 @@ as ``-``.
 with one outcome axis per photon, and builds a record only for an outcome
 that occurs.
 
-Sampling (:meth:`Distribution.sample`, or :func:`sample` straight from a
-state) uses ``numpy.random.default_rng`` (PCG64).  Identical seeds give
-identical outcome tables on every platform.
+Sampling (``enumerate_outcomes(state, bases).sample(shots, seed=...)``) uses
+``numpy.random.default_rng`` (PCG64).  Identical seeds give identical outcome
+tables on every platform.
 """
 
 from __future__ import annotations
@@ -29,16 +29,19 @@ from .qstate import RegisterKind, StateVector
 
 __all__ = [
     "RNG_NAME",
+    "MAX_SHOTS",
     "PhotonOutcome",
     "OutcomeRecord",
     "MeasurementBases",
     "Distribution",
     "enumerate_outcomes",
-    "sample",
 ]
 
 #: Identifier of the sampling generator, recorded in CLI output for provenance.
 RNG_NAME = "numpy-pcg64"
+
+#: Largest shot count one draw takes: the generator counts in signed 64 bits.
+MAX_SHOTS = 2**63 - 1
 
 _MIN_PROB = 1e-15
 
@@ -136,7 +139,10 @@ class Distribution(Mapping[OutcomeRecord, float]):
         post-selected branch without its complement would silently mis-weight
         outcomes.  Records are drawn in ``str`` order with one PCG64
         multinomial, so the counts do not depend on how the mapping was built.
+        A count that is not an integer in [0, :data:`MAX_SHOTS`] is refused.
         """
+        if not isinstance(shots, (int, np.integer)) or not 0 <= shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be an integer from 0 to {MAX_SHOTS}, got {shots!r}")
         total = self.total()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
@@ -240,18 +246,3 @@ def enumerate_outcomes(state: StateVector, bases: MeasurementBases) -> Distribut
         spin = None if spin_pos is None else labels[spin_pos][row[spin_pos]]
         out[OutcomeRecord(photons=photons, spin=spin)] = p
     return Distribution(out)
-
-
-def sample(
-    state: StateVector,
-    bases: MeasurementBases,
-    shots: int,
-    *,
-    seed: int,
-) -> dict[OutcomeRecord, int]:
-    """Draw ``shots`` outcomes of ``bases`` on ``state``; see :meth:`Distribution.sample`.
-
-    A caller that already holds the distribution calls its ``sample`` method
-    and skips enumerating the outcomes again.
-    """
-    return enumerate_outcomes(state, bases).sample(shots, seed=seed)

@@ -287,6 +287,22 @@ def _spin_blocks(
     return blocks
 
 
+def _entry_blocks(
+    plan: Sequence[PlanStep], model: InteractionModel, ports: Sequence[str], in_ports: Sequence[str]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The plan's spin blocks on the distinct ``in_ports``, and those ports;
+    refuses photons whose :func:`run_photons` state would be over the budget."""
+    entries = tuple(dict.fromkeys(in_ports))
+    blocks = _spin_blocks(plan, model, ports, entries)
+    size = 2 * blocks.shape[2] ** len(in_ports)
+    if size > qs.MAX_AMPLITUDES:
+        raise ValueError(
+            f"{len(in_ports)} photons need a state of {size} amplitudes, "
+            f"over the budget of {qs.MAX_AMPLITUDES}"
+        )
+    return blocks, entries
+
+
 def run_photons(
     spin_amps: Sequence[complex],
     pols: np.ndarray,
@@ -313,15 +329,8 @@ def run_photons(
     pols = np.asarray(pols, dtype=np.complex128)
     if len(in_ports) != len(photon_ids) or pols.size != 2 ** len(photon_ids):
         raise ValueError("need one R/L axis and one entry port per photon")
-    entries = tuple(dict.fromkeys(in_ports))
-    blocks = _spin_blocks(plan, model, ports, entries)
+    blocks, entries = _entry_blocks(plan, model, ports, in_ports)
     out_dim = blocks.shape[2]  # pol′ × path′ [× flag′]
-    size = 2 * out_dim ** len(photon_ids)
-    if size > qs.MAX_AMPLITUDES:
-        raise ValueError(
-            f"{len(photon_ids)} photons need a state of {size} amplitudes, "
-            f"over the budget of {qs.MAX_AMPLITUDES}"
-        )
     psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
     done = 1
     for port in in_ports:
@@ -415,8 +424,8 @@ def conditional_spin_prep(
         if prob <= 1e-12:  # input spin had no weight on this outcome
             continue
         spin_amps_out = branch[:, qs.RL.index(_port_pol(port))]
-        spin_state = qs.from_amplitudes(qs.spin(), spin_amps_out).normalized()
-        target = qs.from_amplitudes(qs.spin(), target_amps)
+        spin_state = StateVector((qs.spin(),), spin_amps_out).normalized()
+        target = StateVector((qs.spin(),), target_amps)
         out[port] = ProtocolResult(spin_state, prob, qs.fidelity(spin_state, target))
     return out
 

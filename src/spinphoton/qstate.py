@@ -1,10 +1,11 @@
-"""Labeled tensor-product state vectors over small named registers.
+"""Labeled state vectors over small named registers.
 
 Every quantum object in this package is a dense complex state vector whose
 axes are *registers*: a photon's polarization, a photon's spatial path, the
 emitter spin, and (in lossy runs) a per-photon loss flag.  Registers carry
 their own basis-state names, amplitudes are stored row-major in register
-order, and all operations return new immutable values.
+order, and states are immutable.  The package computes on plain arrays and
+labels only its results.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import numpy as np
 #: Absolute tolerance used for "exact" algebraic checks throughout the package.
 ATOL = 1e-12
 
-#: Largest state, in amplitudes, that ``tensor`` and the photon streams build:
+#: Largest state, in amplitudes, that the photon runs and streams build:
 #: 2^25 complex amplitudes, 512 MiB; larger requests raise ``ValueError``
 #: before any allocation.  Each of these functions writes its result once,
-#: into the array the returned state keeps: ``tensor`` and ``entangle_stream``
-#: hold one result-sized array, ``run_photons`` one and its last pass's input
-#: (2/d of it for d output modes a photon, a third or less for the protocols'
-#: plans), and ``ghz(24)`` one 2^25-amplitude array for both branches,
-#: 512 MiB.
+#: into the array the returned state keeps: ``entangle_stream`` holds one
+#: result-sized array, ``run_photons`` one and its last pass's input (2/d of
+#: it for d output modes a photon, a third or less for the protocols' plans),
+#: and ``ghz(24)`` one 2^25-amplitude array for both branches, 512 MiB.
 MAX_AMPLITUDES = 2**25
 
 RL = ("R", "L")
@@ -250,65 +250,7 @@ class Operator:
         return self.matrix.shape[0]
 
 
-# -- construction ----------------------------------------------------------
-
-
-def from_amplitudes(register: Register, values: Sequence[complex]) -> StateVector:
-    """Single-register state from an amplitude list."""
-    return StateVector((register,), np.asarray(values, dtype=np.complex128))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; ``a``'s registers come first (row-major)."""
-    overlap_keys = {r.key for r in a.registers} & {r.key for r in b.registers}
-    if overlap_keys:
-        raise ValueError(f"overlapping register identity: {sorted(k[0].value for k in overlap_keys)}")
-    if a.dim * b.dim > MAX_AMPLITUDES:
-        raise ValueError(
-            f"tensor product of {a.dim * b.dim} amplitudes exceeds the budget of {MAX_AMPLITUDES}"
-        )
-    return StateVector._adopt(a.registers + b.registers, np.kron(a.amps, b.amps))
-
-
 # -- algebra ---------------------------------------------------------------
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product ⟨a|b⟩; requires identical register lists."""
-    if a.registers != b.registers:
-        raise ValueError("inner product requires identical register lists")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def collapse(
-    state: StateVector,
-    key: RegisterKey | Register,
-    outcome: str,
-    *,
-    check: bool = True,
-    tol: float = 1e-9,
-) -> StateVector:
-    """Slice out one register at a fixed outcome, dropping the register.
-
-    With ``check=True`` the amplitude outside ``outcome`` must be negligible
-    (deterministic collapse); with ``check=False`` this post-selects the
-    branch without renormalizing.
-    """
-    ax = state.axis(key)
-    reg = state.registers[ax]
-    idx = reg.index(outcome)
-    tensor_amps = state.amps.reshape(state.shape)
-    sl = [slice(None)] * len(state.registers)
-    keep = tensor_amps[tuple(sl[:ax] + [idx] + sl[ax + 1 :])]
-    if check:
-        residual = state.norm_sq() - float(np.vdot(keep, keep).real)
-        if residual > tol:
-            raise ValueError(
-                f"register {reg.kind.value}{reg.id} is not deterministically "
-                f"{outcome!r}: residual weight {residual:.3g}"
-            )
-    rest = state.registers[:ax] + state.registers[ax + 1 :]
-    return StateVector(rest, keep.reshape(-1))
 
 
 def reorder(state: StateVector, keys: Sequence[RegisterKey | Register]) -> StateVector:
@@ -367,11 +309,13 @@ def _basis_matrix(reg: Register, target: str) -> tuple[np.ndarray | None, Regist
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """|⟨â|b̂⟩|² between the normalized states."""
+    """|⟨â|b̂⟩|² between the normalized states; requires identical register lists."""
+    if a.registers != b.registers:
+        raise ValueError("fidelity requires identical register lists")
     denom = a.norm_sq() * b.norm_sq()
     if denom < ATOL:
         raise ValueError("fidelity undefined for zero states")
-    return float(abs(inner(a, b)) ** 2 / denom)
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2 / denom)
 
 
 def format_state(state: StateVector, tol: float = 1e-9) -> str:

@@ -10,13 +10,15 @@ completion of a two-sided pass by eigendecomposition, the closed forms of
 the heralded gate and of the GHZ figures, the GHZ branches formed from the
 whole stream, and both cavity passes built at full sector size.  The
 labelled state layer that the package no longer runs lives here too: a
-basis state, a register-labelled operator applied to a state, a basis
-change, and each plan step as a labelled operator.  So do a few small
+basis state, a product state, a post-selected branch, the inner product, a
+register-labelled operator applied to a state, a basis change, and each
+plan step as a labelled operator.  So do a few small
 helpers that only the tests use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 
@@ -52,6 +54,26 @@ def basis_state(registers: Sequence[Register], names: Sequence[str]) -> StateVec
         idx = idx * reg.dim + reg.index(name)
     amps[idx] = 1.0
     return StateVector(registers, amps)
+
+
+def tensor(*states: StateVector) -> StateVector:
+    """The product state; the first factor's registers come first (row-major)."""
+    registers = sum((s.registers for s in states), ())
+    return StateVector(registers, functools.reduce(np.kron, (s.amps for s in states)))
+
+
+def collapse(state: StateVector, key: RegisterKey | Register, outcome: str) -> StateVector:
+    """The branch with one register at ``outcome``, that register dropped; not renormalized."""
+    ax = state.axis(key)
+    keep = np.take(state.amps.reshape(state.shape), state.registers[ax].index(outcome), axis=ax)
+    return StateVector(state.registers[:ax] + state.registers[ax + 1 :], keep.reshape(-1))
+
+
+def inner(a: StateVector, b: StateVector) -> complex:
+    """⟨a|b⟩; requires identical register lists."""
+    if a.registers != b.registers:
+        raise ValueError("inner product requires identical register lists")
+    return complex(np.vdot(a.amps, b.amps))
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:
@@ -130,7 +152,7 @@ def project(
 def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
     """True iff the states differ by at most a global phase (and ``atol``):
     |⟨a|b⟩|, the overlap maximized over a global phase, equals ‖a‖‖b‖."""
-    return abs(abs(qs.inner(a, b)) - a.norm() * b.norm()) <= atol
+    return abs(abs(inner(a, b)) - a.norm() * b.norm()) <= atol
 
 
 def is_unitary(op: Operator, atol: float = ATOL) -> bool:

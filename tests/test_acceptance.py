@@ -14,7 +14,6 @@ import pytest
 
 from spinphoton import cavity as cav
 from spinphoton import circuits
-from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 from spinphoton.cavity import (
@@ -246,7 +245,7 @@ def test_c08_sampling_statistics():
     ]
     worst = 0.0
     for shard, (_, res) in enumerate(scenarios):
-        counts = meas.sample(res.state, res.bases, shots, seed=20260818 + shard)
+        counts = res.distribution.sample(shots, seed=20260818 + shard)
         empirical = {rec: k / shots for rec, k in counts.items()}
         worst = max(worst, total_variation(empirical, res.distribution))
     _verdict(

@@ -18,6 +18,7 @@ from _oracles import (
     is_unitary,
     project,
     spin_block_operator,
+    tensor,
 )
 
 
@@ -163,10 +164,14 @@ def test_contrast_grows_with_purcell():
     assert deltas[-1] < 0.8  # bounded by (Q/Q₀)²
 
 
-def test_model_contrast_matches_figure_of_merit():
-    c = cav.ContrastParams(q_ratio_sq=0.8, purcell=6.0)
+@pytest.mark.parametrize("purcell", [0.0, 6.0, 1e8, 1e155, 1e308])
+def test_model_contrast_matches_figure_of_merit(purcell):
+    # past F_P ≈ 1.3e154, (1 + F_P)² overflows; Δ has long reached (Q/Q₀)²
+    c = cav.ContrastParams(q_ratio_sq=0.8, purcell=purcell)
     model = cav.InteractionModel.from_contrast(c)
     assert model.contrast == pytest.approx(cav.transmission_contrast(c), abs=1e-12)
+    if purcell > 1e9:
+        assert cav.transmission_contrast(c) == 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +266,8 @@ def test_superposed_spin_entangles_with_photon():
     # |L, from above⟩ ⊗ (|↑⟩+|↓⟩)/√2 → (|R,Refl,↑⟩ − |L,Trans,↓⟩)/√2
     regs = [qs.spin(), qs.polarization(1), qs.path(1, PATHS)]
     sq = 1.0 / math.sqrt(2.0)
-    state = qs.tensor(
-        qs.from_amplitudes(qs.spin(), [sq, sq]),
+    state = tensor(
+        qs.StateVector((qs.spin(),), [sq, sq]),
         basis_state(regs[1:], ["L", "In"]),
     )
     out = apply(one_sided(cav.InteractionModel.ideal(), regs, "above"), state)

@@ -201,19 +201,28 @@ def test_an_internal_key_error_is_not_a_user_error(monkeypatch):
 
 
 class TestRun:
-    def test_oversized_circuit_is_refused_with_the_budget(self, tmp_path, capsys):
-        # seven lossy photons through the analyzer's five ports need
-        # 2·(2·5·2)^7 ≈ 2.6e9 amplitudes
-        photons = "".join(f"input photon {k} port In state R\n" for k in range(1, 8))
+    @pytest.mark.parametrize("n", [7, 24, 40])
+    def test_oversized_circuit_is_refused_with_the_budget(self, n, tmp_path, capsys):
+        # n lossy photons through the analyzer's five ports need 2·(2·5·2)^n
+        # amplitudes, ≈ 2.6e9 for seven; the refusal builds nothing of that size
+        photons = "".join(f"input photon {k} port In state R\n" for k in range(1, n + 1))
         src = circuits.load("bsa").replace("input photons 1 2 port In state PsiPlus\n", photons)
         assert photons in src
-        path = tmp_path / "seven.qc"
+        path = tmp_path / "many.qc"
         path.write_text(src)
-        assert main(["run", str(path), "--model", "lossy"]) == 1
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "--model", "lossy"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert f"{n} photons need a state of {2 * 20**n} amplitudes" in captured.err
         assert "budget" in captured.err
+        assert peak < 1 << 20
 
     def test_bundled_circuit(self, capsys):
         assert main(["run", "cnot"]) == 0
@@ -277,8 +286,9 @@ class TestRun:
             (["--samples", "-5", "--seed", "1"], "--samples"),
             (["--samples", "0", "--seed", "1"], "--samples"),
             (["--samples", "10", "--seed", "-1"], "--seed"),
+            (["--samples", "100000000000000000000000000000", "--seed", "1"], "--samples"),
         ],
-        ids=["negative-samples", "zero-samples", "negative-seed"],
+        ids=["negative-samples", "zero-samples", "negative-seed", "samples-over-int64"],
     )
     def test_bad_sample_count_or_seed_is_a_usage_error(self, argv, option, capsys):
         code, out, err = _call(["run", "cnot", *argv], capsys)

@@ -162,11 +162,12 @@ def test_lost_outcome_forbids_port():
 def test_sample_is_deterministic_and_complete():
     s = bell_pol_state()
     bases = meas.MeasurementBases(pol={1: "RL", 2: "RL"})
-    counts = meas.sample(s, bases, 1000, seed=7)
-    again = meas.sample(s, bases, 1000, seed=7)
+    dist = meas.enumerate_outcomes(s, bases)
+    counts = dist.sample(1000, seed=7)
+    again = dist.sample(1000, seed=7)
     assert counts == again
     assert sum(counts.values()) == 1000
-    other = meas.sample(s, bases, 1000, seed=8)
+    other = dist.sample(1000, seed=8)
     assert other != counts
 
 
@@ -175,10 +176,19 @@ def test_sample_rejects_subnormalized_states():
     s = qs.StateVector(regs, np.array([0.5, 0.0]))
     bases = meas.MeasurementBases(pol={1: "RL"})
     with pytest.raises(ValueError, match="unit-norm") as from_state:
-        meas.sample(s, bases, 10, seed=0)
+        outcomes_by_entry(s, bases).sample(10, seed=0)
     with pytest.raises(ValueError, match="unit-norm") as from_dist:
         meas.enumerate_outcomes(s, bases).sample(10, seed=0)
     assert str(from_state.value) == str(from_dist.value)
+
+
+@pytest.mark.parametrize("shots", [1.5, 2.0, -1, 2**63, "10"])
+def test_sample_refuses_a_count_that_is_not_a_64_bit_count(shots):
+    dist = meas.enumerate_outcomes(bell_pol_state(), meas.MeasurementBases(pol={1: "RL"}))
+    with pytest.raises(ValueError, match=f"got {shots!r}$"):
+        dist.sample(shots, seed=0)
+    assert dist.sample(0, seed=0) == {}
+    assert sum(dist.sample(np.int64(meas.MAX_SHOTS), seed=0).values()) == meas.MAX_SHOTS
 
 
 @pytest.mark.parametrize(
@@ -197,7 +207,7 @@ def test_distribution_sample_matches_sample_from_state(case, seed):
     state, bases = case()
     dist = meas.enumerate_outcomes(state, bases)
     counts = dist.sample(997, seed=seed)
-    assert counts == meas.sample(state, bases, 997, seed=seed)
+    assert counts == outcomes_by_entry(state, bases).sample(997, seed=seed)
     assert list(counts) == sorted(counts, key=str)
     assert sum(counts.values()) == 997
 
@@ -206,7 +216,7 @@ def test_sampled_frequencies_approach_born_weights():
     s = bell_pol_state()
     bases = meas.MeasurementBases(pol={1: "HV", 2: "HV"})
     n = 200_000
-    counts = meas.sample(s, bases, n, seed=123)
+    counts = meas.enumerate_outcomes(s, bases).sample(n, seed=123)
     empirical = {k: v / n for k, v in counts.items()}
     exact = meas.enumerate_outcomes(s, bases)
     assert total_variation(empirical, dict(exact)) < 0.01

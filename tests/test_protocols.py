@@ -23,14 +23,17 @@ from _oracles import (
     bsa_by_enumeration,
     change_basis,
     choi_channel,
+    collapse,
     dense_ghz_branches,
     full_matrix,
     gate_closed_form,
     ghz_closed_form,
+    inner,
     outcomes_by_entry,
     plan_operators,
     run_photons_by_transpose,
     run_plan,
+    tensor,
 )
 
 SQ = 1.0 / math.sqrt(2.0)
@@ -52,7 +55,7 @@ def test_bell_states_are_orthonormal():
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             expect = 1.0 if i == j else 0.0
-            assert qs.inner(a, b) == pytest.approx(expect)
+            assert inner(a, b) == pytest.approx(expect)
 
 
 def test_bell_state_amplitudes():
@@ -262,24 +265,24 @@ def _dense_spin_prep(spin_amps, model):
     photon = basis_state(
         [qs.polarization(1), qs.path(1, ("In", "Refl", "Trans"))], ["R", "In"]
     )
-    state = qs.tensor(
-        qs.from_amplitudes(qs.spin(), list(proto._normalize_pair(spin_amps))), photon
+    state = tensor(
+        qs.StateVector((qs.spin(),), list(proto._normalize_pair(spin_amps))), photon
     )
     if lossy:
-        state = qs.tensor(state, basis_state([qs.loss_flag(1)], ["Alive"]))
+        state = tensor(state, basis_state([qs.loss_flag(1)], ["Alive"]))
     state = run_plan(state, proto.SPIN_PREP_PLAN, model, photon=1)
     out = {}
     for port, pol, target_amps in (("Refl", "L", [1.0, 0.0]), ("Trans", "R", [0.0, 1.0])):
-        branch = qs.collapse(state, (qs.RegisterKind.PATH, 1), port, check=False)
+        branch = collapse(state, (qs.RegisterKind.PATH, 1), port)
         if lossy:
-            branch = qs.collapse(branch, (qs.RegisterKind.LOSS_FLAG, 1), "Alive", check=False)
+            branch = collapse(branch, (qs.RegisterKind.LOSS_FLAG, 1), "Alive")
         prob = branch.norm_sq()
         if prob <= 1e-12:
             continue
-        spin_state = qs.collapse(
-            branch.normalized(), (qs.RegisterKind.POLARIZATION, 1), pol, check=False
+        spin_state = collapse(
+            branch.normalized(), (qs.RegisterKind.POLARIZATION, 1), pol
         ).normalized()
-        target = qs.from_amplitudes(qs.spin(), target_amps)
+        target = qs.StateVector((qs.spin(),), target_amps)
         out[port] = proto.ProtocolResult(spin_state, prob, qs.fidelity(spin_state, target))
     return out
 
@@ -332,14 +335,14 @@ def test_stream_spin_plus_branch_is_the_bell_mixture():
     a2, b2 = 0.8, 0.6j
     res = proto.entangle_stream([(a1, b1), (a2, b2)])
     state = change_basis(res.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
-    plus = qs.collapse(state, (qs.RegisterKind.SPIN, 0), "Plus", check=False)
-    phi_plus_amp = qs.inner(proto.BellState.PHI_PLUS.state(), plus)
-    psi_plus_amp = qs.inner(proto.BellState.PSI_PLUS.state(), plus)
+    plus = collapse(state, (qs.RegisterKind.SPIN, 0), "Plus")
+    phi_plus_amp = inner(proto.BellState.PHI_PLUS.state(), plus)
+    psi_plus_amp = inner(proto.BellState.PSI_PLUS.state(), plus)
     assert phi_plus_amp == pytest.approx(SQ * (a1 * a2 + b1 * b2), abs=1e-12)
     assert psi_plus_amp == pytest.approx(SQ * (a1 * b2 + b1 * a2), abs=1e-12)
     # and nothing leaks into the odd-parity (Minus-heralded) states
-    assert qs.inner(proto.BellState.PHI_MINUS.state(), plus) == pytest.approx(0.0, abs=1e-12)
-    assert qs.inner(proto.BellState.PSI_MINUS.state(), plus) == pytest.approx(0.0, abs=1e-12)
+    assert inner(proto.BellState.PHI_MINUS.state(), plus) == pytest.approx(0.0, abs=1e-12)
+    assert inner(proto.BellState.PSI_MINUS.state(), plus) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -500,29 +503,29 @@ def _dense_stream(photon_amps, spin_amps, model, spin_phase_drift=0.0):
     spin_amps = proto._normalize_pair(spin_amps)
     amps = [proto._normalize_pair(p) for p in photon_amps]
     z = qs.Operator((qs.spin(),), np.diag([1.0, np.exp(1j * spin_phase_drift)]))
-    state = qs.from_amplitudes(qs.spin(), list(spin_amps))
-    up = qs.from_amplitudes(qs.spin(), [spin_amps[0], 0.0])
-    down = qs.from_amplitudes(qs.spin(), [0.0, spin_amps[1]])
+    state = qs.StateVector((qs.spin(),), list(spin_amps))
+    up = qs.StateVector((qs.spin(),), [spin_amps[0], 0.0])
+    down = qs.StateVector((qs.spin(),), [0.0, spin_amps[1]])
     success = 1.0
     for k, (a, b) in enumerate(amps, start=1):
         if k > 1:
             state = apply(z, state)
-        photon = qs.tensor(
-            qs.from_amplitudes(qs.polarization(k), [a, b]),
+        photon = tensor(
+            qs.StateVector((qs.polarization(k),), [a, b]),
             basis_state([qs.path(k, proto.CNOT_PATHS)], ["A"]),
         )
         if not model.is_lossless:
-            photon = qs.tensor(photon, basis_state([qs.loss_flag(k)], ["Alive"]))
-        state = run_plan(qs.tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
+            photon = tensor(photon, basis_state([qs.loss_flag(k)], ["Alive"]))
+        state = run_plan(tensor(state, photon), proto.CNOT_PLAN, model, photon=k)
         before = state.norm_sq()
-        state = qs.collapse(state, (qs.RegisterKind.PATH, k), "D", check=False)
+        state = collapse(state, (qs.RegisterKind.PATH, k), "D")
         if not model.is_lossless:
-            state = qs.collapse(state, (qs.RegisterKind.LOSS_FLAG, k), "Alive", check=False)
+            state = collapse(state, (qs.RegisterKind.LOSS_FLAG, k), "Alive")
         prob = state.norm_sq() / before
         success *= prob
         state = qs.StateVector(state.registers, state.amps / math.sqrt(prob))
-        up = qs.tensor(up, qs.from_amplitudes(qs.polarization(k), [a, b]))
-        down = qs.tensor(down, qs.from_amplitudes(qs.polarization(k), [b, a]))
+        up = tensor(up, qs.StateVector((qs.polarization(k),), [a, b]))
+        down = tensor(down, qs.StateVector((qs.polarization(k),), [b, a]))
     if spin_phase_drift == 0.0:
         fid = qs.fidelity(state, qs.StateVector(up.registers, up.amps + down.amps))
     else:
@@ -590,7 +593,7 @@ def _dense_ghz(n, model, spin_phase_drift=0.0):
     state = change_basis(stream.state, (qs.RegisterKind.SPIN, 0), "PlusMinus")
     out = {}
     for name, sign in (("Plus", 1.0), ("Minus", -1.0)):
-        branch = qs.collapse(state, (qs.RegisterKind.SPIN, 0), name, check=False)
+        branch = collapse(state, (qs.RegisterKind.SPIN, 0), name)
         target_amps = np.zeros(2**n, dtype=complex)
         target_amps[0] = SQ
         target_amps[-1] = sign * SQ
@@ -773,11 +776,11 @@ def _dense_bsa_state(two_photon_pol, model):
     """The analyzer on the full state: spin ⊗ input ⊗ each photon's path at In
     (and an Alive flag), then BSA_PLAN step by step for each photon in id order."""
     pol_ids = sorted(r.id for r in two_photon_pol.registers)
-    state = qs.tensor(qs.from_amplitudes(qs.spin(), [SQ, SQ]), two_photon_pol)
+    state = tensor(qs.StateVector((qs.spin(),), [SQ, SQ]), two_photon_pol)
     for pid in pol_ids:
-        state = qs.tensor(state, basis_state([qs.path(pid, proto.BSA_PATHS)], ["In"]))
+        state = tensor(state, basis_state([qs.path(pid, proto.BSA_PATHS)], ["In"]))
         if not model.is_lossless:
-            state = qs.tensor(state, basis_state([qs.loss_flag(pid)], ["Alive"]))
+            state = tensor(state, basis_state([qs.loss_flag(pid)], ["Alive"]))
     for pid in pol_ids:
         state = run_plan(state, proto.BSA_PLAN, model, pid)
     return state
