@@ -18,14 +18,18 @@ Three levels of description live here:
   (coupled/uncoupled × reflect/transmit) used by the gate simulations, either
   exact (``ideal()``) or built from measured quality factors and the Purcell
   factor (``from_contrast``).
-* :func:`one_sided_operator` / :func:`two_sided_operator` — one cavity pass
-  on one photon's modes, out = (pol, path[, flag]) over its ports.  A pass
-  never flips the spin, so it is two unitary blocks K[s, out, out], one per
-  spin, and nothing else is built.  In each block each polarization writes
-  one small real block: a reflection on at most four modes for the
-  one-sided pass (so the pass is an involution), the pair dilation
-  [[M, L], [L, −M]] for the two-sided pass.  The flag is there exactly when
-  the model is lossy; the ideal pass is the same builder with
+* :func:`pass_modes` / :func:`pass_block` — one cavity pass on one photon's
+  modes.  A pass never flips the spin, and for each spin it differs from
+  the identity only on a few (pol, port[, flag]) modes that no model
+  changes: there it is blockdiag(X_c, X_u), the small real block of the
+  coupled polarization's branch, then that of the uncoupled one, the same
+  for both spins.  X is a reflection on at most four modes for the
+  one-sided pass (so the pass is an involution) and the pair dilation
+  [[M, L], [L, −M]] for the two-sided pass.  The flag is there exactly
+  when the model is lossy.  :func:`one_sided_operator` and
+  :func:`two_sided_operator` give the same pass as its two dense spin
+  blocks K[s, out, out], out = (pol, path[, flag]) over the photon's
+  ports; the ideal pass is the same builder with
   ``InteractionModel.ideal()``.
 
 Every block is an exact unitary: photon loss is represented by rotating
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,6 +55,8 @@ __all__ = [
     "transmission_contrast",
     "InteractionModel",
     "coupled_polarization",
+    "pass_modes",
+    "pass_block",
     "one_sided_operator",
     "two_sided_operator",
 ]
@@ -385,48 +391,84 @@ def _dilation(reflect: float, transmit: float) -> list[list[float]]:
     return [m[0] + root[0], m[1] + root[1], root[0] + minus_m[0], root[1] + minus_m[1]]
 
 
-def _cavity_pass(
-    model: InteractionModel,
-    ports: Sequence[str],
-    arrive_from: str,
-    block: Callable[[float, float], list[list[float]]],
-    modes: Callable[[str], tuple[list, list]],
-) -> np.ndarray:
-    """One cavity pass as its two spin blocks K[s, out, out], written spin by
-    spin, on out = (pol, path[, flag]), with a flag when the model is lossy.
+def pass_modes(op: str, at: tuple[str, ...], lossy: bool) -> tuple[tuple[list, list], ...]:
+    """The modes of a cavity pass for each spin, Up then Down, as
+    ``(outs, ins)``: lists of (pol, port) modes, or of (pol, port, flag)
+    ones when ``lossy``, the coupled polarization's first.  They do not
+    depend on the model; :func:`pass_block` takes ``ins`` to ``outs``, the
+    same modes in a new order, and every other mode rides along unchanged.
 
-    Each spin's block starts as the identity.  In it each polarization p,
-    first the one that couples arriving from ``arrive_from``, writes the
-    small real ``block(r, t)`` of its branch: with (outs, ins) = ``modes(p)``,
-    lists of (polarization, port), the block takes (ins, Lost) to
-    (outs, Lost), where Lost holds the flags of the first ins, one per row
-    beyond the outs.  It replaces the identity in those columns.  Without a
-    flag (a lossless model) only its alive corner is written.
+    ``op`` is ``scatter`` with ``at`` = (in, reflect, transmit), a one-sided
+    pass from below, or ``loop_cavity`` with ``at`` = (lower, upper), a
+    two-arm pass.  Per polarization p, ``modes(p)`` gives (outs, ins, lost):
+    the block of p's branch takes (ins, Lost of lost) to (outs, Lost of lost).
     """
-    blocks = (
-        block(model.coupled_reflect_amp, model.coupled_transmit_amp),
-        block(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
-    )
-    flags = 1 if model.is_lossless else 2
-    n = len(ports)
-    dim = 2 * n * flags
+    if op == "scatter":
+        if len(set(at)) != 3:
+            raise ValueError("in/reflect/transmit ports must be three distinct names")
+        in_path, reflect_path, transmit_path = at
+
+        def modes(p: str) -> tuple[list, list, list]:
+            alive = [(p, in_path), (_flip(p), reflect_path), (p, transmit_path)]
+            return alive, alive, alive[:1]
+
+    else:
+        lower_path, upper_path = at
+        if lower_path == upper_path:
+            raise ValueError("lower and upper arms must differ")
+
+        def modes(p: str) -> tuple[list, list, list]:
+            ins = [(p, lower_path), (_flip(p), upper_path)]
+            return [(_flip(p), lower_path), (p, upper_path)], ins, ins
+
+    per_spin = []
+    for spin_name in qs.UP_DOWN:
+        c = coupled_polarization("below", spin_name)
+        outs, ins = [], []
+        for p in (c, _flip(c)):
+            p_outs, p_ins, lost = modes(p)
+            if lossy:
+                lost = [(q, port, "Lost") for q, port in lost]
+                p_outs = [(q, port, "Alive") for q, port in p_outs] + lost
+                p_ins = [(q, port, "Alive") for q, port in p_ins] + lost
+            outs += p_outs
+            ins += p_ins
+        per_spin.append((outs, ins))
+    return tuple(per_spin)
+
+
+def pass_block(model: InteractionModel, op: str) -> np.ndarray:
+    """The model's block of a cavity pass on the modes of :func:`pass_modes`,
+    the same for both spins: blockdiag(X_c, X_u), the small real block of
+    the coupled branch, then that of the uncoupled one.  X is the reflection
+    :func:`_reflection` for ``scatter`` and the pair dilation
+    :func:`_dilation` for ``loop_cavity``; for a lossless model only its
+    alive corner.
+    """
+    block = _reflection if op == "scatter" else _dilation
+    coupled = block(model.coupled_reflect_amp, model.coupled_transmit_amp)
+    uncoupled = block(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
+    size = 4 if not model.is_lossless else 3 if op == "scatter" else 2
+    out = np.zeros((2 * size, 2 * size), dtype=np.complex128)
+    out[:size, :size] = [row[:size] for row in coupled[:size]]
+    out[size:, size:] = [row[:size] for row in uncoupled[:size]]
+    return out
+
+
+def _dense_pass(
+    model: InteractionModel, ports: Sequence[str], op: str, at: tuple[str, ...], swap: bool
+) -> np.ndarray:
+    """One cavity pass as its two spin blocks K[s, out, out], read-only, on
+    out = (pol, path[, flag]) over ``ports``: the identity, with the pass's
+    block in place of its modes; ``swap`` exchanges the two spins."""
+    lossy = not model.is_lossless
+    modes = pass_modes(op, at, lossy)
+    block = pass_block(model, op)
+    dim = 2 * len(ports) * (2 if lossy else 1)
     mat = np.zeros((2, dim, dim), dtype=np.complex128)
     mat.reshape(2, -1)[:, :: dim + 1] = 1.0  # the identity in each spin
-    for spin_block, spin_name in zip(mat, qs.UP_DOWN):
-        c = coupled_polarization(arrive_from, spin_name)
-        for p, values in zip((c, _flip(c)), blocks):
-            rows, cols = (
-                [(qs.RL.index(q) * n + qs._port_index(ports, port)) * flags for q, port in side]
-                for side in modes(p)
-            )
-            if flags == 2:  # a mode's Lost entry directly follows its Alive one
-                lost = [j + 1 for j in cols[: len(values) - len(rows)]]
-                rows, cols = rows + lost, cols + lost
-            for j in cols:
-                spin_block[j, j] = 0.0
-            for i, row in zip(rows, values):
-                for j, value in zip(cols, row):
-                    spin_block[i, j] = value
+    for spin_block, (outs, ins) in zip(mat, modes[::-1] if swap else modes):
+        spin_block[np.ix_(qs._mode_rows(ports, outs), qs._mode_rows(ports, ins))] = block
     mat.flags.writeable = False
     return mat
 
@@ -452,14 +494,10 @@ def one_sided_operator(
     twice is the identity.  Ports other than the three named ones ride
     along unchanged.
     """
-    if len({in_path, reflect_path, transmit_path}) != 3:
-        raise ValueError("in/reflect/transmit ports must be three distinct names")
-
-    def modes(p: str) -> tuple[list, list]:
-        alive = [(p, in_path), (_flip(p), reflect_path), (p, transmit_path)]
-        return alive, alive
-
-    return _cavity_pass(model, ports, arrive_from, _reflection, modes)
+    at = (in_path, reflect_path, transmit_path)
+    # from above, spin Up couples what spin Down couples from below
+    swap = coupled_polarization(arrive_from, "Up") == coupled_polarization("below", "Down")
+    return _dense_pass(model, ports, "scatter", at, swap)
 
 
 def two_sided_operator(
@@ -481,10 +519,4 @@ def two_sided_operator(
     r + t = 1 per branch; the deficit is rotated into the Lost flag through
     the exact pair dilation [[M, L], [L, −M]] with L = √(1 − M²).
     """
-    if lower_path == upper_path:
-        raise ValueError("lower and upper arms must differ")
-
-    def modes(p: str) -> tuple[list, list]:
-        return [(_flip(p), lower_path), (p, upper_path)], [(p, lower_path), (_flip(p), upper_path)]
-
-    return _cavity_pass(model, ports, "below", _dilation, modes)
+    return _dense_pass(model, ports, "loop_cavity", (lower_path, upper_path), False)

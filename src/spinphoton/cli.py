@@ -12,7 +12,8 @@ Every command emits a flat table, as CSV (default) or as a JSON document
      "rng": ..., "columns": [...], "rows": [[...], ...]}
 
 Real-valued options must be finite numbers; ``run --samples`` must lie in
-[1, 2^63 - 1] and ``--seed`` must be non-negative.  Exit codes: 0 on success,
+[1, 2^63 - 1], ``--seed`` must be non-negative and ``sweep-delta --points``
+must lie in [2, :data:`MAX_POINTS`].  Exit codes: 0 on success,
 1 when the input or circuit is at fault (or a result is not finite, which
 JSON cannot carry), 2 for bad command lines.
 
@@ -45,6 +46,10 @@ from .cavity import (
 from .dsl import CircuitError, ParseError, compile_circuit, parse
 
 SCHEMA_VERSION = 1
+
+#: Most grid points ``sweep-delta`` takes; each costs one ``CavityParams``,
+#: its coefficients and one output row.
+MAX_POINTS = 10**6
 
 _GATE_LABELS = ("R_Up", "R_Down", "L_Up", "L_Down")
 _BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
@@ -221,8 +226,8 @@ def _cmd_ghz(args, parser) -> int:
 
 
 def _cmd_sweep_delta(args, parser) -> int:
-    if args.points < 2:
-        parser.error("--points must be at least 2")
+    if not 2 <= args.points <= MAX_POINTS:
+        parser.error(f"--points must be at least 2 and at most {MAX_POINTS}")
     grid = np.linspace(args.min, args.max, args.points)
     coeffs = [
         scatter_coefficients(

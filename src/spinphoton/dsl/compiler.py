@@ -26,40 +26,26 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from .. import measurement as meas
 from .. import protocols as proto
+from .. import qstate as qs
 from ..cavity import InteractionModel
 from ..qstate import StateVector
 from . import ast
 
 __all__ = ["CircuitError", "CompiledCircuit", "RunResult", "compile_circuit"]
 
-_SQ = 1.0 / math.sqrt(2.0)
-
 _IN_PLACE_KINDS = ("mirror", "hwp", "phase")
 
-_PHOTON_AMPS = {
-    "R": (1.0, 0.0),
-    "L": (0.0, 1.0),
-    "H": (_SQ, _SQ),
-    "V": (-1.0j * _SQ, 1.0j * _SQ),
-}
-_SPIN_AMPS = {
-    "Up": (1.0, 0.0),
-    "Down": (0.0, 1.0),
-    "Plus": (_SQ, _SQ),
-    "Minus": (_SQ, -_SQ),
-}
-_PAIR_STATES = {
-    "PsiPlus": proto.BellState.PSI_PLUS,
-    "PsiMinus": proto.BellState.PSI_MINUS,
-    "PhiPlus": proto.BellState.PHI_PLUS,
-    "PhiMinus": proto.BellState.PHI_MINUS,
-}
+#: Each named input state's amplitudes, R/L for a photon and Up/Down for the
+#: spin: H/V and Plus/Minus are read off the basis changes that detection
+#: uses, so an input and a detection share one convention; pairs are
+#: :class:`~spinphoton.protocols.BellState` labels.
+_PHOTON_AMPS = {"R": (1.0, 0.0), "L": (0.0, 1.0), **dict(zip(qs.HV, qs._RL_TO_HV.conj()))}
+_SPIN_AMPS = {"Up": (1.0, 0.0), "Down": (0.0, 1.0), **dict(zip(qs.PLUS_MINUS, qs._HADAMARD))}
 
 
 class CircuitError(Exception):
@@ -110,7 +96,8 @@ class CompiledCircuit:
             if len(inp.photons) == 1:
                 factors.append(np.array(_PHOTON_AMPS[inp.state], dtype=np.complex128))
             else:
-                factors.append(_PAIR_STATES[inp.state].amplitudes().reshape(2, 2))
+                pair = proto.BellState.from_label(inp.state)
+                factors.append(pair.amplitudes().reshape(2, 2))
             ids += inp.photons
             in_ports.update(dict.fromkeys(inp.photons, inp.port))
         entries = [in_ports[pid] for pid in self.photon_ids]

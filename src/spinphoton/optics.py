@@ -1,9 +1,8 @@
 """Lossless linear optics on one photon's modes.
 
-Each builder takes ``ports``, the names of the photon's spatial modes in
-order, and returns a read-only unitary matrix: on (pol, path), pol in R/L
-and row-major, for the elements that see polarization, and on path alone
-for the splitter ``bs`` and the phase plate, which do not.
+:func:`element` gives each optical step of a plan as one small unitary
+block on the few (pol, port) modes it touches, pol in R/L; every other
+mode of the photon, and its Alive/Lost flag, rides along unchanged.
 
 Conventions: the symmetric 50:50 beam splitter puts a factor i on the
 cross port; a fold mirror exchanges R and L (propagation reversal in a
@@ -14,145 +13,87 @@ extra phases.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
-from .qstate import _port_index
-
-__all__ = [
-    "cpbs_operator",
-    "cpbs4_operator",
-    "bs_operator",
-    "mirror_operator",
-    "hwp_operator",
-    "phase_operator",
-]
-
-
-def _pol_path_index(ports: Sequence[str], pol_i: int, port: str) -> int:
-    return pol_i * len(ports) + _port_index(ports, port)
-
-
-def _swap(mat: np.ndarray, i: int, j: int, amp: complex = 1.0) -> None:
-    # overwrite the identity entries with a two-state swap
-    mat[i, i] = 0.0
-    mat[j, j] = 0.0
-    mat[i, j] = amp
-    mat[j, i] = amp
-
-
-def _read_only(mat: np.ndarray) -> np.ndarray:
-    mat.flags.writeable = False
-    return mat
-
-
-def cpbs_operator(ports: Sequence[str], *, in_path: str, r_out: str, l_out: str) -> np.ndarray:
-    """Three-port circular polarizing splitter: R to ``r_out``, L to ``l_out``.
-
-    Bidirectional (swap-based), so feeding the output ports routes back to
-    ``in_path``.  An output may coincide with the input port, in which case
-    that polarization passes straight through.
-    """
-    if r_out == l_out:
-        raise ValueError("r_out and l_out must be distinct ports")
-    mat = np.eye(2 * len(ports), dtype=np.complex128)
-    if r_out != in_path:
-        _swap(mat, _pol_path_index(ports, 0, in_path), _pol_path_index(ports, 0, r_out))
-    if l_out != in_path:
-        _swap(mat, _pol_path_index(ports, 1, in_path), _pol_path_index(ports, 1, l_out))
-    return _read_only(mat)
-
-
-def cpbs4_operator(
-    ports: Sequence[str], *, in_paths: tuple[str, str], out_paths: tuple[str, str]
-) -> np.ndarray:
-    """Four-port circular splitter: R keeps rank (in[k] ↔ out[k]), L crosses.
-
-    Used as the entry/exit element of the gate interferometer, where both
-    input ports can be occupied simultaneously.
-    """
-    if len({*in_paths, *out_paths}) != 4:
-        raise ValueError("cpbs4 needs four distinct ports")
-    mat = np.eye(2 * len(ports), dtype=np.complex128)
-    for k in (0, 1):
-        _swap(
-            mat,
-            _pol_path_index(ports, 0, in_paths[k]),
-            _pol_path_index(ports, 0, out_paths[k]),
-        )
-        _swap(
-            mat,
-            _pol_path_index(ports, 1, in_paths[k]),
-            _pol_path_index(ports, 1, out_paths[1 - k]),
-        )
-    return _read_only(mat)
-
+__all__ = ["element"]
 
 _BS_BLOCK = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def bs_operator(
-    ports: Sequence[str], *, in_a: str, in_b: str, out_c: str, out_d: str
-) -> np.ndarray:
-    """Symmetric 50:50 splitter, polarization-blind, on path.
+def element(
+    op: str, at: tuple[str, ...], param: float = 0.0
+) -> tuple[np.ndarray, list[tuple[str, str]], list[tuple[str, str]]]:
+    """One optical plan step as ``(block, outs, ins)``: the read-only
+    ``block[i, j]`` is the amplitude from the mode ``ins[j]`` to the mode
+    ``outs[i]``, and ``outs`` lists the modes of ``ins`` in a new order.
 
-    ``in_a`` → (out_c + i·out_d)/√2 and ``in_b`` → (i·out_c + out_d)/√2.
-    Accepts either four distinct ports (output modes swap back onto the
-    inputs for unitarity) or the in-place form out_c = in_a, out_d = in_b
-    with two distinct inputs.
+    The ops, with their ports ``at`` in order:
+
+    * ``cpbs3`` (in, r_out, l_out) — three-port circular splitter: R to
+      ``r_out``, L to ``l_out``; bidirectional (swap-based), and an output
+      may coincide with the input port, where that polarization passes
+      straight through;
+    * ``cpbs4`` (in_a, in_b, out_a, out_b) — four-port circular splitter:
+      R keeps rank (in[k] ↔ out[k]), L crosses;
+    * ``bs`` (in_a, in_b, out_c, out_d) — symmetric 50:50 splitter,
+      polarization-blind: in_a → (out_c + i·out_d)/√2 and in_b →
+      (i·out_c + out_d)/√2, on four distinct ports (the outputs swap back
+      onto the inputs for unitarity) or in place, out_c = in_a and
+      out_d = in_b with two distinct inputs;
+    * ``mirror`` (at,) — fold mirror: exchanges R and L there;
+    * ``hwp`` (at,) — half-wave plate at angle θ = ``param``:
+      R → e^{-2iθ} L, L → e^{+2iθ} R; a θ whose 2θ is not finite is refused;
+    * ``phase`` (at,) — phase plate e^{iφ}, φ = ``param``, on both
+      polarizations; φ must be finite.
     """
-    mat = np.eye(len(ports), dtype=np.complex128)
-    ia, ib = _port_index(ports, in_a), _port_index(ports, in_b)
-    if (out_c, out_d) == (in_a, in_b):
-        if in_a == in_b:
-            raise ValueError("bs inputs must differ")
-        for i, gi in enumerate((ia, ib)):
-            for j, gj in enumerate((ia, ib)):
-                mat[gi, gj] = _BS_BLOCK[i, j]
+    if op == "cpbs3":
+        in_path, r_out, l_out = at
+        if r_out == l_out:
+            raise ValueError("r_out and l_out must be distinct ports")
+        ins, outs = [], []
+        for pol, out in (("R", r_out), ("L", l_out)):
+            if out != in_path:
+                ins += [(pol, in_path), (pol, out)]
+                outs += [(pol, out), (pol, in_path)]
+        block = np.eye(len(ins), dtype=np.complex128)
+    elif op == "cpbs4":
+        if len(set(at)) != 4:
+            raise ValueError("cpbs4 needs four distinct ports")
+        in_a, in_b, out_a, out_b = at
+        ins = [(pol, port) for pol in ("R", "L") for port in at]
+        outs = [("R", port) for port in (out_a, out_b, in_a, in_b)]
+        outs += [("L", port) for port in (out_b, out_a, in_b, in_a)]
+        block = np.eye(8, dtype=np.complex128)
+    elif op == "bs":
+        in_a, in_b, out_c, out_d = at
+        if (out_c, out_d) == (in_a, in_b):
+            if in_a == in_b:
+                raise ValueError("bs inputs must differ")
+            ins = outs = [(pol, port) for pol in ("R", "L") for port in (in_a, in_b)]
+            block = np.kron(np.eye(2), _BS_BLOCK)
+        else:
+            if len(set(at)) != 4:
+                raise ValueError("bs ports must be four distinct names or fully in-place")
+            ins = [(pol, port) for pol in ("R", "L") for port in at]
+            outs = [(pol, port) for pol in ("R", "L") for port in (out_c, out_d, in_a, in_b)]
+            half = np.zeros((4, 4), dtype=np.complex128)
+            half[:2, :2], half[2:, 2:] = _BS_BLOCK, _BS_BLOCK.T
+            block = np.kron(np.eye(2), half)
+    elif op in ("mirror", "hwp", "phase"):
+        ins = [("R", at[0]), ("L", at[0])]
+        outs = ins if op == "phase" else ins[::-1]
+        if op == "mirror":
+            block = np.eye(2, dtype=np.complex128)
+        elif op == "hwp":
+            if not math.isfinite(2.0 * param):
+                raise ValueError(f"hwp angle theta={param!r}: theta and 2*theta must be finite")
+            block = np.diag([np.exp(-2.0j * param), np.exp(2.0j * param)])
+        else:
+            if not math.isfinite(param):
+                raise ValueError(f"phase angle phi={param!r} must be finite")
+            block = np.diag([np.exp(1.0j * param)] * 2)
     else:
-        if len({in_a, in_b, out_c, out_d}) != 4:
-            raise ValueError("bs ports must be four distinct names or fully in-place")
-        oc, od = _port_index(ports, out_c), _port_index(ports, out_d)
-        for i in (ia, ib, oc, od):
-            mat[i, i] = 0.0
-        for i, gi in enumerate((oc, od)):
-            for j, gj in enumerate((ia, ib)):
-                mat[gi, gj] = _BS_BLOCK[i, j]
-                mat[gj, gi] = _BS_BLOCK[i, j]
-    return _read_only(mat)
-
-
-def mirror_operator(ports: Sequence[str], *, at: str) -> np.ndarray:
-    """Fold mirror on one port: exchanges R and L amplitudes there."""
-    mat = np.eye(2 * len(ports), dtype=np.complex128)
-    _swap(mat, _pol_path_index(ports, 0, at), _pol_path_index(ports, 1, at))
-    return _read_only(mat)
-
-
-def hwp_operator(ports: Sequence[str], *, at: str, theta: float = 0.0) -> np.ndarray:
-    """Half-wave plate at angle ``theta`` on one port.
-
-    In the circular basis: R → e^{-2iθ} L, L → e^{+2iθ} R.  A θ whose 2θ
-    is not finite is refused.
-    """
-    if not math.isfinite(2.0 * theta):
-        raise ValueError(f"hwp angle theta={theta!r}: theta and 2*theta must be finite")
-    mat = np.eye(2 * len(ports), dtype=np.complex128)
-    i_r = _pol_path_index(ports, 0, at)
-    i_l = _pol_path_index(ports, 1, at)
-    mat[i_r, i_r] = 0.0
-    mat[i_l, i_l] = 0.0
-    mat[i_l, i_r] = np.exp(-2.0j * theta)
-    mat[i_r, i_l] = np.exp(2.0j * theta)
-    return _read_only(mat)
-
-
-def phase_operator(ports: Sequence[str], *, at: str, phi: float) -> np.ndarray:
-    """Phase plate e^{iφ} on one port, both polarizations, on path; φ must be finite."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phase angle phi={phi!r} must be finite")
-    mat = np.eye(len(ports), dtype=np.complex128)
-    i = _port_index(ports, at)
-    mat[i, i] = np.exp(1.0j * phi)
-    return _read_only(mat)
+        raise ValueError(f"unknown plan step {op!r}")
+    block.flags.writeable = False
+    return block, outs, ins

@@ -27,18 +27,20 @@ Each protocol's per-photon schedule is data — :data:`CNOT_PLAN`,
 its schedule as the same data.  Photons meet only through the spin, and no
 pass flips it, so a photon's whole trip is two linear maps on the photon,
 one per spin: the spin blocks, composed on a plain array, once per model,
-on their entry ports.  What no model changes, the entry columns and each
-optical element as a matrix on the photon's modes, is the plan's frame,
-built once per process; a model builds only its cavity passes, each as
-its two spin blocks.  :func:`run_photons` applies the blocks once per
-photon.  The model keeps them, so a caller that holds one model pays for
-each plan once.  Each protocol writes its result once, into the array
-that the returned state keeps without a copy.  Only this module gives a
-photon its entry port, its path register and, under loss, its Alive/Lost
-flag.  The gate, :func:`cnot_gate_matrix`, and the stream read their 2×2
-blocks off the blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32
-coincidence amplitudes with one fixed 32×32 matrix and pairs the
-probabilities with records built once per pair of photon ids.
+on their entry ports.  Every step is a small block on the few modes it
+touches.  What no model changes is the plan's frame, built once per
+process: the entry columns taken through the optics before the first
+cavity pass, each pass's modes, and the optics after each pass folded
+into one matrix; a model builds only each pass's block.
+:func:`run_photons` applies the blocks once per photon.  The model keeps
+them, so a caller that holds one model pays for each plan once.  Each
+protocol writes its result once, into the array that the returned state
+keeps without a copy.  Only this module gives a photon its entry port,
+its path register and, under loss, its Alive/Lost flag.  The gate,
+:func:`cnot_gate_matrix`, and the stream read their 2×2 blocks off the
+blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32 coincidence
+amplitudes with one fixed 32×32 matrix and pairs the probabilities with
+records built once per pair of photon ids.
 """
 
 from __future__ import annotations
@@ -183,61 +185,53 @@ class ProtocolResult:
 # ---------------------------------------------------------------------------
 
 
-def _step_matrix(
-    step: PlanStep, ports: tuple[str, ...], model: InteractionModel | None = None
-) -> np.ndarray:
-    """One step of a plan on the photon's modes over ``ports``: an optical
-    element as its matrix on (pol, path), or on path alone for ``bs`` and
-    ``phase``; a cavity pass on the ``model`` as its two spin blocks
-    K[s, out, out], out = (pol, path[, flag]).  Every array is read-only."""
-    op, at, param = step
-    if op == "cpbs3":
-        return opt.cpbs_operator(ports, in_path=at[0], r_out=at[1], l_out=at[2])
-    if op == "cpbs4":
-        return opt.cpbs4_operator(ports, in_paths=at[:2], out_paths=at[2:])
-    if op == "bs":
-        return opt.bs_operator(ports, in_a=at[0], in_b=at[1], out_c=at[2], out_d=at[3])
-    if op == "mirror":
-        return opt.mirror_operator(ports, at=at[0])
-    if op == "hwp":
-        return opt.hwp_operator(ports, at=at[0], theta=param)
-    if op == "phase":
-        return opt.phase_operator(ports, at=at[0], phi=param)
-    if op == "scatter":
-        return cav.one_sided_operator(
-            model, ports, in_path=at[0], reflect_path=at[1], transmit_path=at[2]
-        )
-    if op == "loop_cavity":
-        return cav.two_sided_operator(model, ports, lower_path=at[0], upper_path=at[1])
-    raise ValueError(f"unknown plan step {op!r}")
-
-
 # each frame is a few KiB; the protocols need four, a circuit file one or two
 @functools.lru_cache(maxsize=64)
 def _frame(
     plan: tuple[PlanStep, ...], ports: tuple[str, ...], in_ports: tuple[str, ...], lossy: bool
-) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
+) -> tuple[np.ndarray, tuple[tuple, ...]]:
     """The part of a plan's spin blocks that no model changes, built once per
     process: the identity's entry columns on out = (p′, path′[, flag′]), as
-    [out, (p, entry)] with p Alive on its entry port, and each step of the
-    plan in order, an optical element as its matrix on out, the identity on
-    what it does not see, and a cavity pass as None.  Every array is
-    read-only."""
+    [s, out, (p, entry)] with p Alive on its entry port, taken through the
+    optics before the first cavity pass; and for each pass, in plan order,
+    its op, the rows of its modes in out for both spins, outs then ins, and
+    the optics from it to the next pass folded into one matrix on out.
+    Each optical element is one small block on the (pol, path) rows it
+    touches, the same for either flag.  Every array is read-only."""
+    optical = {
+        step: opt.element(*step) for step in dict.fromkeys(plan) if step[0] not in _CAVITY_OPS
+    }
     flags = 2 if lossy else 1
-    columns = np.zeros((2, len(ports), flags, 2, len(in_ports)), dtype=np.complex128)
-    for entry, port in enumerate(in_ports):
-        columns[:, ports.index(port), 0, :, entry] = np.eye(2)
-    columns = columns.reshape(2 * len(ports) * flags, -1)
-    columns.flags.writeable = False
-    optical = {}
-    for step in dict.fromkeys(plan):
-        if step[0] not in _CAVITY_OPS:
-            mat = _step_matrix(step, ports)
-            if step[0] in ("bs", "phase"):
-                mat = np.kron(np.eye(2), mat)
-            optical[step] = np.kron(mat, np.eye(flags))
-            optical[step].flags.writeable = False
-    return columns, tuple(optical.get(step) for step in plan)
+    out_dim = 2 * len(ports) * flags
+    entries = [(p, port) for p in qs.RL for port in in_ports]
+    columns = np.zeros((2 * len(ports), flags, len(entries)), dtype=np.complex128)
+    columns[qs._mode_rows(ports, entries), 0, range(len(entries))] = 1.0
+    # the optics act on the last of these, each viewed as [(p′, path′), (flag′, col)]
+    stages = [columns.reshape(2 * len(ports), -1)]
+    passes = []
+    for step in plan:
+        op, at, _ = step
+        if op in _CAVITY_OPS:
+            outs, ins = (
+                np.array([qs._mode_rows(ports, modes) for modes in side])
+                for side in zip(*cav.pass_modes(op, at, lossy))
+            )
+            passes.append((op, outs, ins))
+            stages.append(np.eye(out_dim, dtype=np.complex128).reshape(2 * len(ports), -1))
+        else:
+            block, outs, ins = optical[step]
+            outs, ins = qs._mode_rows(ports, outs), qs._mode_rows(ports, ins)
+            qs._apply_block(block, outs, ins, stages[-1])
+    columns, *after = (stage.reshape(out_dim, -1) for stage in stages)
+    columns = np.stack((columns, columns))  # the same for both spins
+    for array in (columns, *after, *(rows for pass_ in passes for rows in pass_[1:])):
+        array.flags.writeable = False
+    return columns, tuple((*pass_, fold) for pass_, fold in zip(passes, after))
+
+
+#: The spin index that batches a pass's rows, one row of them per spin.
+_SPINS = np.array([[0], [1]])
+_SPINS.flags.writeable = False
 
 
 def _spin_blocks(
@@ -252,13 +246,12 @@ def _spin_blocks(
     No pass flips the spin, so these two blocks are the whole pass.
 
     The flag axis is there exactly when the model is lossy and the plan
-    passes the cavity.  The model-free part, the entry columns and each
-    optical element as a matrix on out, is the plan's frame, built once per
-    process (:func:`_frame`); a model builds only its cavity passes, each
-    once, as their two spin blocks, and each takes the columns through its
-    block for the spin, in plan order with the frame's matrices.  The blocks
-    are built once per model, on their entry ports, and kept on the model
-    read-only.
+    passes the cavity.  The model-free part is the plan's frame, built once
+    per process (:func:`_frame`); per cavity pass a model builds only its
+    block, :func:`~spinphoton.cavity.pass_block`, applies it to the pass's
+    rows for both spins at once and then the optics up to the next pass as
+    one matrix.  The blocks are built once per model, on their entry ports,
+    and kept on the model read-only.
     """
     ports, in_ports = tuple(ports), tuple(in_ports)
     for port in in_ports:
@@ -269,18 +262,12 @@ def _spin_blocks(
     if blocks is not None:
         return blocks
     lossy = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
-    columns, steps = _frame(key[0], ports, in_ports, lossy)
-    # each distinct cavity pass as its two spin blocks [s, out, out]
-    passes = {
-        step: _step_matrix(step, ports, model)
-        for step in dict.fromkeys(key[0])
-        if step[0] in _CAVITY_OPS
-    }
-    blocks = columns  # [out, (p, entry)] until the first cavity pass, then [s, out, (p, entry)]
-    for step, mat in zip(key[0], steps):
-        blocks = (passes[step] if mat is None else mat) @ blocks
-    out_dim = columns.shape[0]
-    blocks = np.broadcast_to(blocks, (2, *columns.shape)).reshape(2, out_dim, 2, len(in_ports))
+    blocks, passes = _frame(key[0], ports, in_ports, lossy)  # [s, out, (p, entry)]
+    for op, outs, ins, after in passes:
+        blocks = blocks.copy()
+        qs._apply_block(cav.pass_block(model, op), (_SPINS, outs), (_SPINS, ins), blocks)
+        blocks = after @ blocks
+    blocks = blocks.reshape(2, blocks.shape[1], 2, len(in_ports))
     blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
     blocks.flags.writeable = False
     model._channels[key] = blocks

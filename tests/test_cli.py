@@ -95,6 +95,18 @@ class TestSweep:
             trans = float(r[header.index("transmit_prob")])
             assert refl + trans == pytest.approx(1.0, abs=1e-12)
 
+    def test_too_many_points_are_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as e:
+                main(["sweep-delta", "--points", "1000000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e.value.code == 2
+        assert f"at most {cli.MAX_POINTS}" in capsys.readouterr().err
+        assert peak < 1 << 20
+
     def test_on_resonance_cell_is_blank(self, capsys):
         assert main(["sweep-delta", "--min", "-1", "--max", "1", "--points", "3"]) == 0
         header, rows = _csv_rows(capsys.readouterr().out)

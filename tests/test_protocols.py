@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spinphoton import cavity as cav
 from spinphoton import circuits
 from spinphoton import measurement as meas
+from spinphoton import optics as opt
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 from spinphoton.dsl import compile_circuit, parse
@@ -430,9 +431,15 @@ def _no_build(*args, **kwargs):
     raise AssertionError("a channel was built")
 
 
+def _refuse_builds(monkeypatch):
+    """Make building any cavity block or optical element fail the test."""
+    monkeypatch.setattr(cav, "pass_block", _no_build)
+    monkeypatch.setattr(opt, "element", _no_build)
+
+
 @pytest.mark.parametrize("pair", [(math.nan, 0.0), (1.0, math.inf), (complex(0.0, -math.inf), 1.0)])
 def test_non_finite_amplitudes_are_refused_before_any_work(pair, monkeypatch):
-    monkeypatch.setattr(proto, "_step_matrix", _no_build)
+    _refuse_builds(monkeypatch)
     for call in (
         lambda: proto.cnot(pair, (1.0, 0.0)),
         lambda: proto.cnot((1.0, 0.0), pair),
@@ -466,7 +473,7 @@ def test_huge_and_subnormal_amplitude_pairs_are_normalized():
 
 @pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf])
 def test_non_finite_drift_is_refused_before_any_work(drift, monkeypatch):
-    monkeypatch.setattr(proto, "_step_matrix", _no_build)
+    _refuse_builds(monkeypatch)
     with pytest.raises(ValueError, match="spin_phase_drift"):
         proto.entangle_stream([(1.0, 0.0)], spin_phase_drift=drift)
     with pytest.raises(ValueError, match="spin_phase_drift"):
@@ -903,20 +910,70 @@ def test_entry_port_channel_matches_the_all_port_oracle(name, lossy, lossy_model
                 assert np.abs(blocks - cols).max() <= 1e-15
 
 
+def _choi_blocks(plan, model, ports, in_ports):
+    """K[entry, s, out, p] read off the plan run once on a Choi input over
+    the entry ports, as one labelled state built from the dense builders."""
+    oracle = choi_channel(plan, model, ports, in_ports)  # [s′, out…, s, p, entry]
+    out_dim = math.prod(oracle.shape[1:-3])
+    oracle = oracle.reshape(2, out_dim, 2, 2, len(in_ports))
+    return np.stack([oracle[s, :, s] for s in range(2)]).transpose(3, 0, 1, 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(list(_ALL_PLANS)), model=_valid_models, data=st.data())
 def test_spin_blocks_match_the_choi_oracle(name, model, data):
     plan, ports = _ALL_PLANS[name]
     subset = data.draw(st.lists(st.sampled_from(ports), min_size=1, unique=True), label="entries")
     for in_ports in (subset, subset[::-1]):
-        # the plan run once on a Choi input over the entry ports, as one labelled state
-        oracle = choi_channel(plan, model, ports, in_ports)  # [s′, out…, s, p, entry]
-        out_dim = math.prod(oracle.shape[1:-3])
-        oracle = oracle.reshape(2, out_dim, 2, 2, len(in_ports))
-        want = np.stack([oracle[s, :, s] for s in range(2)]).transpose(3, 0, 1, 2)
+        want = _choi_blocks(plan, model, ports, in_ports)
         blocks = proto._spin_blocks(plan, model, ports, in_ports)
         assert blocks.shape == want.shape
         assert np.abs(blocks - want).max() <= 1e-15
+
+
+_FIVE_PORTS = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def _optical_steps(draw):
+    op = draw(st.sampled_from(("cpbs3", "cpbs4", "bs", "mirror", "hwp", "phase")))
+    ports = draw(st.permutations(_FIVE_PORTS))
+    if op == "bs" and draw(st.booleans(), label="in place"):
+        return ("bs", (*ports[:2], *ports[:2]), 0.0)
+    size = {"cpbs3": 3, "cpbs4": 4, "bs": 4}.get(op, 1)
+    angle = 0.0
+    if op in ("hwp", "phase"):
+        angle = draw(st.floats(-4 * math.pi, 4 * math.pi), label="angle")
+    return (op, tuple(ports[:size]), angle)
+
+
+@st.composite
+def _plans(draw):
+    """1–6 optical steps and at most one cavity pass, anywhere among them."""
+    plan = draw(st.lists(_optical_steps(), min_size=1, max_size=6))
+    cavity = draw(st.sampled_from((None, "scatter", "loop_cavity")))
+    if cavity is not None:
+        ports = draw(st.permutations(_FIVE_PORTS))
+        step = (cavity, tuple(ports[: 3 if cavity == "scatter" else 2]), 0.0)
+        plan.insert(draw(st.integers(0, len(plan)), label="cavity at"), step)
+    return tuple(plan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    plan=_plans(),
+    model=st.one_of(st.just(cav.InteractionModel.ideal()), _valid_models),
+    data=st.data(),
+)
+def test_spin_blocks_of_arbitrary_plans_match_the_dense_builders(plan, model, data):
+    # the frame takes the columns through the optics before the pass and
+    # folds the optics after it into one matrix; the oracle runs every step
+    entries = st.lists(st.sampled_from(_FIVE_PORTS), min_size=1, max_size=2, unique=True)
+    in_ports = tuple(data.draw(entries, label="entries"))
+    want = _choi_blocks(plan, model, _FIVE_PORTS, in_ports)
+    blocks = proto._spin_blocks(plan, model, _FIVE_PORTS, in_ports)
+    assert blocks.shape == want.shape
+    assert np.abs(blocks - want).max() <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -998,14 +1055,19 @@ def _steps(plan, cavity):
 
 
 def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
-    built = []
-    step_matrix = proto._step_matrix
+    blocks, elements = [], []
+    pass_block, element = cav.pass_block, opt.element
 
-    def counting(step, ports, model=None):
-        built.append((step, model))
-        return step_matrix(step, ports, model)
+    def counting_block(model, op):
+        blocks.append((op, model))
+        return pass_block(model, op)
 
-    monkeypatch.setattr(proto, "_step_matrix", counting)
+    def counting_element(*step):
+        elements.append(step)
+        return element(*step)
+
+    monkeypatch.setattr(cav, "pass_block", counting_block)
+    monkeypatch.setattr(opt, "element", counting_element)
     proto._frame.cache_clear()
     plans = [proto.CNOT_PLAN, proto.BSA_PLAN, proto.SPIN_PREP_PLAN]
 
@@ -1015,22 +1077,26 @@ def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
     lossy_fresh = cav.InteractionModel.from_contrast(cav.ContrastParams(0.5, 2.0))
     ideal = cav.InteractionModel.ideal
     for model, fresh in ((lossy_model, lossy_fresh), (ideal(), ideal())):
-        built.clear()
+        blocks.clear()
+        elements.clear()
         _loss_point(model)
-        # one frame per (plan, ports, entries, lossy), built from its distinct
-        # optical steps with no model; the model builds its cavity steps once
-        assert sorted(step for step, used in built if used is None) == distinct(cavity=False)
-        assert sorted(step for step, used in built if used is model) == distinct(cavity=True)
-        assert len(built) == 4 + 3
-        # a fresh model builds its 3 cavity steps and no frame
-        built.clear()
-        _loss_point(fresh)
-        assert [used for _, used in built] == [fresh] * 3
+        # one frame per (plan, ports, entries, lossy) builds each of its
+        # distinct optical steps once; the model builds one block per cavity step
+        assert sorted(elements) == distinct(cavity=False)
+        assert sorted(op for op, used in blocks if used is model) == [
+            step[0] for step in distinct(cavity=True)
+        ]
+        # a fresh model builds its 3 cavity blocks and no frame, a warm one nothing
+        for again, built in ((fresh, [fresh] * 3), (model, [])):
+            blocks.clear()
+            elements.clear()
+            _loss_point(again)
+            assert [used for _, used in blocks] == built and elements == []
     assert proto._frame.cache_info().currsize == 6
     # an equal model built apart keeps its own channels
-    built.clear()
+    blocks.clear()
     proto.cnot_gate_matrix(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
-    assert len(built) == 1
+    assert len(blocks) == 1
 
 
 def test_cavity_passes_build_only_their_two_spin_blocks():
@@ -1069,12 +1135,12 @@ def test_frames_are_kept_read_only(name, lossy):
     entries = (ports[0], ports[-1])
     frame = proto._frame(tuple(plan), tuple(ports), entries, lossy)
     assert proto._frame(tuple(plan), tuple(ports), entries, lossy) is frame
-    columns, steps = frame
-    assert len(steps) == len(plan)
-    for array in (columns, *(step for step in steps if step is not None)):
+    columns, passes = frame
+    assert [op for op, *_ in passes] == [step[0] for step in _steps(plan, cavity=True)]
+    for array in (columns, *(array for _, *arrays in passes for array in arrays)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0] = 1.0
+            array[0] = 1
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
@@ -1114,10 +1180,7 @@ def test_models_with_channels_keep_equality_hash_and_repr():
 
 
 def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("the blocks were built")
-
-    monkeypatch.setattr(proto, "_step_matrix", no_build)
+    _refuse_builds(monkeypatch)
     model = cav.InteractionModel.ideal()
     with pytest.raises(ValueError, match="'Z'"):
         proto._spin_blocks(proto.CNOT_PLAN, model, proto.CNOT_PATHS, ("A", "Z"))
