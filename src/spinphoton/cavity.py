@@ -355,8 +355,9 @@ def _branch_loss_amp(reflect: float, transmit: float) -> float:
     return math.sqrt(max(deficit, 0.0))
 
 
-def _pair_blocks(reflect: float, transmit: float) -> tuple[np.ndarray, np.ndarray]:
-    """M = [[r, −t], [−t, r]], one pass of a two-sided pair, and L = √(I − M²).
+def _pair_root(reflect: float, transmit: float) -> tuple[float, float]:
+    """The diagonal and off-diagonal entries of L = √(I − M²), the loss
+    completion of M = [[r, −t], [−t, r]], one pass of a two-sided pair.
 
     M has the eigenvectors (1, ±1)/√2 for every r and t, with eigenvalues
     r ∓ t, so L = √(1 − (r−t)²)·P₊ + √(1 − (r+t)²)·P₋ with
@@ -369,26 +370,31 @@ def _pair_blocks(reflect: float, transmit: float) -> tuple[np.ndarray, np.ndarra
             raise ValueError("loss completion needs a positive semidefinite deficit")
         roots.append(math.sqrt(max(deficit, 0.0)))
     plus, minus = roots
-    diag, off = 0.5 * (plus + minus), 0.5 * (plus - minus)
-    m = np.array([[reflect, -transmit], [-transmit, reflect]])
-    return m, np.array([[diag, off], [off, diag]])
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _reflection(reflect: float, transmit: float) -> list[list[float]]:
-    """One-sided block on (in, reflect, transmit, Lost(in)): the reflection
-    I − 2|w⟩⟨w|/⟨w|w⟩ with w = e_in − v, which swaps e_in with the unit vector
-    v = (0, r, −t, λ), λ = √(1 − r² − t²)."""
-    lost = _branch_loss_amp(reflect, transmit)
-    w = (1.0, -reflect, transmit, -lost)
-    scale = 2.0 / (1.0 + reflect * reflect + transmit * transmit + lost * lost)
-    return [[float(a == b) - scale * (wa * wb) for b, wb in enumerate(w)] for a, wa in enumerate(w)]
+def _reflection(branches: Sequence[tuple[float, float]]) -> np.ndarray:
+    """One-sided blocks on (in, reflect, transmit, Lost(in)), one per branch
+    (r, t), stacked: the reflection I − 2|w⟩⟨w|/⟨w|w⟩ with w = e_in − v,
+    which swaps e_in with the unit vector v = (0, r, −t, λ),
+    λ = √(1 − r² − t²)."""
+    ws, scales = [], []
+    for reflect, transmit in branches:
+        lost = _branch_loss_amp(reflect, transmit)
+        ws.append((1.0, -reflect, transmit, -lost))
+        scales.append(2.0 / (1.0 + reflect * reflect + transmit * transmit + lost * lost))
+    w = np.array(ws)
+    return np.eye(4) - np.array(scales)[:, None, None] * (w[:, :, None] * w[:, None, :])
 
 
-def _dilation(reflect: float, transmit: float) -> list[list[float]]:
-    """Two-sided block [[M, L], [L, −M]] from :func:`_pair_blocks`."""
-    m, root = (block.tolist() for block in _pair_blocks(reflect, transmit))
-    minus_m = [[-x for x in row] for row in m]
-    return [m[0] + root[0], m[1] + root[1], root[0] + minus_m[0], root[1] + minus_m[1]]
+def _dilation(branches: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Two-sided blocks [[M, L], [L, −M]], with M and L of :func:`_pair_root`,
+    one per branch (r, t), stacked."""
+    blocks = []
+    for r, t in branches:
+        d, o = _pair_root(r, t)
+        blocks.append(((r, -t, d, o), (-t, r, o, d), (d, o, -r, t), (o, d, t, -r)))
+    return np.array(blocks)
 
 
 def pass_modes(op: str, at: tuple[str, ...], lossy: bool) -> tuple[tuple[list, list], ...]:
@@ -445,13 +451,15 @@ def pass_block(model: InteractionModel, op: str) -> np.ndarray:
     :func:`_dilation` for ``loop_cavity``; for a lossless model only its
     alive corner.
     """
-    block = _reflection if op == "scatter" else _dilation
-    coupled = block(model.coupled_reflect_amp, model.coupled_transmit_amp)
-    uncoupled = block(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
+    branches = (
+        (model.coupled_reflect_amp, model.coupled_transmit_amp),
+        (model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
+    )
+    coupled, uncoupled = (_reflection if op == "scatter" else _dilation)(branches)
     size = 4 if not model.is_lossless else 3 if op == "scatter" else 2
     out = np.zeros((2 * size, 2 * size), dtype=np.complex128)
-    out[:size, :size] = [row[:size] for row in coupled[:size]]
-    out[size:, size:] = [row[:size] for row in uncoupled[:size]]
+    out[:size, :size] = coupled[:size, :size]
+    out[size:, size:] = uncoupled[:size, :size]
     return out
 
 

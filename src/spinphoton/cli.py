@@ -277,18 +277,16 @@ def _cmd_run(args, parser) -> int:
             f"(bundled: {', '.join(circuits.names())})"
         )
 
-    result = compile_circuit(parse(source)).run(model)
-    records = sorted(result.distribution, key=str)
+    dist = compile_circuit(parse(source)).run(model).distribution
+    # every record in str order, its string formed once; the draw takes the same order
+    outcomes = dist._rows()
     if args.samples is None:
-        rows = [[str(rec), result.distribution[rec]] for rec in records]
+        rows = [[label, p] for label, _, p in outcomes]
         _emit(args, "run", ["outcome", "probability"], rows, model_info=info)
         return 0
 
-    counts = result.distribution.sample(args.samples, seed=args.seed)
-    rows = [
-        [str(rec), result.distribution[rec], counts.get(rec, 0)]
-        for rec in records
-    ]
+    counts = dist._draw(args.samples, args.seed, outcomes)
+    rows = [[label, p, count] for (label, _, p), count in zip(outcomes, counts)]
     _emit(args, "run", ["outcome", "probability", "count"], rows,
           model_info=info, seed=args.seed, rng=meas.RNG_NAME)
     return 0

@@ -20,7 +20,8 @@ tables on every platform.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator, Mapping
+import operator
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,8 +46,25 @@ MAX_SHOTS = 2**63 - 1
 
 _MIN_PROB = 1e-15
 
+_LABEL = operator.itemgetter(0)
+
 _POL_BASES = {"RL": qs.RL, "HV": qs.HV}
 _SPIN_BASES = {"UpDown": qs.UP_DOWN, "PlusMinus": qs.PLUS_MINUS}
+
+
+# Records are dict keys everywhere, so each one hashes its fields once, to
+# the value the frozen dataclass would give.  The hash is not pickled: a
+# string's hash differs between processes, so a loaded record hashes anew.
+def _keep_hash(record, fields: tuple) -> None:
+    object.__setattr__(record, "_hash", hash(fields))
+
+
+def _stored_hash(record) -> int:
+    return record._hash
+
+
+def _rebuilt(record) -> tuple:
+    return type(record), tuple(getattr(record, f.name) for f in dataclasses.fields(record))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,6 +78,10 @@ class PhotonOutcome:
     def __post_init__(self) -> None:
         if self.lost and (self.port is not None or self.pol is not None):
             raise ValueError("a lost photon has neither port nor polarization")
+        _keep_hash(self, (self.port, self.pol, self.lost))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         if self.lost:
@@ -74,6 +96,12 @@ class OutcomeRecord:
 
     photons: tuple[tuple[int, PhotonOutcome], ...]
     spin: str | None = None
+
+    def __post_init__(self) -> None:
+        _keep_hash(self, (self.photons, self.spin))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def photon(self, photon_id: int) -> PhotonOutcome:
         for pid, out in self.photons:
@@ -120,6 +148,15 @@ class Distribution(Mapping[OutcomeRecord, float]):
     def __init__(self, probs: Mapping[OutcomeRecord, float]):
         self._probs = {k: float(v) for k, v in probs.items() if v > _MIN_PROB}
 
+    @classmethod
+    def _from_pairs(cls, records: Iterable[OutcomeRecord], probs: Iterable[float]) -> "Distribution":
+        """The distribution of distinct ``records`` paired in order with their
+        float ``probs``, each kept record hashed once; as the constructor,
+        entries at or below 1e-15 are dropped."""
+        dist = object.__new__(cls)
+        dist._probs = {r: p for r, p in zip(records, probs) if p > _MIN_PROB}
+        return dist
+
     def __getitem__(self, key: OutcomeRecord) -> float:
         return self._probs[key]
 
@@ -141,6 +178,18 @@ class Distribution(Mapping[OutcomeRecord, float]):
         multinomial, so the counts do not depend on how the mapping was built.
         A count that is not an integer in [0, :data:`MAX_SHOTS`] is refused.
         """
+        rows = self._rows()
+        counts = self._draw(shots, seed, rows)
+        return {r: c for (_, r, _), c in zip(rows, counts) if c > 0}
+
+    def _rows(self) -> list[tuple[str, OutcomeRecord, float]]:
+        """(``str`` of the record, record, probability) for every record, in
+        ``str`` order, each string formed once; equal strings keep the
+        mapping's order."""
+        return sorted(((str(r), r, p) for r, p in self._probs.items()), key=_LABEL)
+
+    def _draw(self, shots: int, seed: int, rows: list[tuple[str, OutcomeRecord, float]]) -> list[int]:
+        """The counts of one :meth:`sample` draw, one per row of :meth:`_rows`."""
         if not isinstance(shots, (int, np.integer)) or not 0 <= shots <= MAX_SHOTS:
             raise ValueError(f"shots must be an integer from 0 to {MAX_SHOTS}, got {shots!r}")
         total = self.total()
@@ -149,12 +198,10 @@ class Distribution(Mapping[OutcomeRecord, float]):
                 f"outcome probabilities sum to {total:.6g}; sample() needs a "
                 "complete (unit-norm) state"
             )
-        records = sorted(self._probs, key=str)  # stable outcome order for reproducibility
-        probs = np.array([self._probs[r] for r in records])
+        probs = np.array([p for _, _, p in rows])
         probs /= probs.sum()
         rng = np.random.default_rng(seed)
-        counts = rng.multinomial(shots, probs)
-        return {r: int(c) for r, c in zip(records, counts) if c > 0}
+        return rng.multinomial(shots, probs).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover
         rows = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self._probs.items(), key=str))

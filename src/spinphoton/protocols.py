@@ -404,16 +404,20 @@ def conditional_spin_prep(
     # [spin, pol, path, flag], with a one-entry flag axis if lossless
     alive = state.amps.reshape(2, 2, len(_SPIN_PREP_PATHS), -1)[..., 0]
     out: dict[str, ProtocolResult] = {}
-    targets = {"Refl": [1.0, 0.0], "Trans": [0.0, 1.0]}
-    for port, target_amps in targets.items():
+    # Refl heralds |Up⟩ and Trans |Down⟩; the fidelity to that basis state is
+    # the weight of its one amplitude over the norm²
+    for port, target in (("Refl", qs.UP_DOWN.index("Up")), ("Trans", qs.UP_DOWN.index("Down"))):
         branch = alive[:, :, _SPIN_PREP_PATHS.index(port)]
         prob = float(np.vdot(branch, branch).real)
         if prob <= 1e-12:  # input spin had no weight on this outcome
             continue
-        spin_amps_out = branch[:, qs.RL.index(_port_pol(port))]
-        spin_state = StateVector((qs.spin(),), spin_amps_out).normalized()
-        target = StateVector((qs.spin(),), target_amps)
-        out[port] = ProtocolResult(spin_state, prob, qs.fidelity(spin_state, target))
+        spin_amps_out = branch[:, qs.RL.index(_port_pol(port))].copy()
+        norm = math.sqrt(float(np.vdot(spin_amps_out, spin_amps_out).real))
+        if norm < qs.ATOL:
+            raise ValueError("cannot normalize a (near-)zero state")
+        spin_state = StateVector._adopt((qs.spin(),), spin_amps_out / norm)
+        fid = float(abs(spin_state.amps[target]) ** 2 / spin_state.norm_sq())
+        out[port] = ProtocolResult(spin_state, prob, fid)
     return out
 
 
@@ -607,25 +611,19 @@ _DETECTION = np.kron(
 _DETECTION.flags.writeable = False
 
 @functools.lru_cache(maxsize=64)
-def _coincidences(
-    pid_lo: int, pid_hi: int
-) -> tuple[tuple[Register, ...], tuple[meas.OutcomeRecord, ...]]:
-    """The registers of the coincidence slice, (spin, pol, path cut to C/D)
-    for the lower id, then the same for the higher, and its 32 records in
-    row-major order after detection: spin ±, then each photon's (H/V, C/D)."""
-    registers = (qs.spin(),)
-    for pid in (pid_lo, pid_hi):
-        registers += (qs.polarization(pid), qs.path(pid, _DETECTOR_PORTS))
+def _coincidence_records(pid_lo: int, pid_hi: int) -> tuple[meas.OutcomeRecord, ...]:
+    """The 32 records of the coincidence slice, (spin, pol, path cut to C/D)
+    for the lower id, then the same for the higher, in row-major order after
+    detection: spin ±, then each photon's (H/V, C/D)."""
     clicks = [
         meas.PhotonOutcome(port=port, pol=pol) for pol in qs.HV for port in _DETECTOR_PORTS
     ]
-    records = tuple(
+    return tuple(
         meas.OutcomeRecord(photons=((pid_lo, lo), (pid_hi, hi)), spin=spin)
         for spin in qs.PLUS_MINUS
         for lo in clicks
         for hi in clicks
     )
-    return registers, records
 
 
 @dataclasses.dataclass(frozen=True)
@@ -648,10 +646,11 @@ def bsa(
     weight before renormalization.  Only the coincidence slice of the
     pre-detection state is detected: (spin, pol₁, path₁, pol₂, path₂) with
     each path cut to C/D and each flag to Alive, 32 amplitudes, renormalized
-    and checked as a state.  The outcome probabilities are |D·a|² for the
-    one fixed detection matrix D (spin ±, each polarization H/V), paired
-    with the 32 records of the photon ids, which are built once.
-    ``state`` is the whole pre-detection state.
+    and checked as a state's amplitudes are, on the array.  The outcome
+    probabilities are |D·a|² for the one fixed detection matrix D (spin ±,
+    each polarization H/V), paired in one pass with the 32 records of the
+    photon ids, which are built once.  ``state`` is the whole pre-detection
+    state.
     """
     state = bsa_state(two_photon_pol, model)
     pid_lo, pid_hi = (reg.id for reg in state.registers if reg.kind is RegisterKind.POLARIZATION)
@@ -662,10 +661,10 @@ def bsa(
     success = float(np.vdot(amps, amps).real)
     if success <= 1e-15:  # the weight below which an outcome is dropped
         raise ValueError("no coincidence outcomes survived the analyzer")
-    registers, records = _coincidences(pid_lo, pid_hi)
-    detected = StateVector._adopt(registers, amps * (1.0 / math.sqrt(success)))
-    probs = (np.abs(_DETECTION @ detected.amps) ** 2).tolist()
-    dist = meas.Distribution(dict(zip(records, probs)))
+    detected = (amps * (1.0 / math.sqrt(success))).reshape(-1)
+    qs._check_amps(detected)
+    probs = (np.abs(_DETECTION @ detected) ** 2).tolist()
+    dist = meas.Distribution._from_pairs(_coincidence_records(pid_lo, pid_hi), probs)
     return BsaResult(state=state, distribution=dist, success_probability=success)
 
 

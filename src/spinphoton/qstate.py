@@ -140,6 +140,17 @@ def _apply_block(block: np.ndarray, outs, ins, amps: np.ndarray) -> None:
     amps[outs] = block @ amps[ins]
 
 
+def _check_amps(amps: np.ndarray) -> None:
+    """Refuses amplitudes that no state may hold: a NaN or ±inf, or a squared
+    norm over 1 + 1e-9.  The norm² is formed once; only when it is not finite
+    are the amplitudes scanned, to tell a non-finite one from an overflow."""
+    norm_sq = float(np.vdot(amps, amps).real)
+    if not math.isfinite(norm_sq) and not np.isfinite(amps).all():
+        raise ValueError("non-finite amplitude")
+    if norm_sq > 1.0 + 1e-9:
+        raise ValueError(f"squared norm {norm_sq:.6g} exceeds 1")
+
+
 def _as_amps(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     amps = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
     amps.setflags(write=False)
@@ -191,10 +202,7 @@ class StateVector:
         keys = [r.key for r in self.registers]
         if len(set(keys)) != len(keys):
             raise ValueError(f"overlapping register identities: {keys}")
-        if not np.all(np.isfinite(self.amps.view(np.float64))):
-            raise ValueError("non-finite amplitude")
-        if self.norm_sq() > 1.0 + 1e-9:
-            raise ValueError(f"squared norm {self.norm_sq():.6g} exceeds 1")
+        _check_amps(self.amps)
 
     # -- shape helpers -----------------------------------------------------
 
@@ -272,14 +280,18 @@ class Operator:
 
 
 def reorder(state: StateVector, keys: Sequence[RegisterKey | Register]) -> StateVector:
-    """Permute registers into the order given by ``keys`` (all must be named)."""
+    """Permute registers into the order given by ``keys`` (all must be named).
+
+    ``state`` itself when its registers are already in that order; otherwise
+    a state that keeps the one transposed copy it makes."""
     want = [k.key if isinstance(k, Register) else k for k in keys]
     if len(want) != len(state.registers) or set(want) != {r.key for r in state.registers}:
         raise ValueError("reorder keys must be a permutation of the state's registers")
     perm = [state.axis(k) for k in want]
-    tensor_amps = state.amps.reshape(state.shape)
-    out = np.transpose(tensor_amps, perm)
-    return StateVector(tuple(state.registers[i] for i in perm), out.reshape(-1))
+    if perm == list(range(len(perm))):  # states are immutable: the state itself will do
+        return state
+    out = np.transpose(state.amps.reshape(state.shape), perm)
+    return StateVector._adopt(tuple(state.registers[i] for i in perm), out.reshape(-1))
 
 
 # -- basis changes ---------------------------------------------------------

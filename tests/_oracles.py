@@ -13,8 +13,10 @@ optical element as its dense matrix over the photon's ports.  The
 labelled state layer that the package no longer runs lives here too: a
 basis state, a product state, a post-selected branch, the inner product, a
 register-labelled operator applied to a state, a basis change, and each
-plan step as a labelled operator.  So do a few small
-helpers that only the tests use.
+plan step as a labelled operator.  So do the analyzer and the heralded
+spin preparation as they made a state of each step, a cavity pass's block
+written from Python lists, and a few small helpers that only the tests
+use.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from spinphoton.cavity import (
     InteractionModel,
     _branch_loss_amp,
     _flip,
-    _pair_blocks,
+    _pair_root,
     coupled_polarization,
     one_sided_operator,
     two_sided_operator,
@@ -196,6 +198,14 @@ def total_variation(
     """Total-variation distance ½ Σ |p − q| over the union of outcomes."""
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def pair_blocks(reflect: float, transmit: float) -> tuple[np.ndarray, np.ndarray]:
+    """M = [[r, −t], [−t, r]], one pass of a two-sided pair, and its loss
+    completion L = √(I − M²) from the closed form the package uses."""
+    diag, off = _pair_root(reflect, transmit)
+    m = np.array([[reflect, -transmit], [-transmit, reflect]])
+    return m, np.array([[diag, off], [off, diag]])
 
 
 def eigh_loss_completion(reflect: float, transmit: float) -> np.ndarray:
@@ -629,8 +639,8 @@ def dense_two_sided_operator(
         i = (qs.RL.index(pol_name) * path.dim + path.index(path_name)) * nf
         return i + (1 if lost else 0)
 
-    m_c, l_c = _pair_blocks(model.coupled_reflect_amp, model.coupled_transmit_amp)
-    m_u, l_u = _pair_blocks(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
+    m_c, l_c = pair_blocks(model.coupled_reflect_amp, model.coupled_transmit_amp)
+    m_u, l_u = pair_blocks(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
 
     sectors = []
     for spin_name in qs.UP_DOWN:
@@ -833,3 +843,113 @@ def phase_operator(ports: Sequence[str], *, at: str, phi: float) -> np.ndarray:
     i = _port_index(ports, at)
     mat[i, i] = np.exp(1.0j * phi)
     return _read_only(mat)
+
+
+# -- the protocols as they built a state per step --------------------------
+#
+# The analyzer and the heralded spin preparation before they worked on the
+# arrays: the analyzer makes its detected slice a state and pairs its
+# records through a dict; the spin preparation makes each branch, its
+# normalized copy and its target a state and takes the fidelity of two
+# states.  The package's versions must match them bit for bit.
+
+
+@functools.lru_cache(maxsize=64)
+def _coincidences(
+    pid_lo: int, pid_hi: int
+) -> tuple[tuple[Register, ...], tuple[OutcomeRecord, ...]]:
+    """The registers of the coincidence slice, (spin, pol, path cut to C/D)
+    for the lower id, then the same for the higher, and its 32 records in
+    row-major order after detection: spin ±, then each photon's (H/V, C/D)."""
+    registers = (qs.spin(),)
+    for pid in (pid_lo, pid_hi):
+        registers += (qs.polarization(pid), qs.path(pid, proto._DETECTOR_PORTS))
+    clicks = [
+        PhotonOutcome(port=port, pol=pol) for pol in qs.HV for port in proto._DETECTOR_PORTS
+    ]
+    records = tuple(
+        OutcomeRecord(photons=((pid_lo, lo), (pid_hi, hi)), spin=spin)
+        for spin in qs.PLUS_MINUS
+        for lo in clicks
+        for hi in clicks
+    )
+    return registers, records
+
+
+def bsa_by_states(
+    two_photon_pol: StateVector,
+    model: InteractionModel | None = None,
+) -> proto.BsaResult:
+    """:func:`~spinphoton.protocols.bsa` with its detected slice made a state
+    and its records paired with the probabilities in a dict."""
+    state = proto.bsa_state(two_photon_pol, model)
+    pid_lo, pid_hi = (reg.id for reg in state.registers if reg.kind is RegisterKind.POLARIZATION)
+    # [s, p₁, path₁, flag₁, p₂, path₂, flag₂], with one-entry flag axes if lossless
+    flag = state.registers[-1].dim if state.registers[-1].kind is RegisterKind.LOSS_FLAG else 1
+    amps = state.amps.reshape(2, 2, len(proto.BSA_PATHS), flag, 2, len(proto.BSA_PATHS), flag)
+    amps = amps[:, :, proto._DETECTORS, 0, :, proto._DETECTORS, 0]
+    success = float(np.vdot(amps, amps).real)
+    if success <= 1e-15:  # the weight below which an outcome is dropped
+        raise ValueError("no coincidence outcomes survived the analyzer")
+    registers, records = _coincidences(pid_lo, pid_hi)
+    detected = StateVector._adopt(registers, amps * (1.0 / math.sqrt(success)))
+    probs = (np.abs(proto._DETECTION @ detected.amps) ** 2).tolist()
+    dist = Distribution(dict(zip(records, probs)))
+    return proto.BsaResult(state=state, distribution=dist, success_probability=success)
+
+
+def spin_prep_by_states(
+    spin_amps: tuple[complex, complex],
+    model: InteractionModel | None = None,
+) -> dict[str, proto.ProtocolResult]:
+    """:func:`~spinphoton.protocols.conditional_spin_prep` with each branch,
+    its normalized copy and its target made a state, and the fidelity taken
+    between two states."""
+    model = model or InteractionModel.ideal()
+    state = proto.run_photons(
+        proto._normalize_pair(spin_amps), [1.0, 0.0], (1,), ("In",),
+        proto.SPIN_PREP_PLAN, model, proto._SPIN_PREP_PATHS,
+    )
+    # [spin, pol, path, flag], with a one-entry flag axis if lossless
+    alive = state.amps.reshape(2, 2, len(proto._SPIN_PREP_PATHS), -1)[..., 0]
+    out: dict[str, proto.ProtocolResult] = {}
+    targets = {"Refl": [1.0, 0.0], "Trans": [0.0, 1.0]}
+    for port, target_amps in targets.items():
+        branch = alive[:, :, proto._SPIN_PREP_PATHS.index(port)]
+        prob = float(np.vdot(branch, branch).real)
+        if prob <= 1e-12:  # input spin had no weight on this outcome
+            continue
+        spin_amps_out = branch[:, qs.RL.index(proto._port_pol(port))]
+        spin_state = StateVector((qs.spin(),), spin_amps_out).normalized()
+        target = StateVector((qs.spin(),), target_amps)
+        out[port] = proto.ProtocolResult(spin_state, prob, qs.fidelity(spin_state, target))
+    return out
+
+
+# -- a cavity pass's block from Python lists -------------------------------
+
+
+def _reflection_rows(reflect: float, transmit: float) -> list[list[float]]:
+    lost = _branch_loss_amp(reflect, transmit)
+    w = (1.0, -reflect, transmit, -lost)
+    scale = 2.0 / (1.0 + reflect * reflect + transmit * transmit + lost * lost)
+    return [[float(a == b) - scale * (wa * wb) for b, wb in enumerate(w)] for a, wa in enumerate(w)]
+
+
+def _dilation_rows(reflect: float, transmit: float) -> list[list[float]]:
+    m, root = (block.tolist() for block in pair_blocks(reflect, transmit))
+    minus_m = [[-x for x in row] for row in m]
+    return [m[0] + root[0], m[1] + root[1], root[0] + minus_m[0], root[1] + minus_m[1]]
+
+
+def pass_block_from_lists(model: InteractionModel, op: str) -> np.ndarray:
+    """:func:`~spinphoton.cavity.pass_block` with each branch's block written
+    entry by entry as nested Python lists."""
+    block = _reflection_rows if op == "scatter" else _dilation_rows
+    coupled = block(model.coupled_reflect_amp, model.coupled_transmit_amp)
+    uncoupled = block(model.uncoupled_reflect_amp, model.uncoupled_transmit_amp)
+    size = 4 if not model.is_lossless else 3 if op == "scatter" else 2
+    out = np.zeros((2 * size, 2 * size), dtype=np.complex128)
+    out[:size, :size] = [row[:size] for row in coupled[:size]]
+    out[size:, size:] = [row[:size] for row in uncoupled[:size]]
+    return out

@@ -16,6 +16,8 @@ from _oracles import (
     apply,
     basis_state,
     is_unitary,
+    pair_blocks,
+    pass_block_from_lists,
     project,
     spin_block_operator,
     tensor,
@@ -472,7 +474,7 @@ def test_closed_form_loss_completion_matches_eigh(model):
         (model.coupled_reflect_amp, model.coupled_transmit_amp),
         (model.uncoupled_reflect_amp, model.uncoupled_transmit_amp),
     ):
-        m, closed = cav._pair_blocks(reflect, transmit)
+        m, closed = pair_blocks(reflect, transmit)
         assert np.array_equal(m, [[reflect, -transmit], [-transmit, reflect]])
         # the symmetric square root of I − M²
         assert np.array_equal(closed, closed.T)
@@ -487,7 +489,7 @@ def test_closed_form_loss_completion_matches_eigh(model):
 
 @pytest.mark.parametrize("reflect, transmit", [(0.7, 0.4), (0.5, -0.6)], ids=["r+t", "r-t"])
 def test_loss_completion_refuses_an_overcomplete_branch(reflect, transmit):
-    for completion in (cav._pair_blocks, eigh_loss_completion):
+    for completion in (pair_blocks, eigh_loss_completion):
         with pytest.raises(ValueError, match="positive semidefinite"):
             completion(reflect, transmit)
 
@@ -558,3 +560,23 @@ def test_near_lossless_pass_without_flag_drops_the_deficit(basis):
     expected = basis_state(regs, ["Up", "L", "Refl"]).amps * model.coupled_reflect_amp
     assert np.array_equal(out.amps, expected)
 
+
+
+@pytest.mark.parametrize("op", ["scatter", "loop_cavity"])
+def test_pass_block_equals_the_block_written_from_lists(op):
+    rng = np.random.default_rng(24)
+    models = [cav.InteractionModel.ideal()]
+    for _ in range(120):  # the loss analysis's models
+        q2, fp = rng.uniform(1e-6, 1.0), rng.uniform(0.0, 50.0)
+        models.append(cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp)))
+    for _ in range(120):  # any valid model, a third of them on a branch's r + t = 1 edge
+        coupled_r, uncoupled_t = rng.uniform(0.0, 1.0, size=2)
+        coupled_t, uncoupled_r = (
+            (1.0 - first) * (1.0 if rng.uniform() < 1 / 3 else rng.uniform())
+            for first in (coupled_r, uncoupled_t)
+        )
+        models.append(cav.InteractionModel(coupled_r, coupled_t, uncoupled_t, uncoupled_r))
+    for model in models:
+        block = cav.pass_block(model, op)
+        assert block.dtype == np.complex128
+        assert np.array_equal(block, pass_block_from_lists(model, op))

@@ -322,6 +322,21 @@ class TestRun:
         _, rows = _csv_rows(capsys.readouterr().out)
         assert sum(int(r[2]) for r in rows) == 100
 
+    @pytest.mark.parametrize("samples", [[], ["--samples", "100", "--seed", "2"]], ids=["exact", "sampled"])
+    def test_run_forms_each_record_string_once(self, samples, monkeypatch, capsys):
+        formed = []
+        record_str = meas.OutcomeRecord.__str__
+
+        def counted(record):
+            formed.append(record)
+            return record_str(record)
+
+        monkeypatch.setattr(meas.OutcomeRecord, "__str__", counted)
+        assert main(["run", "bsa", "--model", "lossy", *samples]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert len(formed) == len(rows) == len(set(formed))
+        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+
     def test_sampling_is_deterministic(self, capsys):
         assert main(["run", "cnot", "--samples", "1000", "--seed", "11"]) == 0
         first = capsys.readouterr().out

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,3 +239,88 @@ def test_bases_validate_names():
         meas.MeasurementBases(pol={1: "XY"})
     with pytest.raises(ValueError):
         meas.MeasurementBases(spin="Sideways")
+
+
+# ---------------------------------------------------------------------------
+# records hash their fields once, and stay sound as dict keys
+
+
+def _click(port="C", pol="H", spin="Plus"):
+    return meas.OutcomeRecord(
+        photons=((1, meas.PhotonOutcome(port=port, pol=pol)), (2, meas.PhotonOutcome(lost=True))),
+        spin=spin,
+    )
+
+
+def test_equal_records_built_apart_hash_equal():
+    a, b = _click(), _click()
+    assert a == b and a is not b and a.photons[0][1] is not b.photons[0][1]
+    assert hash(a) == hash(b)
+    assert {a: 0.5}[b] == 0.5
+    # the values the frozen dataclasses give
+    assert hash(a) == hash((a.photons, a.spin))
+    click = a.photons[0][1]
+    assert hash(click) == hash((click.port, click.pol, click.lost))
+
+
+def test_replaced_records_hash_as_built():
+    a = _click()
+    b = dataclasses.replace(a, spin="Minus")
+    assert b == _click(spin="Minus") and hash(b) == hash(_click(spin="Minus"))
+    lost = dataclasses.replace(meas.PhotonOutcome(), lost=True)
+    assert hash(lost) == hash(meas.PhotonOutcome(lost=True))
+    with pytest.raises(ValueError, match="neither port nor polarization"):
+        dataclasses.replace(a.photons[0][1], lost=True)
+
+
+def test_records_keep_their_fields_and_text():
+    assert [f.name for f in dataclasses.fields(meas.PhotonOutcome)] == ["port", "pol", "lost"]
+    assert [f.name for f in dataclasses.fields(meas.OutcomeRecord)] == ["photons", "spin"]
+    record = _click()
+    assert str(record) == "1=C:H 2=lost spin=Plus"
+    assert repr(record) == (
+        "OutcomeRecord(photons=((1, PhotonOutcome(port='C', pol='H', lost=False)), "
+        "(2, PhotonOutcome(port=None, pol=None, lost=True))), spin='Plus')"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.spin = "Minus"
+
+
+_PICKLE_RECORD = """
+import pickle, sys
+from spinphoton import measurement as meas
+record = meas.OutcomeRecord(photons=((1, meas.PhotonOutcome(port="C", pol="H")),), spin="Plus")
+if sys.argv[1] == "dump":
+    with open(sys.argv[2], "wb") as f:
+        pickle.dump({record: 0.25}, f)
+else:
+    with open(sys.argv[2], "rb") as f:
+        loaded = pickle.load(f)
+    (key,) = loaded
+    assert key == record and hash(key) == hash(record)
+    assert loaded[record] == 0.25 and {record: 0.75}[key] == 0.75
+    print("found")
+"""
+
+
+def test_a_pickled_record_is_found_under_another_hash_seed(tmp_path):
+    # a hash kept from the first process would file the key under the
+    # wrong string hashes in the second
+    src = pathlib.Path(meas.__file__).resolve().parent.parent
+    path = tmp_path / "records.pickle"
+    outputs = []
+    for step, seed in (("dump", "1"), ("load", "2")):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _PICKLE_RECORD, step, str(path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout)
+    assert outputs == ["", "found\n"]
+
+
+def test_distribution_from_pairs_matches_the_constructor():
+    records = [_click(spin=s) for s in ("Plus", "Minus")] + [_click(port="D")]
+    probs = [0.5, 1e-16, 0.25]
+    paired = meas.Distribution._from_pairs(records, probs)
+    built = meas.Distribution(dict(zip(records, probs)))
+    assert list(paired.items()) == list(built.items()) == [(records[0], 0.5), (records[2], 0.25)]

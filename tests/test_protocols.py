@@ -22,6 +22,7 @@ from _oracles import (
     apply,
     basis_state,
     bsa_by_enumeration,
+    bsa_by_states,
     change_basis,
     choi_channel,
     collapse,
@@ -34,6 +35,7 @@ from _oracles import (
     plan_operators,
     run_photons_by_transpose,
     run_plan,
+    spin_prep_by_states,
     tensor,
 )
 
@@ -1189,3 +1191,127 @@ def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
             (1.0, 0.0), [1.0, 0.0, 0.0, 0.0], (1, 2), ("In", "Out"),
             proto.BSA_PLAN, model, proto.BSA_PATHS,
         )
+
+
+# ---------------------------------------------------------------------------
+# the analyzer and the spin preparation on plain arrays, against the oracles
+# that made a state of each step: the same bits, and the same refusals
+
+_ORACLE_MODELS = st.one_of(
+    st.just(cav.InteractionModel.ideal()),
+    _valid_models,
+    st.builds(
+        lambda q2, fp: cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp)),
+        st.floats(1e-6, 1.0),
+        st.floats(0.0, 1e3),
+    ),
+)
+
+
+def _largest_difference(got, want) -> float:
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return float(np.abs(got - want).max()) if got.shape == want.shape else math.inf
+
+
+def _assert_same_state(got: qs.StateVector, want: qs.StateVector) -> None:
+    assert got.registers == want.registers
+    assert np.array_equal(got.amps, want.amps), (
+        f"amplitudes differ, largest difference {_largest_difference(got.amps, want.amps):.3g}"
+    )
+    assert not got.amps.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_ORACLE_MODELS,
+    ids=st.sampled_from([(1, 2), (2, 1), (5, 3), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bsa_matches_its_state_built_oracle_bit_for_bit(model, ids, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    state = qs.StateVector(
+        (qs.polarization(ids[0]), qs.polarization(ids[1])), amps / np.linalg.norm(amps)
+    )
+    try:
+        want = bsa_by_states(state, model)
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+            proto.bsa(state, model)
+        return
+    got = proto.bsa(state, model)
+    _assert_same_state(got.state, want.state)
+    assert got.success_probability == want.success_probability, (
+        f"success differs by {abs(got.success_probability - want.success_probability):.3g}"
+    )
+    assert list(got.distribution) == list(want.distribution)
+    got_probs, want_probs = list(got.distribution.values()), list(want.distribution.values())
+    assert got_probs == want_probs, (
+        f"probabilities differ, largest difference {_largest_difference(got_probs, want_probs):.3g}"
+    )
+
+
+_spin_amps = st.tuples(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+).filter(lambda pair: pair != (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_ORACLE_MODELS, spin=st.one_of(st.sampled_from([(1, 0), (0, 1j), (SQ, SQ)]), _spin_amps))
+def test_spin_prep_matches_its_state_built_oracle_bit_for_bit(model, spin):
+    try:
+        want = spin_prep_by_states(spin, model)
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+            proto.conditional_spin_prep(spin, model)
+        return
+    got = proto.conditional_spin_prep(spin, model)
+    assert list(got) == list(want)
+    for port, res in want.items():
+        _assert_same_state(got[port].state, res.state)
+        assert got[port].success_probability == res.success_probability, (
+            f"{port}: success differs by "
+            f"{abs(got[port].success_probability - res.success_probability):.3g}"
+        )
+        assert got[port].fidelity == res.fidelity, (
+            f"{port}: fidelity differs by {abs(got[port].fidelity - res.fidelity):.3g}"
+        )
+
+
+def test_bsa_refuses_when_no_coincidence_survives():
+    dark = cav.InteractionModel(0.0, 0.0, 0.0, 0.0)  # the cavity loses every photon
+    for run in (proto.bsa, bsa_by_states):
+        with pytest.raises(ValueError, match="^no coincidence outcomes survived the analyzer$"):
+            run(proto.BellState.PSI_PLUS.state(), dark)
+
+
+def test_spin_prep_refuses_a_branch_with_no_spin_amplitude(monkeypatch):
+    # read each port in the polarization the photon never leaves it in: the
+    # branch keeps its weight, but the spin state it heralds is zero
+    monkeypatch.setattr(proto, "_port_pol", lambda port: "R" if port == "Refl" else "L")
+    for run in (proto.conditional_spin_prep, spin_prep_by_states):
+        with pytest.raises(ValueError, match=r"^cannot normalize a \(near-\)zero state$"):
+            run((0.6, 0.8))
+
+
+def test_a_loss_point_checks_each_state_it_returns_and_no_more(monkeypatch):
+    # every protocol result is a checked state, and only they and the
+    # analyzer's Bell inputs are: 1 (cnot) + 4 × 2 (bsa) + 3 (spin prep) + 2 (ghz)
+    checked = []
+    check = qs.StateVector._check
+
+    def counting_check(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(qs.StateVector, "_check", counting_check)
+    model = cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0))
+    proto.cnot_gate_matrix(model)
+    returned = [proto.cnot((1.0, 0.0), (0.6, 0.8), model).state]
+    for bell in proto.BellState:
+        returned.append(proto.bsa(bell.state((1, 2)), model).state)
+    returned += [res.state for res in proto.conditional_spin_prep((0.6, 0.8j), model).values()]
+    returned += [res.state for res in proto.ghz(4, model).values()]
+    assert len(checked) == 14
+    assert all(any(state is seen for seen in checked) for state in returned)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -199,6 +200,48 @@ def test_reorder_is_a_permutation():
     assert perm.amplitude("Up", "R", "A") == pytest.approx(s.amplitude("R", "A", "Up"))
     back = qs.reorder(perm, regs)
     assert np.allclose(back.amps, s.amps)
+
+
+def test_reorder_returns_its_input_when_the_order_holds():
+    regs = (qs.polarization(1), qs.path(1, ("A", "B", "C")), qs.spin())
+    s = qs.StateVector(regs, np.full(12, 1 / math.sqrt(12)))
+    assert qs.reorder(s, regs) is s
+    assert qs.reorder(s, [r.key for r in regs]) is s
+
+
+def test_reorder_gives_a_read_only_correctly_permuted_state():
+    rng = np.random.default_rng(24)
+    # distinct sizes, so a wrong permutation cannot pass for a right one
+    regs = (qs.polarization(1), qs.path(1, ("A", "B", "C")), qs.loss_flag(1), qs.spin())
+    amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+    s = qs.StateVector(regs, amps / np.linalg.norm(amps))
+    for perm in itertools.permutations(range(len(regs))):
+        out = qs.reorder(s, [regs[i] for i in perm])
+        assert out.registers == tuple(regs[i] for i in perm)
+        assert not out.amps.flags.writeable
+        assert out.norm_sq() == pytest.approx(s.norm_sq(), abs=1e-15)
+        for names in itertools.product(*(r.basis for r in regs)):
+            assert out.amplitude(*(names[i] for i in perm)) == s.amplitude(*names)
+    with pytest.raises(ValueError, match="permutation"):
+        qs.reorder(s, regs[:3])
+
+
+@pytest.mark.parametrize(
+    "amps, message",
+    [
+        ([np.nan, 0.0], "non-finite amplitude"),
+        ([np.inf, 0.0], "non-finite amplitude"),
+        ([0.0, -np.inf], "non-finite amplitude"),
+        ([complex(np.inf, np.nan), 0.0], "non-finite amplitude"),
+        ([1e200, 1e200j], "squared norm inf exceeds 1"),  # finite, but norm² overflows
+        ([1.0, 1.0], "squared norm 2 exceeds 1"),
+    ],
+    ids=["nan", "inf", "minus-inf", "inf-nan", "norm-overflow", "norm"],
+)
+def test_state_checks_refuse_with_their_messages(amps, message):
+    for build in (qs.StateVector, qs.StateVector._adopt):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build((qs.polarization(1),), np.array(amps, dtype=complex))
 
 
 class TestChangeBasis:
