@@ -1,4 +1,4 @@
-"""Spin-selective cavity scattering: coefficients, loss models, operators.
+"""Spin-selective cavity scattering: coefficients, loss models, pass blocks.
 
 A single emitter spin sits in a double-sided optical microcavity.  A photon
 arriving in a circular-polarization eigenstate either couples to the emitter
@@ -26,11 +26,7 @@ Three levels of description live here:
   for both spins.  X is a reflection on at most four modes for the
   one-sided pass (so the pass is an involution) and the pair dilation
   [[M, L], [L, −M]] for the two-sided pass.  The flag is there exactly
-  when the model is lossy.  :func:`one_sided_operator` and
-  :func:`two_sided_operator` give the same pass as its two dense spin
-  blocks K[s, out, out], out = (pol, path[, flag]) over the photon's
-  ports; the ideal pass is the same builder with
-  ``InteractionModel.ideal()``.
+  when the model is lossy.
 
 Every block is an exact unitary: photon loss is represented by rotating
 amplitude into the photon's Alive/Lost flag rather than by dropping norm.
@@ -57,8 +53,6 @@ __all__ = [
     "coupled_polarization",
     "pass_modes",
     "pass_block",
-    "one_sided_operator",
-    "two_sided_operator",
 ]
 
 
@@ -462,69 +456,3 @@ def pass_block(model: InteractionModel, op: str) -> np.ndarray:
     out[size:, size:] = uncoupled[:size, :size]
     return out
 
-
-def _dense_pass(
-    model: InteractionModel, ports: Sequence[str], op: str, at: tuple[str, ...], swap: bool
-) -> np.ndarray:
-    """One cavity pass as its two spin blocks K[s, out, out], read-only, on
-    out = (pol, path[, flag]) over ``ports``: the identity, with the pass's
-    block in place of its modes; ``swap`` exchanges the two spins."""
-    lossy = not model.is_lossless
-    modes = pass_modes(op, at, lossy)
-    block = pass_block(model, op)
-    dim = 2 * len(ports) * (2 if lossy else 1)
-    mat = np.zeros((2, dim, dim), dtype=np.complex128)
-    mat.reshape(2, -1)[:, :: dim + 1] = 1.0  # the identity in each spin
-    for spin_block, (outs, ins) in zip(mat, modes[::-1] if swap else modes):
-        spin_block[np.ix_(qs._mode_rows(ports, outs), qs._mode_rows(ports, ins))] = block
-    mat.flags.writeable = False
-    return mat
-
-
-def one_sided_operator(
-    model: InteractionModel,
-    ports: Sequence[str],
-    *,
-    in_path: str,
-    reflect_path: str,
-    transmit_path: str,
-    arrive_from: str = "below",
-) -> np.ndarray:
-    """The two spin blocks of one photon meeting the cavity from a single
-    input port, K[s, out, out] on out = (pol, path[, flag]) over ``ports``.
-
-    Amplitude entering on ``in_path`` leaves on ``reflect_path`` (polarization
-    flipped, + sign) or ``transmit_path`` (polarization kept, − sign); with a
-    lossy model the branch deficit rotates into the photon's Lost flag.  For
-    each spin, each polarization gets the reflection that swaps its input
-    mode with that output state, on at most four modes.  The two reflections
-    act on disjoint modes, so each block is an involution: applying it
-    twice is the identity.  Ports other than the three named ones ride
-    along unchanged.
-    """
-    at = (in_path, reflect_path, transmit_path)
-    # from above, spin Up couples what spin Down couples from below
-    swap = coupled_polarization(arrive_from, "Up") == coupled_polarization("below", "Down")
-    return _dense_pass(model, ports, "scatter", at, swap)
-
-
-def two_sided_operator(
-    model: InteractionModel,
-    ports: Sequence[str],
-    *,
-    lower_path: str,
-    upper_path: str,
-) -> np.ndarray:
-    """The two spin blocks of a photon meeting the cavity inside a two-arm
-    interferometer, K[s, out, out] on out = (pol, path[, flag]) over ``ports``.
-
-    The ``lower_path`` arm arrives from below, the ``upper_path`` arm from
-    above.  Reflection keeps the arm and flips polarization; transmission
-    crosses to the other arm with a − sign.  So each branch's pair of modes,
-    (p, lower) and (flip p, upper), passes onto the other pair through
-    M = [[r, −t], [−t, r]].  Because reflected and transmitted amplitudes
-    recombine coherently, a lossy model loses probability even when
-    r + t = 1 per branch; the deficit is rotated into the Lost flag through
-    the exact pair dilation [[M, L], [L, −M]] with L = √(1 − M²).
-    """
-    return _dense_pass(model, ports, "loop_cavity", (lower_path, upper_path), False)

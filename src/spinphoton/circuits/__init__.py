@@ -17,6 +17,6 @@ def load(name: str) -> str:
     """Return the source text of a bundled circuit (e.g. ``"cnot"``)."""
     path = resources.files(__name__).joinpath(f"{name}.qc")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise KeyError(f"no bundled circuit {name!r}; have {', '.join(names())}") from None

@@ -267,8 +267,9 @@ def _cmd_run(args, parser) -> int:
     model, info = _build_model(args, parser)
 
     path = pathlib.Path(args.circuit)
-    if path.exists():
-        source = path.read_text(encoding="utf-8")
+    # a directory of the same name does not hide a bundled circuit; a BOM is dropped
+    if path.exists() and not path.is_dir():
+        source = path.read_text(encoding="utf-8-sig")
     elif args.circuit in circuits.names():
         source = circuits.load(args.circuit)
     else:

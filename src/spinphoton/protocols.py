@@ -36,7 +36,8 @@ into one matrix; a model builds only each pass's block.
 them, so a caller that holds one model pays for each plan once.  Each
 protocol writes its result once, into the array that the returned state
 keeps without a copy.  Only this module gives a photon its entry port,
-its path register and, under loss, its Alive/Lost flag.  The gate,
+its path register and, under loss, its Alive/Lost flag, and only it maps
+a photon's (pol, port[, flag]) modes to the rows of its axis.  The gate,
 :func:`cnot_gate_matrix`, and the stream read their 2×2 blocks off the
 blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32 coincidence
 amplitudes with one fixed 32×32 matrix and pairs the probabilities with
@@ -49,7 +50,7 @@ import dataclasses
 import enum
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -185,6 +186,24 @@ class ProtocolResult:
 # ---------------------------------------------------------------------------
 
 
+def _port_index(ports: Sequence[str], port: str) -> int:
+    """The position of ``port`` among a photon's ``ports``; refuses an unknown one."""
+    try:
+        return ports.index(port)
+    except ValueError:
+        raise ValueError(f"{port!r} is not one of the ports {tuple(ports)}") from None
+
+
+def _mode_rows(ports: Sequence[str], modes: Iterable[tuple[str, ...]]) -> list[int]:
+    """Each mode's row in a photon's axis over ``ports``: a (pol, port) mode
+    on the (pol, path) axis, a (pol, port, flag) mode on (pol, path, flag)."""
+    rows = []
+    for pol, port, *flag in modes:
+        row = qs.RL.index(pol) * len(ports) + _port_index(ports, port)
+        rows.append(row * 2 + qs.ALIVE_LOST.index(flag[0]) if flag else row)
+    return rows
+
+
 # each frame is a few KiB; the protocols need four, a circuit file one or two
 @functools.lru_cache(maxsize=64)
 def _frame(
@@ -205,7 +224,7 @@ def _frame(
     out_dim = 2 * len(ports) * flags
     entries = [(p, port) for p in qs.RL for port in in_ports]
     columns = np.zeros((2 * len(ports), flags, len(entries)), dtype=np.complex128)
-    columns[qs._mode_rows(ports, entries), 0, range(len(entries))] = 1.0
+    columns[_mode_rows(ports, entries), 0, range(len(entries))] = 1.0
     # the optics act on the last of these, each viewed as [(p′, path′), (flag′, col)]
     stages = [columns.reshape(2 * len(ports), -1)]
     passes = []
@@ -213,15 +232,15 @@ def _frame(
         op, at, _ = step
         if op in _CAVITY_OPS:
             outs, ins = (
-                np.array([qs._mode_rows(ports, modes) for modes in side])
+                np.array([_mode_rows(ports, modes) for modes in side])
                 for side in zip(*cav.pass_modes(op, at, lossy))
             )
             passes.append((op, outs, ins))
             stages.append(np.eye(out_dim, dtype=np.complex128).reshape(2 * len(ports), -1))
         else:
             block, outs, ins = optical[step]
-            outs, ins = qs._mode_rows(ports, outs), qs._mode_rows(ports, ins)
-            qs._apply_block(block, outs, ins, stages[-1])
+            last = stages[-1]
+            last[_mode_rows(ports, outs)] = block @ last[_mode_rows(ports, ins)]
     columns, *after = (stage.reshape(out_dim, -1) for stage in stages)
     columns = np.stack((columns, columns))  # the same for both spins
     for array in (columns, *after, *(rows for pass_ in passes for rows in pass_[1:])):
@@ -265,7 +284,7 @@ def _spin_blocks(
     blocks, passes = _frame(key[0], ports, in_ports, lossy)  # [s, out, (p, entry)]
     for op, outs, ins, after in passes:
         blocks = blocks.copy()
-        qs._apply_block(cav.pass_block(model, op), (_SPINS, outs), (_SPINS, ins), blocks)
+        blocks[_SPINS, outs] = cav.pass_block(model, op) @ blocks[_SPINS, ins]
         blocks = after @ blocks
     blocks = blocks.reshape(2, blocks.shape[1], 2, len(in_ports))
     blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))

@@ -114,32 +114,6 @@ def loss_flag(photon: int) -> Register:
     return _register(RegisterKind.LOSS_FLAG, photon, ALIVE_LOST)
 
 
-def _port_index(ports: Sequence[str], port: str) -> int:
-    """The position of ``port`` among a photon's ``ports``; refuses an unknown one."""
-    try:
-        return ports.index(port)
-    except ValueError:
-        raise ValueError(f"{port!r} is not one of the ports {tuple(ports)}") from None
-
-
-def _mode_rows(ports: Sequence[str], modes: Iterable[tuple[str, ...]]) -> list[int]:
-    """Each mode's row in a photon's axis over ``ports``: a (pol, port) mode
-    on the (pol, path) axis, a (pol, port, flag) mode on (pol, path, flag)."""
-    rows = []
-    for pol, port, *flag in modes:
-        row = RL.index(pol) * len(ports) + _port_index(ports, port)
-        rows.append(row * 2 + ALIVE_LOST.index(flag[0]) if flag else row)
-    return rows
-
-
-def _apply_block(block: np.ndarray, outs, ins, amps: np.ndarray) -> None:
-    """amps[outs] = block @ amps[ins], in place: the block takes the rows
-    ``ins`` of ``amps`` to the rows ``outs``, the same rows in a new order,
-    and leaves every other row as it is.  Each index may batch a leading
-    axis, such as the spin."""
-    amps[outs] = block @ amps[ins]
-
-
 def _check_amps(amps: np.ndarray) -> None:
     """Refuses amplitudes that no state may hold: a NaN or ±inf, or a squared
     norm over 1 + 1e-9.  The norm² is formed once; only when it is not finite

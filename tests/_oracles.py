@@ -8,8 +8,9 @@ run of its plan on a Choi input, the outcome table read entry by entry, the
 analyzer's outcome table enumerated on its coincidence slice, the loss
 completion of a two-sided pass by eigendecomposition, the closed forms of
 the heralded gate and of the GHZ figures, the GHZ branches formed from the
-whole stream, both cavity passes built at full sector size, and each
-optical element as its dense matrix over the photon's ports.  The
+whole stream, both cavity passes built at full sector size, a cavity
+pass's block placed into its two dense spin blocks, and each optical
+element as its dense matrix over the photon's ports.  The
 labelled state layer that the package no longer runs lives here too: a
 basis state, a product state, a post-selected branch, the inner product, a
 register-labelled operator applied to a state, a basis change, and each
@@ -35,8 +36,8 @@ from spinphoton.cavity import (
     _flip,
     _pair_root,
     coupled_polarization,
-    one_sided_operator,
-    two_sided_operator,
+    pass_block,
+    pass_modes,
 )
 from spinphoton.measurement import (
     Distribution,
@@ -52,7 +53,6 @@ from spinphoton.qstate import (
     RegisterKey,
     RegisterKind,
     StateVector,
-    _port_index,
 )
 
 
@@ -292,6 +292,24 @@ def bsa_by_enumeration(state: StateVector) -> tuple[Distribution, float]:
     return enumerate_outcomes(StateVector(registers, amps), bases), success
 
 
+def dense_pass(
+    model: InteractionModel, ports: Sequence[str], op: str, at: tuple[str, ...], swap: bool
+) -> np.ndarray:
+    """One cavity pass as its two spin blocks K[s, out, out], read-only, on
+    out = (pol, path[, flag]) over ``ports``: the identity, with the pass's
+    block in place of its modes; ``swap`` exchanges the two spins."""
+    lossy = not model.is_lossless
+    modes = pass_modes(op, at, lossy)
+    block = pass_block(model, op)
+    dim = 2 * len(ports) * (2 if lossy else 1)
+    mat = np.zeros((2, dim, dim), dtype=np.complex128)
+    mat.reshape(2, -1)[:, :: dim + 1] = 1.0  # the identity in each spin
+    for spin_block, (outs, ins) in zip(mat, modes[::-1] if swap else modes):
+        spin_block[np.ix_(proto._mode_rows(ports, outs), proto._mode_rows(ports, ins))] = block
+    mat.flags.writeable = False
+    return mat
+
+
 def step_matrix(
     step: proto.PlanStep, ports: Sequence[str], model: InteractionModel | None = None
 ) -> np.ndarray:
@@ -300,12 +318,8 @@ def step_matrix(
     and ``phase`` lifted from path; a cavity pass on the ``model`` as its
     two spin blocks K[s, out, out], out = (pol, path[, flag])."""
     op, at, param = step
-    if op == "scatter":
-        return one_sided_operator(
-            model, ports, in_path=at[0], reflect_path=at[1], transmit_path=at[2]
-        )
-    if op == "loop_cavity":
-        return two_sided_operator(model, ports, lower_path=at[0], upper_path=at[1])
+    if op in ("scatter", "loop_cavity"):
+        return dense_pass(model, ports, op, at, False)
     if op == "cpbs3":
         return cpbs_operator(ports, in_path=at[0], r_out=at[1], l_out=at[2])
     if op == "cpbs4":
@@ -516,11 +530,11 @@ def dense_ghz_branches(
 
 # The cavity builders as they were before the per-spin blocks: full-size
 # Householder reflections for the one-sided pass, entry-by-entry placement
-# for the two-sided pass.  The package's builders must agree with them, with
-# one known exception: without a flag register, dense_one_sided_operator
-# writes the nonzero deficit of a model that is lossless only within
-# tolerance into the next port's mode (or past the end of the sector), where
-# the package's builder leaves it out.
+# for the two-sided pass.  The package's blocks, placed by dense_pass, must
+# agree with them, with one known exception: without a flag register,
+# dense_one_sided_operator writes the nonzero deficit of a model that is
+# lossless only within tolerance into the next port's mode (or past the end
+# of the sector), where the package's block leaves it out.
 
 
 def _householder(dim: int, w: np.ndarray) -> np.ndarray:
@@ -718,7 +732,7 @@ def _spin_block_diag(sectors: list[np.ndarray]) -> np.ndarray:
 
 
 def _pol_path_index(ports: Sequence[str], pol_i: int, port: str) -> int:
-    return pol_i * len(ports) + _port_index(ports, port)
+    return pol_i * len(ports) + proto._port_index(ports, port)
 
 
 def _swap(mat: np.ndarray, i: int, j: int, amp: complex = 1.0) -> None:
@@ -790,7 +804,7 @@ def bs_operator(
     with two distinct inputs.
     """
     mat = np.eye(len(ports), dtype=np.complex128)
-    ia, ib = _port_index(ports, in_a), _port_index(ports, in_b)
+    ia, ib = proto._port_index(ports, in_a), proto._port_index(ports, in_b)
     if (out_c, out_d) == (in_a, in_b):
         if in_a == in_b:
             raise ValueError("bs inputs must differ")
@@ -800,7 +814,7 @@ def bs_operator(
     else:
         if len({in_a, in_b, out_c, out_d}) != 4:
             raise ValueError("bs ports must be four distinct names or fully in-place")
-        oc, od = _port_index(ports, out_c), _port_index(ports, out_d)
+        oc, od = proto._port_index(ports, out_c), proto._port_index(ports, out_d)
         for i in (ia, ib, oc, od):
             mat[i, i] = 0.0
         for i, gi in enumerate((oc, od)):
@@ -840,7 +854,7 @@ def phase_operator(ports: Sequence[str], *, at: str, phi: float) -> np.ndarray:
     if not math.isfinite(phi):
         raise ValueError(f"phase angle phi={phi!r} must be finite")
     mat = np.eye(len(ports), dtype=np.complex128)
-    i = _port_index(ports, at)
+    i = proto._port_index(ports, at)
     mat[i, i] = np.exp(1.0j * phi)
     return _read_only(mat)
 

@@ -30,6 +30,7 @@ from spinphoton.qstate import RegisterKind
 from _oracles import (
     apply,
     basis_state,
+    dense_pass,
     full_matrix,
     interpolate_models,
     plan_operators,
@@ -92,14 +93,11 @@ def test_c02_spin_selective_scattering():
     worst = 0.0
     rng = np.random.default_rng(2)
     for side in ("below", "above"):
-        op = spin_block_operator(
-            cav.one_sided_operator(
-                InteractionModel.ideal(), regs[2].basis,
-                in_path="In", reflect_path="Refl", transmit_path="Trans",
-                arrive_from=side,
-            ),
-            regs,
+        blocks = dense_pass(
+            InteractionModel.ideal(), regs[2].basis, "scatter", ("In", "Refl", "Trans"),
+            side == "above",
         )
+        op = spin_block_operator(blocks, regs)
         mat = op.matrix
         worst = max(
             worst, float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max())

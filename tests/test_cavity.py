@@ -10,6 +10,7 @@ from spinphoton import qstate as qs
 
 from _oracles import (
     dense_one_sided_operator,
+    dense_pass,
     dense_two_sided_operator,
     eigh_loss_completion,
     interpolate_models,
@@ -227,14 +228,8 @@ PATHS = ("In", "Refl", "Trans")
 
 def one_sided(model, regs, arrive_from="below"):
     """The one-sided pass In -> Refl/Trans on registers (spin, pol, path[, flag])."""
-    blocks = cav.one_sided_operator(
-        model,
-        regs[2].basis,
-        in_path="In",
-        reflect_path="Refl",
-        transmit_path="Trans",
-        arrive_from=arrive_from,
-    )
+    # from above, spin Up couples what spin Down couples from below: the spins swap
+    blocks = dense_pass(model, regs[2].basis, "scatter", PATHS, arrive_from == "above")
     return spin_block_operator(blocks, regs)
 
 
@@ -311,13 +306,8 @@ _ports = st.lists(
 @given(ports=_ports, arrive_from=st.sampled_from(["below", "above"]))
 def test_ideal_one_sided_operator_is_an_involution(ports, arrive_from):
     basis, roles = ports
-    blocks = cav.one_sided_operator(
-        cav.InteractionModel.ideal(),
-        basis,
-        in_path=roles[0],
-        reflect_path=roles[1],
-        transmit_path=roles[2],
-        arrive_from=arrive_from,
+    blocks = dense_pass(
+        cav.InteractionModel.ideal(), basis, "scatter", tuple(roles[:3]), arrive_from == "above"
     )
     assert blocks.shape == (2, 2 * len(basis), 2 * len(basis))
     assert np.abs(blocks @ blocks - np.eye(blocks.shape[1])).max() <= 1e-12
@@ -336,11 +326,9 @@ def test_lossy_builders_keep_the_norm_with_the_flag(ports, two_sided, q2, fp, se
     model = cav.InteractionModel.from_contrast(cav.ContrastParams(q2, fp))
     regs = (qs.spin(), qs.polarization(1), qs.path(1, basis), qs.loss_flag(1))
     if two_sided:
-        blocks = cav.two_sided_operator(model, basis, lower_path=roles[0], upper_path=roles[1])
+        blocks = dense_pass(model, basis, "loop_cavity", tuple(roles[:2]), False)
     else:
-        blocks = cav.one_sided_operator(
-            model, basis, in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2]
-        )
+        blocks = dense_pass(model, basis, "scatter", tuple(roles[:3]), False)
     op = spin_block_operator(blocks, regs)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
@@ -388,7 +376,7 @@ ARMS = ("A", "B", "C", "D")
 
 def two_sided(model, regs):
     """The two-arm pass, lower arm B and upper arm C, on (spin, pol, path[, flag])."""
-    blocks = cav.two_sided_operator(model, regs[2].basis, lower_path="B", upper_path="C")
+    blocks = dense_pass(model, regs[2].basis, "loop_cavity", ("B", "C"), False)
     return spin_block_operator(blocks, regs)
 
 
@@ -536,14 +524,14 @@ def _diagonal_blocks(dense, model, basis, **roles):
 def test_per_spin_blocks_match_the_full_size_builders(model, ports, arrive_from):
     basis, roles = ports
     one = dict(in_path=roles[0], reflect_path=roles[1], transmit_path=roles[2])
-    got = cav.one_sided_operator(model, basis, arrive_from=arrive_from, **one)
+    got = dense_pass(model, basis, "scatter", tuple(roles[:3]), arrive_from == "above")
     want = _diagonal_blocks(dense_one_sided_operator, model, basis, arrive_from=arrive_from, **one)
     assert got.shape == want.shape
     # only the reflection's norm is summed in another order
     assert np.abs(got - want).max() <= 1e-15
     for arms in (roles[:2], roles[1::-1]):
         two = dict(lower_path=arms[0], upper_path=arms[1])
-        got = cav.two_sided_operator(model, basis, **two)
+        got = dense_pass(model, basis, "loop_cavity", tuple(arms), False)
         want = _diagonal_blocks(dense_two_sided_operator, model, basis, **two)
         assert got.shape == want.shape
         assert np.array_equal(got, want)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+from importlib import resources
 
 import pytest
 
@@ -27,6 +28,11 @@ def _call(argv: list[str], capsys) -> tuple[int, str, str]:
         code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _bundled_bytes(name: str) -> bytes:
+    """The bytes of a bundled circuit file, as shipped."""
+    return resources.files(circuits).joinpath(f"{name}.qc").read_bytes()
 
 
 class TestGateTable:
@@ -286,6 +292,30 @@ class TestRun:
         path.write_text("component x junk in=[A] out=[B]\n")
         assert main(["run", str(path)]) == 1
         assert "1:13: Semantic" in capsys.readouterr().err
+
+    def test_a_directory_does_not_hide_a_bundled_circuit(self, tmp_path, monkeypatch, capsys):
+        assert main(["run", "cnot"]) == 0
+        want = capsys.readouterr().out
+        (tmp_path / "cnot").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert _call(["run", "cnot"], capsys) == (0, want, "")
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        assert main(["run", "cnot"]) == 0
+        want = capsys.readouterr().out
+        path = tmp_path / "cnot-bom.qc"
+        path.write_bytes(b"\xef\xbb\xbf" + _bundled_bytes("cnot"))
+        assert _call(["run", str(path)], capsys) == (0, want, "")
+
+    def test_a_byte_order_mark_in_a_line_is_a_lex_error(self, tmp_path, capsys):
+        lines = _bundled_bytes("cnot").splitlines(keepends=True)
+        at = lines.index(b"input photon 1 port A state R\n")
+        lines[at] = b"input photon 1 \xef\xbb\xbfport A state R\n"
+        path = tmp_path / "cnot-mid-bom.qc"
+        path.write_bytes(b"".join(lines))
+        code, out, err = _call(["run", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {at + 1}:16: Lex: unexpected character '\\ufeff'\n"
 
     def test_samples_need_seed(self):
         with pytest.raises(SystemExit) as e:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphoton import optics as opt
+from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 
 from _oracles import apply, basis_state, is_unitary, step_matrix
@@ -19,7 +20,7 @@ def placed(op, at, param=0.0, ports=PORTS):
     """The element's block applied to the identity on (pol, path) over ``ports``."""
     block, outs, ins = opt.element(op, at, param)
     mat = np.eye(2 * len(ports), dtype=np.complex128)
-    qs._apply_block(block, qs._mode_rows(ports, outs), qs._mode_rows(ports, ins), mat)
+    mat[proto._mode_rows(ports, outs)] = block @ mat[proto._mode_rows(ports, ins)]
     return mat
 
 
