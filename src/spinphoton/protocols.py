@@ -39,9 +39,12 @@ keeps without a copy.  Only this module gives a photon its entry port,
 its path register and, under loss, its Alive/Lost flag, and only it maps
 a photon's (pol, port[, flag]) modes to the rows of its axis.  The gate,
 :func:`cnot_gate_matrix`, and the stream read their 2×2 blocks off the
-blocks of :data:`CNOT_PLAN`.  The analyzer detects the 32 coincidence
-amplitudes with one fixed 32×32 matrix and pairs the probabilities with
-records built once per pair of photon ids.
+blocks of :data:`CNOT_PLAN`.  The analyzer runs its two photons through
+the detector rows of its blocks alone (pol′ × C/D, Alive), detects the 32
+coincidence amplitudes with one fixed 32×32 matrix and pairs the
+probabilities with records built once per pair of photon ids; it builds
+the whole pre-detection state only when its result's ``state`` is read.
+Calls made without a model share one ideal model, and so its blocks.
 """
 
 from __future__ import annotations
@@ -129,6 +132,11 @@ _SPIN_PREP_PATHS = ("In", "Refl", "Trans")
 
 #: Plan ops that pass the cavity, and so lose light under a lossy model.
 _CAVITY_OPS = ("scatter", "loop_cavity")
+
+#: The model of every call made without one, so that those calls share its
+#: blocks: only the three fixed plans' blocks on their entry ports, and the
+#: analyzer's detector rows, are kept on it.
+_IDEAL = InteractionModel.ideal()
 
 
 class BellState(enum.Enum):
@@ -309,6 +317,19 @@ def _entry_blocks(
     return blocks, entries
 
 
+def _through(psi: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """``psi`` [s, each photon's R/L axis] after each photon's pass in turn,
+    photon k through the k-th block [s, out, p]: one batched product per
+    photon, per spin, of its block with its R/L axis, each writing a fresh
+    [s, done, out, rest] array already in the final register order."""
+    done = 1
+    for block in blocks:
+        rest = psi.size // (4 * done)
+        psi = np.matmul(block[:, None], psi.reshape(2, done, 2, rest))
+        done *= block.shape[1]
+    return psi
+
+
 def run_photons(
     spin_amps: Sequence[complex],
     pols: np.ndarray,
@@ -338,12 +359,7 @@ def run_photons(
     blocks, entries = _entry_blocks(plan, model, ports, in_ports)
     out_dim = blocks.shape[2]  # pol′ × path′ [× flag′]
     psi = np.multiply.outer(np.asarray(spin_amps, dtype=np.complex128), pols.reshape(-1))
-    done = 1
-    for port in in_ports:
-        rest = psi.size // (4 * done)
-        # [s, done, p, rest] -> [s, done, out, rest]: already in register order
-        psi = np.matmul(blocks[entries.index(port)][:, None], psi.reshape(2, done, 2, rest))
-        done *= out_dim
+    psi = _through(psi, (blocks[entries.index(port)] for port in in_ports))
     registers: tuple[Register, ...] = (qs.spin(),)
     for pid in photon_ids:
         registers += (qs.polarization(pid), qs.path(pid, ports))
@@ -399,7 +415,7 @@ def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     flips the spin, so it is zero but for its two spin blocks, written from
     :func:`_gate_blocks` into a fresh array.
     """
-    blocks = _gate_blocks(model or InteractionModel.ideal())
+    blocks = _gate_blocks(model or _IDEAL)
     gate = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # [p′, s′, p, s]
     gate[:, 0, :, 0], gate[:, 1, :, 1] = blocks
     return gate.reshape(4, 4)
@@ -415,7 +431,7 @@ def conditional_spin_prep(
     projects the spin onto Up (and Trans onto Down).  Returns the two heralded
     outcomes keyed by port name, with their probabilities.
     """
-    model = model or InteractionModel.ideal()
+    model = model or _IDEAL
     state = run_photons(
         _normalize_pair(spin_amps), [1.0, 0.0], (1,), ("In",),
         SPIN_PREP_PLAN, model, _SPIN_PREP_PATHS,
@@ -524,7 +540,7 @@ def entangle_stream(
     state would exceed :data:`~spinphoton.qstate.MAX_AMPLITUDES` is refused
     before any work.
     """
-    model = model or InteractionModel.ideal()
+    model = model or _IDEAL
     spin_amps = _normalize_pair(spin_amps)
     amps = [_normalize_pair(p) for p in photon_amps]
     if not amps:
@@ -570,7 +586,7 @@ def ghz(
     left, right, success, _ = _stream(
         np.broadcast_to((1.0, 0.0), (n, 2)),  # n R photons, one row: nothing of size n
         _normalize_pair((_SQ, _SQ)),  # as entangle_stream does, to the last bit
-        model or InteractionModel.ideal(),
+        model or _IDEAL,
         spin_phase_drift,
     )
     regs = tuple(qs.polarization(k) for k in range(1, n + 1))
@@ -593,6 +609,20 @@ def ghz(
 # ---------------------------------------------------------------------------
 
 
+def _analyzer_input(two_photon_pol: StateVector) -> tuple[list[int], np.ndarray]:
+    """The analyzer's photon ids in ascending order, the order the photons
+    run in, and the input's amplitudes over (pol₁, pol₂) in that order;
+    refuses an input that is not two R/L polarization registers."""
+    regs = two_photon_pol.registers
+    if len(regs) != 2 or any(r.kind is not RegisterKind.POLARIZATION for r in regs):
+        raise ValueError("analyzer input must be a two-photon polarization state")
+    if any(r.basis != qs.RL for r in regs):
+        raise ValueError("optics elements are defined on the circular (R/L) basis")
+    pol_ids = sorted(r.id for r in regs)
+    pols = qs.reorder(two_photon_pol, [(RegisterKind.POLARIZATION, pid) for pid in pol_ids])
+    return pol_ids, pols.amps
+
+
 def bsa_state(
     two_photon_pol: StateVector,
     model: InteractionModel | None = None,
@@ -602,23 +632,36 @@ def bsa_state(
     ``two_photon_pol`` is a state over two polarization registers in the R/L
     basis; the photons run in ascending id order.  The returned state spans
     (spin, pol₁, path₁[, flag₁], pol₂, path₂[, flag₂]), in that order, with the
-    spin still unmeasured in the Up/Down basis.
+    spin still unmeasured in the Up/Down basis: 800 amplitudes under a lossy
+    model, of which :func:`bsa` detects 32.  It is what ``bsa(...).state``
+    builds on first read.
     """
-    regs = two_photon_pol.registers
-    if len(regs) != 2 or any(r.kind is not RegisterKind.POLARIZATION for r in regs):
-        raise ValueError("analyzer input must be a two-photon polarization state")
-    if any(r.basis != qs.RL for r in regs):
-        raise ValueError("optics elements are defined on the circular (R/L) basis")
-    pol_ids = sorted(r.id for r in regs)
-    pols = qs.reorder(two_photon_pol, [(RegisterKind.POLARIZATION, pid) for pid in pol_ids])
+    pol_ids, pols = _analyzer_input(two_photon_pol)
     return run_photons(
-        (_SQ, _SQ), pols.amps, pol_ids, ("In", "In"),
-        BSA_PLAN, model or InteractionModel.ideal(), BSA_PATHS,
+        (_SQ, _SQ), pols, pol_ids, ("In", "In"), BSA_PLAN, model or _IDEAL, BSA_PATHS,
     )
 
 
 _DETECTOR_PORTS = ("C", "D")
 _DETECTORS = slice(BSA_PATHS.index("C"), BSA_PATHS.index("D") + 1)
+
+#: The key of the detector rows in a model's memo, beside the plans' blocks.
+_DETECTOR_ROWS = "bsa detector rows"
+
+
+def _detector_block(model: InteractionModel) -> np.ndarray:
+    """B[s, (p′, C/D), p]: the :data:`BSA_PLAN` block for spin s cut to the
+    rows that reach a detector Alive, a read-only (2, 4, 2) array, cut once
+    per model and kept on it."""
+    block = model._channels.get(_DETECTOR_ROWS)
+    if block is None:
+        # [s, p′, path′, flag′, p], with a one-entry flag axis if lossless
+        blocks = _spin_blocks(BSA_PLAN, model, BSA_PATHS, ("In",))[0]
+        block = blocks.reshape(2, 2, len(BSA_PATHS), -1, 2)[:, :, _DETECTORS, 0].reshape(2, 4, 2)
+        block.flags.writeable = False
+        model._channels[_DETECTOR_ROWS] = block
+    return block
+
 
 #: Detection on the coincidence slice (spin, pol₁, path₁, pol₂, path₂), each
 #: path cut to C/D: the spin in ± and each polarization in H/V, from the
@@ -647,11 +690,23 @@ def _coincidence_records(pid_lo: int, pid_hi: int) -> tuple[meas.OutcomeRecord, 
 
 @dataclasses.dataclass(frozen=True)
 class BsaResult:
-    """Analyzer output: pre-detection state, outcome table, heralded weight."""
+    """Analyzer output: outcome table, heralded weight and, on first read,
+    the pre-detection state.
 
-    state: StateVector
+    The input and the model are kept only to build ``state``; they take no
+    part in the repr or in equality.
+    """
+
     distribution: meas.Distribution
     success_probability: float
+    _input: StateVector = dataclasses.field(repr=False, compare=False)
+    _model: InteractionModel | None = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def state(self) -> StateVector:
+        """The whole pre-detection state, :func:`bsa_state` of the input and
+        the model, built and checked on first read and kept."""
+        return bsa_state(self._input, self._model)
 
 
 def bsa(
@@ -662,29 +717,29 @@ def bsa(
 
     The distribution covers only coincidence outcomes (both photons alive on
     detector ports C/D), renormalized; ``success_probability`` is their total
-    weight before renormalization.  Only the coincidence slice of the
-    pre-detection state is detected: (spin, pol₁, path₁, pol₂, path₂) with
-    each path cut to C/D and each flag to Alive, 32 amplitudes, renormalized
-    and checked as a state's amplitudes are, on the array.  The outcome
-    probabilities are |D·a|² for the one fixed detection matrix D (spin ±,
-    each polarization H/V), paired in one pass with the 32 records of the
-    photon ids, which are built once.  ``state`` is the whole pre-detection
-    state.
+    weight before renormalization.  The input is refused as
+    :func:`bsa_state` refuses it, before any block is built.  The photons
+    run through only the rows of the analyzer's blocks that reach a
+    detector Alive, one (2, 4, 2) block per model, so the run writes just
+    the coincidence slice: (spin, pol₁, path₁, pol₂, path₂) with each path
+    cut to C/D, 32 amplitudes, renormalized and checked as a state's
+    amplitudes are, on the array.  The outcome probabilities are |D·a|² for
+    the one fixed detection matrix D (spin ±, each polarization H/V), paired
+    in one pass with the 32 records of the photon ids, which are built once.
+    ``state``, the whole pre-detection state, is built only when it is read.
     """
-    state = bsa_state(two_photon_pol, model)
-    pid_lo, pid_hi = (reg.id for reg in state.registers if reg.kind is RegisterKind.POLARIZATION)
-    # [s, p₁, path₁, flag₁, p₂, path₂, flag₂], with one-entry flag axes if lossless
-    flag = state.registers[-1].dim if state.registers[-1].kind is RegisterKind.LOSS_FLAG else 1
-    amps = state.amps.reshape(2, 2, len(BSA_PATHS), flag, 2, len(BSA_PATHS), flag)
-    amps = amps[:, :, _DETECTORS, 0, :, _DETECTORS, 0]
+    pol_ids, pols = _analyzer_input(two_photon_pol)
+    block = _detector_block(model or _IDEAL)  # both photons enter on In
+    psi = np.multiply.outer(np.asarray((_SQ, _SQ), dtype=np.complex128), pols)
+    amps = _through(psi, (block, block))  # [s, (p₁, C/D₁), (p₂, C/D₂)]
     success = float(np.vdot(amps, amps).real)
     if success <= 1e-15:  # the weight below which an outcome is dropped
         raise ValueError("no coincidence outcomes survived the analyzer")
     detected = (amps * (1.0 / math.sqrt(success))).reshape(-1)
     qs._check_amps(detected)
     probs = (np.abs(_DETECTION @ detected) ** 2).tolist()
-    dist = meas.Distribution._from_pairs(_coincidence_records(pid_lo, pid_hi), probs)
-    return BsaResult(state=state, distribution=dist, success_probability=success)
+    dist = meas.Distribution._from_pairs(_coincidence_records(*pol_ids), probs)
+    return BsaResult(dist, success, two_photon_pol, model)
 
 
 def classify_outcome(record: meas.OutcomeRecord) -> BellState:

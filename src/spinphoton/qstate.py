@@ -45,6 +45,10 @@ class RegisterKind(enum.Enum):
     SPIN = "spin"
     LOSS_FLAG = "flag"
 
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name, in Python, per call
+    __hash__ = object.__hash__
+
 
 #: Identity of a register within a state: (kind, id).
 RegisterKey = tuple[RegisterKind, int]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -893,9 +894,10 @@ def _coincidences(
 def bsa_by_states(
     two_photon_pol: StateVector,
     model: InteractionModel | None = None,
-) -> proto.BsaResult:
-    """:func:`~spinphoton.protocols.bsa` with its detected slice made a state
-    and its records paired with the probabilities in a dict."""
+) -> types.SimpleNamespace:
+    """:func:`~spinphoton.protocols.bsa` from its whole pre-detection state,
+    with its detected slice made a state and its records paired with the
+    probabilities in a dict; a namespace with ``bsa``'s three attributes."""
     state = proto.bsa_state(two_photon_pol, model)
     pid_lo, pid_hi = (reg.id for reg in state.registers if reg.kind is RegisterKind.POLARIZATION)
     # [s, p₁, path₁, flag₁, p₂, path₂, flag₂], with one-entry flag axes if lossless
@@ -909,7 +911,7 @@ def bsa_by_states(
     detected = StateVector._adopt(registers, amps * (1.0 / math.sqrt(success)))
     probs = (np.abs(proto._DETECTION @ detected.amps) ** 2).tolist()
     dist = Distribution(dict(zip(records, probs)))
-    return proto.BsaResult(state=state, distribution=dist, success_probability=success)
+    return types.SimpleNamespace(state=state, distribution=dist, success_probability=success)
 
 
 def spin_prep_by_states(

@@ -869,6 +869,89 @@ def test_bsa_rejects_non_two_photon_input():
 
 
 # ---------------------------------------------------------------------------
+# the analyzer detects in its blocks and builds its state on first read
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the whole analyzer train was run")
+
+
+def _analyzer_inputs():
+    return [_analyzer_input(case) for case in ("psi+", "psi-", "phi+", "phi-", "random", "ids 5, 2")]
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_bsa_detects_without_the_whole_train(lossy, lossy_model, monkeypatch):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    wanted = [bsa_by_states(state, model) for state in _analyzer_inputs()]
+    monkeypatch.setattr(proto, "run_photons", _fail)
+    monkeypatch.setattr(proto, "bsa_state", _fail)
+    for state, want in zip(_analyzer_inputs(), wanted):
+        got = proto.bsa(state, model)
+        assert got.success_probability == want.success_probability
+        assert list(got.distribution.items()) == list(want.distribution.items())
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_bsa_builds_its_state_on_first_read_and_keeps_it(lossy, lossy_model, monkeypatch):
+    model = lossy_model if lossy else None
+    built = []
+    bsa_state = proto.bsa_state
+
+    def counting_bsa_state(two_photon_pol, model=None):
+        built.append(two_photon_pol)
+        return bsa_state(two_photon_pol, model)
+
+    monkeypatch.setattr(proto, "bsa_state", counting_bsa_state)
+    for state in _analyzer_inputs():
+        built.clear()
+        result = proto.bsa(state, model)
+        assert built == []
+        first = result.state
+        assert built == [state]
+        assert result.state is first and len(built) == 1
+        _assert_same_state(first, bsa_state(state, model))
+        assert "_input" not in repr(result) and "_model" not in repr(result)
+
+
+@pytest.mark.parametrize("analyzer", [proto.bsa, proto.bsa_state], ids=["bsa", "bsa_state"])
+def test_analyzer_refuses_bad_input_before_any_build(analyzer, monkeypatch):
+    _refuse_builds(monkeypatch)
+    fresh = cav.InteractionModel.from_contrast(cav.ContrastParams(0.5, 3.0))
+    two, lin = "^analyzer input must be a two-photon polarization state$", r"^optics .* \(R/L\) basis$"
+    cases = [
+        ((qs.polarization(1),), [1.0, 0.0], two),
+        ((qs.polarization(1), qs.spin()), [1.0, 0.0, 0.0, 0.0], two),
+        # both faults: the register count is checked first
+        ((qs.polarization(1, qs.HV), qs.polarization(2), qs.polarization(3)), [1.0] + [0.0] * 7, two),
+        ((qs.polarization(1, qs.HV), qs.spin()), [1.0, 0.0, 0.0, 0.0], two),
+        ((qs.polarization(1), qs.polarization(2, qs.HV)), [1.0, 0.0, 0.0, 0.0], lin),
+    ]
+    for registers, amps, message in cases:
+        for model in (fresh, None):
+            with pytest.raises(ValueError, match=message):
+                analyzer(qs.StateVector(registers, amps), model)
+    assert fresh._channels == {}
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_detector_block_is_the_alive_detector_rows_kept_read_only(lossy, lossy_model):
+    model = lossy_model if lossy else cav.InteractionModel.ideal()
+    block = proto._detector_block(model)
+    assert proto._detector_block(model) is block
+    flag = ("Alive",) if lossy else ()
+    rows = proto._mode_rows(
+        proto.BSA_PATHS, [(pol, port, *flag) for pol in qs.RL for port in ("C", "D")]
+    )
+    blocks = proto._spin_blocks(proto.BSA_PLAN, model, proto.BSA_PATHS, ("In",))[0]
+    assert block.shape == (2, 4, 2)
+    assert np.array_equal(block, blocks[:, rows, :])
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # the photon's spin blocks: entry ports and the per-model memo
 # ---------------------------------------------------------------------------
 
@@ -1101,6 +1184,25 @@ def test_each_channel_is_built_once_per_model(lossy_model, monkeypatch):
     assert len(blocks) == 1
 
 
+def test_model_less_calls_share_one_ideal_model(monkeypatch):
+    shared = cav.InteractionModel.ideal()
+    monkeypatch.setattr(proto, "_IDEAL", shared)
+    built = []
+    pass_block = cav.pass_block
+
+    def counting_block(model, op):
+        built.append((op, model))
+        return pass_block(model, op)
+
+    monkeypatch.setattr(cav, "pass_block", counting_block)
+    for _ in range(2):
+        proto.cnot_gate_matrix()
+        proto.bsa(proto.BellState.PSI_PLUS.state())
+    # one build per plan, both on the one shared model
+    assert [op for op, _ in built] == ["loop_cavity", "scatter"]
+    assert all(model is shared for _, model in built)
+
+
 def test_cavity_passes_build_only_their_two_spin_blocks():
     # with the frames warm, a fresh lossy model's blocks of each plan are
     # built in less than one (spin ⊗ out)² matrix: each cavity pass is only
@@ -1315,3 +1417,18 @@ def test_a_loss_point_checks_each_state_it_returns_and_no_more(monkeypatch):
     returned += [res.state for res in proto.ghz(4, model).values()]
     assert len(checked) == 14
     assert all(any(state is seen for seen in checked) for state in returned)
+
+
+def test_a_loss_point_that_reads_no_analyzer_state_checks_ten_states(monkeypatch):
+    # 1 (cnot) + 4 (the analyzer's Bell inputs) + 3 (spin prep) + 2 (ghz):
+    # no analyzer builds its pre-detection state unless it is read
+    checked = []
+    check = qs.StateVector._check
+
+    def counting_check(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(qs.StateVector, "_check", counting_check)
+    _loss_point(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
+    assert len(checked) == 10

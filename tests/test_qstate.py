@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -58,6 +59,23 @@ def test_basis_state_row_major_order():
     assert s.amps[2] == 1.0
     assert s.amplitude("L", "Up") == 1.0
     assert s.amplitude("R", "Down") == 0.0
+
+
+def test_register_kinds_hash_by_identity_and_still_find_their_keys():
+    for kind in qs.RegisterKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert pickle.loads(pickle.dumps(kind)) is kind
+    regs = (qs.spin(), qs.polarization(2), qs.path(2, ("A", "B")))
+    state = qs.StateVector(regs, [1.0] + [0.0] * 7)
+    assert state.register((qs.RegisterKind.PATH, 2)) is regs[2]
+    assert state.axis((qs.RegisterKind.POLARIZATION, 2)) == 1
+    keys = {reg.key for reg in regs}
+    assert (qs.RegisterKind.SPIN, 0) in keys and (qs.RegisterKind.SPIN, 2) not in keys
+    revived = pickle.loads(pickle.dumps(regs[1].key))
+    assert revived in keys and {regs[1].key: "pol"}[revived] == "pol"
+    hits = qs._register.cache_info().hits
+    assert qs.polarization(2) is regs[1] and qs.path(2, ["A", "B"]) is regs[2]
+    assert qs._register.cache_info().hits == hits + 2
 
 
 def test_tensor_orders_left_factor_first():
