@@ -251,8 +251,9 @@ class InteractionModel:
     coupled_transmit_amp: float
     uncoupled_transmit_amp: float
     uncoupled_reflect_amp: float
-    #: (plan, ports, entry ports) -> the plan's read-only spin blocks;
-    #: filled only by :mod:`spinphoton.protocols`.
+    #: (plan, ports, entry ports, exits) -> the plan's read-only spin blocks,
+    #: cut to the exits when they are given; filled only by
+    #: :mod:`spinphoton.protocols`.
     _channels: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )

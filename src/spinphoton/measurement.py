@@ -176,7 +176,8 @@ class Distribution(Mapping[OutcomeRecord, float]):
         post-selected branch without its complement would silently mis-weight
         outcomes.  Records are drawn in ``str`` order with one PCG64
         multinomial, so the counts do not depend on how the mapping was built.
-        A count that is not an integer in [0, :data:`MAX_SHOTS`] is refused.
+        A count that is not an integer in [0, :data:`MAX_SHOTS`], and a seed
+        that is not a non-negative integer, are refused; a bool is neither.
         """
         rows = self._rows()
         counts = self._draw(shots, seed, rows)
@@ -190,8 +191,10 @@ class Distribution(Mapping[OutcomeRecord, float]):
 
     def _draw(self, shots: int, seed: int, rows: list[tuple[str, OutcomeRecord, float]]) -> list[int]:
         """The counts of one :meth:`sample` draw, one per row of :meth:`_rows`."""
-        if not isinstance(shots, (int, np.integer)) or not 0 <= shots <= MAX_SHOTS:
+        if _not_an_integer(shots) or not 0 <= shots <= MAX_SHOTS:
             raise ValueError(f"shots must be an integer from 0 to {MAX_SHOTS}, got {shots!r}")
+        if _not_an_integer(seed) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         total = self.total()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
@@ -206,6 +209,11 @@ class Distribution(Mapping[OutcomeRecord, float]):
     def __repr__(self) -> str:  # pragma: no cover
         rows = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self._probs.items(), key=str))
         return f"Distribution({rows})"
+
+
+def _not_an_integer(value: object) -> bool:
+    """Whether ``value`` is not a Python or numpy integer, or is a bool."""
+    return isinstance(value, bool) or not isinstance(value, (int, np.integer))
 
 
 def enumerate_outcomes(state: StateVector, bases: MeasurementBases) -> Distribution:

@@ -37,11 +37,15 @@ them, so a caller that holds one model pays for each plan once.  Each
 protocol writes its result once, into the array that the returned state
 keeps without a copy.  Only this module gives a photon its entry port,
 its path register and, under loss, its Alive/Lost flag, and only it maps
-a photon's (pol, port[, flag]) modes to the rows of its axis.  The gate,
-:func:`cnot_gate_matrix`, and the stream read their 2×2 blocks off the
-blocks of :data:`CNOT_PLAN`.  The analyzer runs its two photons through
-the detector rows of its blocks alone (pol′ × C/D, Alive), detects the 32
-coincidence amplitudes with one fixed 32×32 matrix and pairs the
+a photon's (pol, port[, flag]) modes to the rows of its axis.  Each
+protocol reads one cut of its plan's blocks, the rows that leave Alive on
+its exit ports, cut after the passes, once per model, and kept on the model
+as the blocks are.  The gate, :func:`cnot_gate_matrix`, and the stream read
+their 2×2 blocks off the ("D",) cut of :data:`CNOT_PLAN`.  The spin
+preparation applies the ("Refl", "Trans") cut to its spin amplitudes and
+builds only the two spin states it returns.  The analyzer runs its two
+photons through the ("C", "D") cut alone (pol′ × C/D, Alive), detects the
+32 coincidence amplitudes with one fixed 32×32 matrix and pairs the
 probabilities with records built once per pair of photon ids; it builds
 the whole pre-detection state only when its result's ``state`` is read.
 Calls made without a model share one ideal model, and so its blocks.
@@ -134,8 +138,9 @@ _SPIN_PREP_PATHS = ("In", "Refl", "Trans")
 _CAVITY_OPS = ("scatter", "loop_cavity")
 
 #: The model of every call made without one, so that those calls share its
-#: blocks: only the three fixed plans' blocks on their entry ports, and the
-#: analyzer's detector rows, are kept on it.
+#: blocks: only the three fixed plans' blocks, on their entry ports and cut
+#: to their exits, and the analyzer's full blocks, once a ``state`` is read,
+#: are kept on it.
 _IDEAL = InteractionModel.ideal()
 
 
@@ -215,16 +220,19 @@ def _mode_rows(ports: Sequence[str], modes: Iterable[tuple[str, ...]]) -> list[i
 # each frame is a few KiB; the protocols need four, a circuit file one or two
 @functools.lru_cache(maxsize=64)
 def _frame(
-    plan: tuple[PlanStep, ...], ports: tuple[str, ...], in_ports: tuple[str, ...], lossy: bool
-) -> tuple[np.ndarray, tuple[tuple, ...]]:
+    plan: tuple[PlanStep, ...], ports: tuple[str, ...], in_ports: tuple[str, ...], lossy: bool,
+    exits: tuple[str, ...] | None = None,
+) -> tuple:
     """The part of a plan's spin blocks that no model changes, built once per
     process: the identity's entry columns on out = (p′, path′[, flag′]), as
     [s, out, (p, entry)] with p Alive on its entry port, taken through the
     optics before the first cavity pass; and for each pass, in plan order,
     its op, the rows of its modes in out for both spins, outs then ins, and
     the optics from it to the next pass folded into one matrix on out.
-    Each optical element is one small block on the (pol, path) rows it
-    touches, the same for either flag.  Every array is read-only."""
+    With ``exits``, a third entry: the rows of out that reach those ports
+    Alive, p′ major.  Each optical element is one small block on the
+    (pol, path) rows it touches, the same for either flag.  Every array is
+    read-only."""
     optical = {
         step: opt.element(*step) for step in dict.fromkeys(plan) if step[0] not in _CAVITY_OPS
     }
@@ -251,9 +259,12 @@ def _frame(
             last[_mode_rows(ports, outs)] = block @ last[_mode_rows(ports, ins)]
     columns, *after = (stage.reshape(out_dim, -1) for stage in stages)
     columns = np.stack((columns, columns))  # the same for both spins
-    for array in (columns, *after, *(rows for pass_ in passes for rows in pass_[1:])):
+    exit_modes = [(p, port, *("Alive",) * lossy) for p in qs.RL for port in exits or ()]
+    cut = np.array(_mode_rows(ports, exit_modes), dtype=np.intp)
+    for array in (columns, cut, *after, *(rows for pass_ in passes for rows in pass_[1:])):
         array.flags.writeable = False
-    return columns, tuple((*pass_, fold) for pass_, fold in zip(passes, after))
+    frame = columns, tuple((*pass_, fold) for pass_, fold in zip(passes, after))
+    return frame if exits is None else (*frame, cut)
 
 
 #: The spin index that batches a pass's rows, one row of them per spin.
@@ -266,34 +277,43 @@ def _spin_blocks(
     model: InteractionModel,
     ports: Sequence[str],
     in_ports: Sequence[str],
+    exits: tuple[str, ...] | None = None,
 ) -> np.ndarray:
     """One photon's whole schedule as K[entry, s, out, p]: the photon enters
     in polarization p on ``in_ports[entry]`` with the spin in s, and leaves
     in out = (p′, path′[, flag′]), Alive or Lost, with the spin still in s.
-    No pass flips the spin, so these two blocks are the whole pass.
+    No pass flips the spin, so these two blocks are the whole pass.  With
+    ``exits``, a tuple of ports, out is cut to the rows that leave Alive on
+    them, (p′, exit): the gate reads its ("D",) cut, the analyzer its
+    ("C", "D") cut and the spin preparation its ("Refl", "Trans") cut.
 
     The flag axis is there exactly when the model is lossy and the plan
     passes the cavity.  The model-free part is the plan's frame, built once
-    per process (:func:`_frame`); per cavity pass a model builds only its
-    block, :func:`~spinphoton.cavity.pass_block`, applies it to the pass's
-    rows for both spins at once and then the optics up to the next pass as
-    one matrix.  The blocks are built once per model, on their entry ports,
-    and kept on the model read-only.
+    per process (:func:`_frame`), with the cut's rows; per cavity pass a
+    model builds only its block, :func:`~spinphoton.cavity.pass_block`,
+    applies it to the pass's rows for both spins at once and then the
+    optics up to the next pass as one matrix.  The cut is taken after that
+    product, so it holds the full blocks' values to the bit.  The blocks
+    are built once per model, on their entry ports and exits, and kept on
+    the model read-only under ``(plan, ports, in_ports, exits)``.  An
+    unknown entry or exit port is refused before anything is built, and
+    so never enters the memo; a kept key costs one dict lookup.
     """
-    ports, in_ports = tuple(ports), tuple(in_ports)
-    for port in in_ports:
-        if port not in ports:
-            raise ValueError(f"entry port {port!r} is not one of the ports {ports}")
-    key = (tuple(plan), ports, in_ports)
-    blocks = model._channels.get(key)
-    if blocks is not None:
+    key = (tuple(plan), tuple(ports), tuple(in_ports), exits)
+    if (blocks := model._channels.get(key)) is not None:
         return blocks
+    plan, ports, in_ports, _ = key
+    for side, names in (("entry", in_ports), ("exit", exits or ())):
+        for port in names:
+            if port not in ports:
+                raise ValueError(f"{side} port {port!r} is not one of the ports {ports}")
     lossy = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
-    blocks, passes = _frame(key[0], ports, in_ports, lossy)  # [s, out, (p, entry)]
+    blocks, passes, *cut = _frame(plan, ports, in_ports, lossy, exits)  # [s, out, (p, entry)]
     for op, outs, ins, after in passes:
         blocks = blocks.copy()
         blocks[_SPINS, outs] = cav.pass_block(model, op) @ blocks[_SPINS, ins]
         blocks = after @ blocks
+    blocks = blocks[:, cut[0]] if cut else blocks  # with exits, only their Alive rows
     blocks = blocks.reshape(2, blocks.shape[1], 2, len(in_ports))
     blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
     blocks.flags.writeable = False
@@ -387,7 +407,9 @@ def cnot(
 
 
 def _normalize_pair(amps: tuple[complex, complex]) -> tuple[complex, complex]:
-    a, b = complex(amps[0]), complex(amps[1])
+    if len(amps) != 2:
+        raise ValueError(f"amplitude pair must be two amplitudes, got {amps!r}")
+    a, b = map(complex, amps)
     parts = (a.real, a.imag, b.real, b.imag)
     if not all(map(math.isfinite, parts)):
         raise ValueError(f"amplitude pair must be finite, got {amps!r}")
@@ -399,26 +421,23 @@ def _normalize_pair(amps: tuple[complex, complex]) -> tuple[complex, complex]:
     return (a / n, b / n)
 
 
-def _gate_blocks(model: InteractionModel) -> np.ndarray:
-    """G[s, p′, p]: the gate's block for spin s, the in-at-A, Alive-at-D
-    slice of the :data:`CNOT_PLAN` blocks; a read-only view of the model's."""
-    # [s, p′, path′, flag′, p], with a one-entry flag axis if lossless
-    blocks = _spin_blocks(CNOT_PLAN, model, CNOT_PATHS, ("A",))[0]
-    return blocks.reshape(2, 2, len(CNOT_PATHS), -1, 2)[:, :, CNOT_PATHS.index("D"), 0]
-
-
 def cnot_gate_matrix(model: InteractionModel | None = None) -> np.ndarray:
     """The post-selected gate on (pol ⊗ spin), basis [R↑, R↓, L↑, L↓].
 
     Ideal models give the exact controlled-flip unitary; lossy models give the
     sub-unitary matrix of the photon-exits-alive-at-D branch.  The gate never
-    flips the spin, so it is zero but for its two spin blocks, written from
-    :func:`_gate_blocks` into a fresh array.
+    flips the spin, so it is zero but for its two spin blocks, G[s, p′, p],
+    written from the ("D",) cut of the :data:`CNOT_PLAN` blocks into a fresh
+    array.
     """
-    blocks = _gate_blocks(model or _IDEAL)
+    blocks = _spin_blocks(CNOT_PLAN, model or _IDEAL, CNOT_PATHS, ("A",), ("D",))[0]
     gate = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # [p′, s′, p, s]
     gate[:, 0, :, 0], gate[:, 1, :, 1] = blocks
     return gate.reshape(4, 4)
+
+
+#: The spin preparation's herald ports.
+_HERALDS = ("Refl", "Trans")
 
 
 def conditional_spin_prep(
@@ -429,24 +448,23 @@ def conditional_spin_prep(
 
     The photon reflects iff the spin is Up, so detecting it on the Refl port
     projects the spin onto Up (and Trans onto Down).  Returns the two heralded
-    outcomes keyed by port name, with their probabilities.
+    outcomes keyed by port name, with their probabilities.  The photon's
+    pass is the ("Refl", "Trans") cut of the :data:`SPIN_PREP_PLAN` blocks,
+    applied to the normalized spin amplitudes as :func:`run_photons` applies
+    a block; each branch is normalized on the array and only the returned
+    spin states are built.
     """
-    model = model or _IDEAL
-    state = run_photons(
-        _normalize_pair(spin_amps), [1.0, 0.0], (1,), ("In",),
-        SPIN_PREP_PLAN, model, _SPIN_PREP_PATHS,
-    )
-    # [spin, pol, path, flag], with a one-entry flag axis if lossless
-    alive = state.amps.reshape(2, 2, len(_SPIN_PREP_PATHS), -1)[..., 0]
+    psi = np.multiply.outer(_normalize_pair(spin_amps), (1.0, 0.0))  # an R photon
+    cut = _spin_blocks(SPIN_PREP_PLAN, model or _IDEAL, _SPIN_PREP_PATHS, ("In",), _HERALDS)
+    alive = _through(psi, cut).reshape(2, 2, len(_HERALDS)).transpose(2, 0, 1)  # [port, s, pol′]
     out: dict[str, ProtocolResult] = {}
-    # Refl heralds |Up⟩ and Trans |Down⟩; the fidelity to that basis state is
-    # the weight of its one amplitude over the norm²
-    for port, target in (("Refl", qs.UP_DOWN.index("Up")), ("Trans", qs.UP_DOWN.index("Down"))):
-        branch = alive[:, :, _SPIN_PREP_PATHS.index(port)]
+    # Refl heralds |Up⟩ and Trans |Down⟩, in qs.UP_DOWN order; the fidelity to
+    # that basis state is the weight of its one amplitude over the norm²
+    for target, (port, branch) in enumerate(zip(_HERALDS, alive)):
         prob = float(np.vdot(branch, branch).real)
         if prob <= 1e-12:  # input spin had no weight on this outcome
             continue
-        spin_amps_out = branch[:, qs.RL.index(_port_pol(port))].copy()
+        spin_amps_out = branch[:, qs.RL.index(_port_pol(port))]
         norm = math.sqrt(float(np.vdot(spin_amps_out, spin_amps_out).real))
         if norm < qs.ATOL:
             raise ValueError("cannot normalize a (near-)zero state")
@@ -478,7 +496,7 @@ def _stream(
     ``pairs[s, k]``, scaled alike; ``amps`` and ``spin_amps`` are normalized.
 
     The gate never flips the spin, so the stream is c↑|↑⟩⊗ₖ(G↑vₖ) +
-    c↓|↓⟩⊗ₖ(G↓vₖ) with G_s the spin-s block of :func:`_gate_blocks`.  Only
+    c↓|↓⟩⊗ₖ(G↓vₖ) with G_s the spin-s block of :func:`cnot_gate_matrix`.  Only
     the two branch weights are looped over per photon, for its herald and a
     1/√prob scale on its pair that keeps the branches from underflowing.
     The budget is checked on exponents before anything of size n.  Branch s
@@ -493,8 +511,9 @@ def _stream(
             f"{n} photons need a state of 2^{n + 1} amplitudes, "
             f"over the budget of {qs.MAX_AMPLITUDES}"
         )
-    # pairs[s, k] = G_s·vₖ, row-major
-    pairs = np.einsum("sqp,kp->skq", _gate_blocks(model), np.array(amps, dtype=np.complex128), order="C")
+    # pairs[s, k] = G_s·vₖ, row-major, with G[s, p′, p] the ("D",) cut of the gate's blocks
+    gate = _spin_blocks(CNOT_PLAN, model, CNOT_PATHS, ("A",), ("D",))[0]
+    pairs = np.einsum("sqp,kp->skq", gate, np.array(amps, dtype=np.complex128), order="C")
     norms = (pairs.real**2 + pairs.imag**2).sum(axis=2).T.tolist()  # [k][s]
     weights, probs = [abs(c) ** 2 for c in spin_amps], []
     for k, norm in enumerate(norms, start=1):
@@ -580,7 +599,10 @@ def ghz(
     both signs in one batched matrix product into one fresh (2, 2ⁿ) array;
     each row is scaled in place and kept by its state, so the two branches
     are read-only rows of one array and nothing else of their size is built.
+    An ``n`` that is not an integer, or is a bool, is refused before any work.
     """
+    if meas._not_an_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     left, right, success, _ = _stream(
@@ -643,24 +665,6 @@ def bsa_state(
 
 
 _DETECTOR_PORTS = ("C", "D")
-_DETECTORS = slice(BSA_PATHS.index("C"), BSA_PATHS.index("D") + 1)
-
-#: The key of the detector rows in a model's memo, beside the plans' blocks.
-_DETECTOR_ROWS = "bsa detector rows"
-
-
-def _detector_block(model: InteractionModel) -> np.ndarray:
-    """B[s, (p′, C/D), p]: the :data:`BSA_PLAN` block for spin s cut to the
-    rows that reach a detector Alive, a read-only (2, 4, 2) array, cut once
-    per model and kept on it."""
-    block = model._channels.get(_DETECTOR_ROWS)
-    if block is None:
-        # [s, p′, path′, flag′, p], with a one-entry flag axis if lossless
-        blocks = _spin_blocks(BSA_PLAN, model, BSA_PATHS, ("In",))[0]
-        block = blocks.reshape(2, 2, len(BSA_PATHS), -1, 2)[:, :, _DETECTORS, 0].reshape(2, 4, 2)
-        block.flags.writeable = False
-        model._channels[_DETECTOR_ROWS] = block
-    return block
 
 
 #: Detection on the coincidence slice (spin, pol₁, path₁, pol₂, path₂), each
@@ -719,9 +723,9 @@ def bsa(
     detector ports C/D), renormalized; ``success_probability`` is their total
     weight before renormalization.  The input is refused as
     :func:`bsa_state` refuses it, before any block is built.  The photons
-    run through only the rows of the analyzer's blocks that reach a
-    detector Alive, one (2, 4, 2) block per model, so the run writes just
-    the coincidence slice: (spin, pol₁, path₁, pol₂, path₂) with each path
+    run through only the ("C", "D") cut of the analyzer's blocks, the rows
+    that reach a detector Alive, so the run writes just the coincidence
+    slice: (spin, pol₁, path₁, pol₂, path₂) with each path
     cut to C/D, 32 amplitudes, renormalized and checked as a state's
     amplitudes are, on the array.  The outcome probabilities are |D·a|² for
     the one fixed detection matrix D (spin ±, each polarization H/V), paired
@@ -729,7 +733,8 @@ def bsa(
     ``state``, the whole pre-detection state, is built only when it is read.
     """
     pol_ids, pols = _analyzer_input(two_photon_pol)
-    block = _detector_block(model or _IDEAL)  # both photons enter on In
+    # [s, (p′, C/D), p]; both photons enter on In
+    block = _spin_blocks(BSA_PLAN, model or _IDEAL, BSA_PATHS, ("In",), _DETECTOR_PORTS)[0]
     psi = np.multiply.outer(np.asarray((_SQ, _SQ), dtype=np.complex128), pols)
     amps = _through(psi, (block, block))  # [s, (p₁, C/D₁), (p₂, C/D₂)]
     success = float(np.vdot(amps, amps).real)

@@ -903,7 +903,8 @@ def bsa_by_states(
     # [s, p₁, path₁, flag₁, p₂, path₂, flag₂], with one-entry flag axes if lossless
     flag = state.registers[-1].dim if state.registers[-1].kind is RegisterKind.LOSS_FLAG else 1
     amps = state.amps.reshape(2, 2, len(proto.BSA_PATHS), flag, 2, len(proto.BSA_PATHS), flag)
-    amps = amps[:, :, proto._DETECTORS, 0, :, proto._DETECTORS, 0]
+    detectors = slice(proto.BSA_PATHS.index("C"), proto.BSA_PATHS.index("D") + 1)
+    amps = amps[:, :, detectors, 0, :, detectors, 0]
     success = float(np.vdot(amps, amps).real)
     if success <= 1e-15:  # the weight below which an outcome is dropped
         raise ValueError("no coincidence outcomes survived the analyzer")

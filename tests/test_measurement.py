@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -187,13 +188,26 @@ def test_sample_rejects_subnormalized_states():
     assert str(from_state.value) == str(from_dist.value)
 
 
-@pytest.mark.parametrize("shots", [1.5, 2.0, -1, 2**63, "10"])
+@pytest.mark.parametrize("shots", [1.5, 2.0, -1, 2**63, "10", True])
 def test_sample_refuses_a_count_that_is_not_a_64_bit_count(shots):
     dist = meas.enumerate_outcomes(bell_pol_state(), meas.MeasurementBases(pol={1: "RL"}))
     with pytest.raises(ValueError, match=f"got {shots!r}$"):
         dist.sample(shots, seed=0)
     assert dist.sample(0, seed=0) == {}
     assert sum(dist.sample(np.int64(meas.MAX_SHOTS), seed=0).values()) == meas.MAX_SHOTS
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "1", -1])
+def test_sample_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # identical seeds must give identical tables, so no draw falls back to OS entropy
+    dist = meas.enumerate_outcomes(bell_pol_state(), meas.MeasurementBases(pol={1: "RL"}))
+    refused = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=refused):
+        dist.sample(3, seed=seed)
+    with pytest.raises(ValueError, match=refused):
+        dist._draw(3, seed, dist._rows())
+    assert dist.sample(3, seed=np.int64(1)) == dist.sample(3, seed=1)
+    assert sum(dist.sample(3, seed=2**70).values()) == 3
 
 
 @pytest.mark.parametrize(

@@ -453,6 +453,36 @@ def test_non_finite_amplitudes_are_refused_before_any_work(pair, monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("pair", [(), (1.0,), (1.0, 0.0, 3.0)], ids=["0", "1", "3"])
+def test_amplitude_pairs_of_other_lengths_are_refused_before_any_work(pair, monkeypatch):
+    _refuse_builds(monkeypatch)
+    refused = f"^amplitude pair must be two amplitudes, got {re.escape(repr(pair))}$"
+    for call in (
+        lambda: proto.cnot(pair, (1.0, 0.0)),
+        lambda: proto.cnot((1.0, 0.0), pair),
+        lambda: proto.entangle_stream([(1.0, 0.0), pair]),
+        lambda: proto.entangle_stream([(1.0, 0.0)], pair),
+        lambda: proto.conditional_spin_prep(pair),
+    ):
+        with pytest.raises(ValueError, match=refused):
+            call()
+
+
+@pytest.mark.parametrize("n", [2.5, True, False, "3", None, 3.0], ids=repr)
+def test_ghz_refuses_an_n_that_is_not_an_integer_before_any_work(n, monkeypatch):
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        proto.ghz(n)
+
+
+def test_ghz_takes_a_numpy_integer():
+    for photons in (np.int64(3), np.int32(3), np.uint8(3)):
+        out, want = proto.ghz(photons), proto.ghz(3)
+        assert list(out) == list(want)
+        for name in want:
+            _assert_same_result(out[name], want[name])
+
+
 def test_huge_and_subnormal_amplitude_pairs_are_normalized():
     # the last pair's norm, 1.2e308·√3, is itself past the largest double
     for pair, same in (
@@ -937,8 +967,9 @@ def test_analyzer_refuses_bad_input_before_any_build(analyzer, monkeypatch):
 @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
 def test_detector_block_is_the_alive_detector_rows_kept_read_only(lossy, lossy_model):
     model = lossy_model if lossy else cav.InteractionModel.ideal()
-    block = proto._detector_block(model)
-    assert proto._detector_block(model) is block
+    cut = proto._spin_blocks(proto.BSA_PLAN, model, proto.BSA_PATHS, ("In",), ("C", "D"))
+    assert proto._spin_blocks(proto.BSA_PLAN, model, proto.BSA_PATHS, ("In",), ("C", "D")) is cut
+    block = cut[0]
     flag = ("Alive",) if lossy else ()
     rows = proto._mode_rows(
         proto.BSA_PATHS, [(pol, port, *flag) for pol in qs.RL for port in ("C", "D")]
@@ -1310,6 +1341,51 @@ _ORACLE_MODELS = st.one_of(
 )
 
 
+@st.composite
+def _plans_and_entries(draw):
+    """A protocol plan or a random plan on five ports, and 1–2 entry ports."""
+    if draw(st.booleans(), label="protocol plan"):
+        plan, ports = draw(st.sampled_from(list(_PLANS.values())), label="plan")
+    else:
+        plan, ports = draw(_plans(), label="plan"), _FIVE_PORTS
+    entries = draw(st.lists(st.sampled_from(ports), min_size=1, max_size=2, unique=True))
+    return plan, tuple(ports), tuple(entries)
+
+
+def _alive_rows(blocks, ports, exits):
+    """The rows of K[entry, s, (p′, path′[, flag′]), p] that leave Alive on
+    ``exits``, (p′, exit) with p′ major, read off the blocks' axes."""
+    axes = blocks.reshape(*blocks.shape[:2], 2, len(ports), -1, 2)  # one flag′ entry if lossless
+    alive = axes[:, :, :, [ports.index(port) for port in exits], 0]
+    return alive.reshape(*blocks.shape[:2], 2 * len(exits), 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_plans_and_entries(), model=_ORACLE_MODELS, data=st.data())
+def test_exit_cuts_are_the_alive_rows_of_the_blocks_memoized_read_only(case, model, data):
+    plan, ports, in_ports = case
+    full = proto._spin_blocks(plan, model, ports, in_ports)
+    for size in range(1, len(ports) + 1):
+        for exits in itertools.permutations(ports, size):
+            cut = proto._spin_blocks(plan, model, ports, in_ports, exits)
+            assert np.array_equal(cut, _alive_rows(full, ports, exits))
+            assert not cut.flags.writeable
+            assert proto._spin_blocks(plan, model, ports, in_ports, exits) is cut
+    # an unknown entry or exit port, anywhere among known ones: refused
+    # before any block or element is built, and never kept
+    side = data.draw(st.sampled_from(("entry", "exit")), label="unknown side")
+    exits = data.draw(st.lists(st.sampled_from(ports), unique=True), label="exits")
+    names = list(in_ports if side == "entry" else exits)
+    names.insert(data.draw(st.integers(0, len(names)), label="at"), "Z")
+    entries, exits = (names, exits) if side == "entry" else (in_ports, names)
+    fresh = dataclasses.replace(model)
+    with pytest.MonkeyPatch.context() as patch:
+        _refuse_builds(patch)
+        with pytest.raises(ValueError, match=f"^{side} port 'Z' is not one of the ports "):
+            proto._spin_blocks(plan, fresh, ports, tuple(entries), tuple(exits))
+    assert fresh._channels == {}
+
+
 def _largest_difference(got, want) -> float:
     got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
     return float(np.abs(got - want).max()) if got.shape == want.shape else math.inf
@@ -1399,7 +1475,7 @@ def test_spin_prep_refuses_a_branch_with_no_spin_amplitude(monkeypatch):
 
 def test_a_loss_point_checks_each_state_it_returns_and_no_more(monkeypatch):
     # every protocol result is a checked state, and only they and the
-    # analyzer's Bell inputs are: 1 (cnot) + 4 × 2 (bsa) + 3 (spin prep) + 2 (ghz)
+    # analyzer's Bell inputs are: 1 (cnot) + 4 × 2 (bsa) + 2 (spin prep) + 2 (ghz)
     checked = []
     check = qs.StateVector._check
 
@@ -1415,13 +1491,14 @@ def test_a_loss_point_checks_each_state_it_returns_and_no_more(monkeypatch):
         returned.append(proto.bsa(bell.state((1, 2)), model).state)
     returned += [res.state for res in proto.conditional_spin_prep((0.6, 0.8j), model).values()]
     returned += [res.state for res in proto.ghz(4, model).values()]
-    assert len(checked) == 14
+    assert len(checked) == 13
     assert all(any(state is seen for seen in checked) for state in returned)
 
 
-def test_a_loss_point_that_reads_no_analyzer_state_checks_ten_states(monkeypatch):
-    # 1 (cnot) + 4 (the analyzer's Bell inputs) + 3 (spin prep) + 2 (ghz):
-    # no analyzer builds its pre-detection state unless it is read
+def test_a_loss_point_that_reads_no_analyzer_state_checks_nine_states(monkeypatch):
+    # 1 (cnot) + 4 (the analyzer's Bell inputs) + 2 (spin prep) + 2 (ghz):
+    # no analyzer builds its pre-detection state unless it is read, and the
+    # spin preparation builds only the two spin states it returns
     checked = []
     check = qs.StateVector._check
 
@@ -1431,4 +1508,4 @@ def test_a_loss_point_that_reads_no_analyzer_state_checks_ten_states(monkeypatch
 
     monkeypatch.setattr(qs.StateVector, "_check", counting_check)
     _loss_point(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
-    assert len(checked) == 10
+    assert len(checked) == 9
