@@ -30,15 +30,37 @@ import functools
 import numpy as np
 
 from .. import measurement as meas
+from .. import optics
 from .. import protocols as proto
 from .. import qstate as qs
-from ..cavity import InteractionModel
+from ..cavity import InteractionModel, pass_modes
 from ..qstate import StateVector
 from . import ast
 
 __all__ = ["CircuitError", "CompiledCircuit", "RunResult", "compile_circuit"]
 
 _IN_PLACE_KINDS = ("mirror", "hwp", "phase")
+
+#: The plan op of each (kind, number of inputs, number of outputs) a component
+#: may have.  An op of :data:`_IN_PLACE_OPS` acts on its inputs, which its
+#: outputs repeat; every other op on its inputs, then its outputs.
+_OPS = {
+    ("cpbs", 1, 2): "cpbs3",
+    ("cpbs", 2, 2): "cpbs4",
+    ("bs", 2, 2): "bs",
+    ("cavity", 1, 2): "scatter",
+    ("cavity", 2, 2): "loop_cavity",
+    **{(kind, 1, 1): kind for kind in _IN_PLACE_KINDS},
+}
+_IN_PLACE_OPS = (*_IN_PLACE_KINDS, "loop_cavity")
+
+#: Each kind's arity rule, as a component that breaks it is told.
+_ARITY = {
+    "cpbs": "is in=[p] out=[r, l] or in=[a, b] out=[c, d]",
+    "bs": "needs two inputs and two outputs",
+    "cavity": "is in=[p] out=[reflect, transmit] or a two-arm loop with in = out",
+    **dict.fromkeys(_IN_PLACE_KINDS, "must act in place (in=[p] out=[p])"),
+}
 
 #: Each named input state's amplitudes, R/L for a photon and Up/Down for the
 #: spin: H/V and Plus/Minus are read off the basis changes that detection
@@ -118,112 +140,79 @@ class CompiledCircuit:
 # ---------------------------------------------------------------------------
 
 
-def _classify_component(comp: ast.Component) -> tuple[str, tuple[str, ...]]:
-    """Return (op, ports) for one component, validating its arity."""
-    n_in, n_out = len(comp.inputs), len(comp.outputs)
-    if comp.kind in _IN_PLACE_KINDS:
-        if not comp.in_place:
-            raise CircuitError(
-                f"{comp.name}: {comp.kind} must act in place (in=[p] out=[p])"
-            )
-        return comp.kind, comp.inputs
-    if comp.kind == "cpbs":
-        if n_in == 1 and n_out == 2 and len({comp.inputs[0], *comp.outputs}) >= 2:
-            if comp.outputs[0] == comp.outputs[1]:
-                raise CircuitError(f"{comp.name}: cpbs outputs must differ")
-            return "cpbs3", (comp.inputs[0], *comp.outputs)
-        if n_in == 2 and n_out == 2:
-            ports = (*comp.inputs, *comp.outputs)
-            if len(set(ports)) != 4:
-                raise CircuitError(f"{comp.name}: four-port cpbs needs distinct ports")
-            return "cpbs4", ports
-        raise CircuitError(
-            f"{comp.name}: cpbs is in=[p] out=[r, l] or in=[a, b] out=[c, d]"
-        )
-    if comp.kind == "bs":
-        if n_in != 2 or n_out != 2:
-            raise CircuitError(f"{comp.name}: bs needs two inputs and two outputs")
-        ports = (*comp.inputs, *comp.outputs)
-        if comp.inputs == comp.outputs:
-            if comp.inputs[0] == comp.inputs[1]:
-                raise CircuitError(f"{comp.name}: bs inputs must differ")
-            return "bs", ports
-        if len(set(ports)) != 4:
-            raise CircuitError(
-                f"{comp.name}: bs ports must be four distinct names or fully in-place"
-            )
-        return "bs", ports
-    if comp.kind == "cavity":
-        if n_in == 1 and n_out == 2 and len({comp.inputs[0], *comp.outputs}) == 3:
-            return "scatter", (comp.inputs[0], *comp.outputs)
-        if n_in == 2 and comp.inputs == comp.outputs and comp.inputs[0] != comp.inputs[1]:
-            return "loop_cavity", comp.inputs
-        raise CircuitError(
-            f"{comp.name}: cavity is in=[p] out=[reflect, transmit] or a two-arm "
-            "loop with in = out"
-        )
-    raise AssertionError(f"unvalidated kind {comp.kind!r}")
+def _classify_component(comp: ast.Component) -> proto.PlanStep:
+    """The plan step of one component: the op of its kind and arity, its
+    ports, and its kind's one parameter; the step's own builder checks the
+    ports, and its refusal names the component."""
+    op = _OPS.get((comp.kind, len(comp.inputs), len(comp.outputs)))
+    in_place = op in _IN_PLACE_OPS
+    if op is None or in_place and comp.inputs != comp.outputs:
+        raise CircuitError(f"{comp.name}: {comp.kind} {_ARITY[comp.kind]}")
+    ports = comp.inputs if in_place else (*comp.inputs, *comp.outputs)
+    step = (op, ports, comp.param("phi", comp.param("theta", 0.0)) or 0.0)
+    try:
+        if op in proto._CAVITY_OPS:
+            pass_modes(op, ports, False)
+        else:
+            optics.element(*step)
+    except ValueError as err:
+        raise CircuitError(f"{comp.name}: {err}") from None
+    return step
 
 
 def _schedule_loop(
-    circuit: ast.Circuit, classified: list[tuple[ast.Component, str, tuple[str, ...]]]
+    circuit: ast.Circuit, steps: list[tuple[ast.Component, proto.PlanStep]]
 ) -> list[proto.PlanStep]:
-    loops = [(c, p) for c, op, p in classified if op == "loop_cavity"]
-    (cavity, arms) = loops[0]
-    splitters = [(c, p) for c, op, p in classified if op == "cpbs4"]
+    cavity = next(step for _, step in steps if step[0] == "loop_cavity")
+    arms = cavity[1]
+    splitters = [(c, step) for c, step in steps if step[0] == "cpbs4"]
     if len(splitters) != 1:
         raise CircuitError(
             "loop form needs exactly one four-port cpbs feeding the cavity arms"
         )
-    splitter, sp_ports = splitters[0]
+    splitter, entry = splitters[0]
+    sp_ports = entry[1]
     if set(sp_ports[2:]) != set(arms):
         raise CircuitError(
             f"{splitter.name}: splitter outputs {sp_ports[2:]} must be the cavity "
             f"arms {arms}"
         )
     decorations: list[proto.PlanStep] = []
-    for comp, op, ports in classified:
-        if op in ("loop_cavity", "cpbs4"):
+    for comp, step in steps:
+        if step[0] in ("loop_cavity", "cpbs4"):
             continue
-        if op not in _IN_PLACE_KINDS:
+        if step[0] not in _IN_PLACE_KINDS:
             raise CircuitError(
                 f"{comp.name}: only in-place elements may sit inside the loop"
             )
-        if ports[0] not in arms:
+        if step[1][0] not in arms:
             raise CircuitError(
                 f"{comp.name}: loop decorations must sit on a cavity arm "
                 f"({', '.join(arms)})"
             )
-        decorations.append((op, ports, comp.param("phi", comp.param("theta", 0.0)) or 0.0))
+        decorations.append(step)
     for inp in circuit.inputs:
         if isinstance(inp, ast.PhotonInput) and inp.port not in sp_ports[:2]:
             raise CircuitError(
                 f"photon at port {inp.port!r}: loop-form photons must enter on a "
                 f"splitter input ({sp_ports[0]} or {sp_ports[1]})"
             )
-    plan = [("cpbs4", sp_ports, 0.0)]
-    plan.extend(decorations)
-    plan.append(("loop_cavity", arms, 0.0))
-    plan.extend(reversed(decorations))
-    plan.append(("cpbs4", sp_ports, 0.0))
-    return plan
+    return [entry, *decorations, cavity, *reversed(decorations), entry]
 
 
 def _schedule_feed_forward(
-    circuit: ast.Circuit, classified: list[tuple[ast.Component, str, tuple[str, ...]]]
+    circuit: ast.Circuit, steps: list[tuple[ast.Component, proto.PlanStep]]
 ) -> list[proto.PlanStep]:
     available = {
         inp.port for inp in circuit.inputs if isinstance(inp, ast.PhotonInput)
     }
-    plan: list[proto.PlanStep] = []
-    for comp, op, ports in classified:
-        in_place = op in _IN_PLACE_KINDS or (op == "bs" and comp.inputs == comp.outputs)
+    for comp, _ in steps:
         for port in comp.inputs:
             if port not in available:
                 raise CircuitError(
                     f"{comp.name}: input port {port!r} has no upstream source"
                 )
-        if not in_place:
+        if comp.inputs != comp.outputs:  # a routing component
             for port in comp.outputs:
                 if port in available:
                     raise CircuitError(
@@ -231,19 +220,18 @@ def _schedule_feed_forward(
                         "a fresh port"
                     )
                 available.add(port)
-        param = comp.param("phi", comp.param("theta", 0.0)) or 0.0
-        plan.append((op, ports, param))
-    return plan
+    return [step for _, step in steps]
 
 
 def compile_circuit(circuit: ast.Circuit) -> CompiledCircuit:
     """Validate wiring and produce the executable schedule.
 
-    Raises :class:`CircuitError` on arity, topology, or reference problems.
+    Raises :class:`CircuitError` on arity, port, topology, or reference
+    problems, the port problems as each plan step's builder states them.
     """
-    classified = [(c, *_classify_component(c)) for c in circuit.components]
+    steps = [(c, _classify_component(c)) for c in circuit.components]
 
-    cavities = [c for c, op, _ in classified if op in ("scatter", "loop_cavity")]
+    cavities = [c for c, step in steps if step[0] in proto._CAVITY_OPS]
     if len(cavities) > 1:
         raise CircuitError("at most one cavity per circuit (there is one emitter)")
 
@@ -267,11 +255,8 @@ def compile_circuit(circuit: ast.Circuit) -> CompiledCircuit:
         if isinstance(m, (ast.PolMeasure, ast.PortMeasure)) and m.photon not in photon_ids:
             raise CircuitError(f"measurement references unknown photon {m.photon}")
 
-    loop = any(op == "loop_cavity" for _, op, _ in classified)
-    if loop:
-        plan = _schedule_loop(circuit, classified)
-    else:
-        plan = _schedule_feed_forward(circuit, classified)
+    loop = any(step[0] == "loop_cavity" for _, step in steps)
+    plan = (_schedule_loop if loop else _schedule_feed_forward)(circuit, steps)
 
     return CompiledCircuit(
         source=circuit, ports=circuit.ports, plan=tuple(plan), has_spin=has_spin_input

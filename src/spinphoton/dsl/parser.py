@@ -121,6 +121,13 @@ class _Line:
         if tok.kind != "end":
             self.error("unexpected trailing input", tok)
 
+    def once(self, declared: set, key: tuple, message: str, tok: _Token) -> None:
+        """Add ``key`` to the circuit's ``declared`` set; a key already there
+        is a Semantic error at ``tok``."""
+        if key in declared:
+            self.error(message, tok, kind="Semantic")
+        declared.add(key)
+
 
 def _parse_value(cur: _Line) -> float:
     sign = 1.0
@@ -161,11 +168,11 @@ def _parse_port_list(cur: _Line) -> tuple[str, ...]:
     return tuple(ports)
 
 
-def _parse_component(cur: _Line, known_names: set[str]) -> ast.Component:
+def _parse_component(cur: _Line, declared: set) -> ast.Component:
     head = cur.tokens[0]
     name_tok = cur.ident("a component name")
-    if name_tok.text in known_names:
-        cur.error(f"duplicate component name {name_tok.text!r}", name_tok, kind="Semantic")
+    name = name_tok.text
+    cur.once(declared, ("name", name), f"duplicate component name {name!r}", name_tok)
     kind_tok = cur.ident("a component kind")
     if kind_tok.text not in ast.KIND_PARAMS:
         cur.error(
@@ -200,7 +207,7 @@ def _parse_component(cur: _Line, known_names: set[str]) -> ast.Component:
     outputs = _parse_port_list(cur)
     cur.done()
     return ast.Component(
-        name=name_tok.text,
+        name=name,
         kind=kind_tok.text,
         params=tuple(params),
         inputs=inputs,
@@ -209,9 +216,7 @@ def _parse_component(cur: _Line, known_names: set[str]) -> ast.Component:
     )
 
 
-def _parse_input(
-    cur: _Line, photon_ids: set[int], have_spin: bool
-) -> ast.PhotonInput | ast.SpinInput:
+def _parse_input(cur: _Line, declared: set) -> ast.PhotonInput | ast.SpinInput:
     head = cur.tokens[0]
     what = cur.ident("'photon', 'photons', or 'spin'")
     if what.text == "spin":
@@ -219,8 +224,7 @@ def _parse_input(
         state = cur.ident("a spin state")
         if state.text not in ast.SPIN_STATES:
             cur.error(f"unknown spin state {state.text!r}", state, kind="Semantic")
-        if have_spin:
-            cur.error("spin input already declared", what, kind="Semantic")
+        cur.once(declared, ("spin input",), "spin input already declared", what)
         cur.done()
         return ast.SpinInput(state=state.text, pos=ast.Position(head.line, head.col))
     if what.text in ("photon", "photons"):
@@ -228,8 +232,7 @@ def _parse_input(
         ids: list[int] = []
         for _ in range(count):
             pid, tok = cur.integer("a photon id")
-            if pid in photon_ids or pid in ids:
-                cur.error(f"photon {pid} already declared", tok, kind="Semantic")
+            cur.once(declared, ("photon", pid), f"photon {pid} already declared", tok)
             ids.append(pid)
         cur.keyword("port")
         port = cur.ident("a port name")
@@ -253,7 +256,7 @@ def _parse_input(
     raise AssertionError  # unreachable
 
 
-def _parse_measure(cur: _Line) -> ast.Measure:
+def _parse_measure(cur: _Line, declared: set) -> ast.Measure:
     head = cur.tokens[0]
     what = cur.ident("'photon' or 'spin'")
     pos = ast.Position(head.line, head.col)
@@ -263,12 +266,14 @@ def _parse_measure(cur: _Line) -> ast.Measure:
         if basis.text not in ast.SPIN_BASES:
             cur.error(f"unknown spin basis {basis.text!r}", basis, kind="Semantic")
         cur.done()
+        cur.once(declared, ("spin measure",), "spin measured twice", head)
         return ast.SpinMeasure(basis=basis.text, pos=pos)
     if what.text == "photon":
         pid, _ = cur.integer("a photon id")
         which = cur.ident("'pol' or 'port'")
         if which.text == "port":
             cur.done()
+            cur.once(declared, ("port", pid), f"photon {pid} port measured twice", head)
             return ast.PortMeasure(photon=pid, pos=pos)
         if which.text == "pol":
             cur.keyword("basis")
@@ -278,10 +283,15 @@ def _parse_measure(cur: _Line) -> ast.Measure:
                     f"unknown polarization basis {basis.text!r}", basis, kind="Semantic"
                 )
             cur.done()
+            cur.once(declared, ("pol", pid), f"photon {pid} polarization measured twice", head)
             return ast.PolMeasure(photon=pid, basis=basis.text, pos=pos)
         cur.error("expected 'pol' or 'port'", which)
     cur.error("expected 'photon' or 'spin'", what)
     raise AssertionError  # unreachable
+
+
+#: The parser of each statement, by its first word.
+_STATEMENTS = {"component": _parse_component, "input": _parse_input, "measure": _parse_measure}
 
 
 def parse(text: str) -> ast.Circuit:
@@ -290,64 +300,22 @@ def parse(text: str) -> ast.Circuit:
     Raises :class:`ParseError` on the first problem; an input with no
     statements at all is a Syntax error at 1:1.
     """
-    components: list[ast.Component] = []
-    inputs: list[ast.PhotonInput | ast.SpinInput] = []
-    measures: list[ast.Measure] = []
-    names: set[str] = set()
-    photon_ids: set[int] = set()
-    measured_pol: set[int] = set()
-    measured_port: set[int] = set()
-    have_spin_input = False
-    have_spin_measure = False
-
+    found: dict[str, list] = {head: [] for head in _STATEMENTS}
+    declared: set = set()  # every name, photon, spin and readout declared once
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        tokens = _tokenize(line, line_no)
+        tokens = _tokenize(raw.rstrip("\r"), line_no)
         if tokens[0].kind == "end":
             continue
         cur = _Line(tokens)
         head = cur.next()
-        if head.kind != "ident":
+        if head.text not in _STATEMENTS:
             cur.error("expected 'component', 'input', or 'measure'", head)
-        if head.text == "component":
-            comp = _parse_component(cur, names)
-            names.add(comp.name)
-            components.append(comp)
-        elif head.text == "input":
-            inp = _parse_input(cur, photon_ids, have_spin_input)
-            if isinstance(inp, ast.SpinInput):
-                have_spin_input = True
-            else:
-                photon_ids.update(inp.photons)
-            inputs.append(inp)
-        elif head.text == "measure":
-            m = _parse_measure(cur)
-            if isinstance(m, ast.SpinMeasure):
-                if have_spin_measure:
-                    cur.error("spin measured twice", cur.tokens[0], kind="Semantic")
-                have_spin_measure = True
-            elif isinstance(m, ast.PolMeasure):
-                if m.photon in measured_pol:
-                    cur.error(
-                        f"photon {m.photon} polarization measured twice",
-                        cur.tokens[0],
-                        kind="Semantic",
-                    )
-                measured_pol.add(m.photon)
-            else:
-                if m.photon in measured_port:
-                    cur.error(
-                        f"photon {m.photon} port measured twice",
-                        cur.tokens[0],
-                        kind="Semantic",
-                    )
-                measured_port.add(m.photon)
-            measures.append(m)
-        else:
-            cur.error("expected 'component', 'input', or 'measure'", head)
+        found[head.text].append(_STATEMENTS[head.text](cur, declared))
 
-    if not (components or inputs or measures):
+    if not any(found.values()):
         raise ParseError("Syntax", "empty circuit", 1, 1)
     return ast.Circuit(
-        components=tuple(components), inputs=tuple(inputs), measures=tuple(measures)
+        components=tuple(found["component"]),
+        inputs=tuple(found["input"]),
+        measures=tuple(found["measure"]),
     )

@@ -295,9 +295,11 @@ def enumerate_outcomes(state: StateVector, bases: MeasurementBases) -> Distribut
     by_id = sorted((pid, pos) for pos, (*_, pid) in enumerate(outcome_axes) if pid is not None)
     photon_pos = [pos for _, pos in by_id]
     spin_pos = next((pos for pos, (*_, pid) in enumerate(outcome_axes) if pid is None), None)
-    out: dict[OutcomeRecord, float] = {}
-    for row, p in zip(rows, values):
-        photons = tuple(labels[pos][row[pos]] for pos in photon_pos)
-        spin = None if spin_pos is None else labels[spin_pos][row[spin_pos]]
-        out[OutcomeRecord(photons=photons, spin=spin)] = p
-    return Distribution(out)
+    records = (
+        OutcomeRecord(
+            photons=tuple(labels[pos][row[pos]] for pos in photon_pos),
+            spin=None if spin_pos is None else labels[spin_pos][row[spin_pos]],
+        )
+        for row in rows
+    )
+    return Distribution._from_pairs(records, values)  # distinct rows give distinct records

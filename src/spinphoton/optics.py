@@ -19,6 +19,12 @@ import numpy as np
 __all__ = ["element"]
 
 _BS_BLOCK = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
+#: The splitter's two fixed blocks, read-only: one :data:`_BS_BLOCK` per
+#: polarization in place, and per polarization and direction on four ports
+#: (the block is symmetric, so the way back needs no transpose).
+_BS_IN_PLACE = np.kron(np.eye(2), _BS_BLOCK)
+_BS_FOUR_PORT = np.kron(np.eye(4), _BS_BLOCK)
+_BS_IN_PLACE.flags.writeable = _BS_FOUR_PORT.flags.writeable = False
 
 
 def element(
@@ -71,15 +77,13 @@ def element(
             if in_a == in_b:
                 raise ValueError("bs inputs must differ")
             ins = outs = [(pol, port) for pol in ("R", "L") for port in (in_a, in_b)]
-            block = np.kron(np.eye(2), _BS_BLOCK)
+            block = _BS_IN_PLACE
         else:
             if len(set(at)) != 4:
                 raise ValueError("bs ports must be four distinct names or fully in-place")
             ins = [(pol, port) for pol in ("R", "L") for port in at]
             outs = [(pol, port) for pol in ("R", "L") for port in (out_c, out_d, in_a, in_b)]
-            half = np.zeros((4, 4), dtype=np.complex128)
-            half[:2, :2], half[2:, 2:] = _BS_BLOCK, _BS_BLOCK.T
-            block = np.kron(np.eye(2), half)
+            block = _BS_FOUR_PORT
     elif op in ("mirror", "hwp", "phase"):
         ins = [("R", at[0]), ("L", at[0])]
         outs = ins if op == "phase" else ins[::-1]

@@ -407,7 +407,11 @@ def cnot(
 
 
 def _normalize_pair(amps: tuple[complex, complex]) -> tuple[complex, complex]:
-    if len(amps) != 2:
+    try:  # a string's characters, or a scalar, are not amplitudes
+        pair = not isinstance(amps, (str, bytes, bytearray)) and len(amps) == 2
+    except TypeError:
+        pair = False
+    if not pair:
         raise ValueError(f"amplitude pair must be two amplitudes, got {amps!r}")
     a, b = map(complex, amps)
     parts = (a.real, a.imag, b.real, b.imag)

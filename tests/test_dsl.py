@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -19,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinphoton import circuits, cli
+from spinphoton import circuits, cli, optics
 from spinphoton import measurement as meas
 from spinphoton import protocols as proto
 from spinphoton import qstate as qs
-from spinphoton.cavity import ContrastParams, InteractionModel
+from spinphoton.cavity import ContrastParams, InteractionModel, pass_modes
 from spinphoton.dsl import (
     CircuitError,
     ParseError,
@@ -373,6 +374,98 @@ class TestCompile:
         # no photons is caught at compile time (the grammar allows it)
         with pytest.raises(CircuitError, match="no photon"):
             compile_circuit(parse("component m mirror in=[P] out=[P]\n"))
+
+
+def _lone_step(comp: ast.Component) -> proto.PlanStep | None:
+    """The plan step of a lone component by its kind and arity, or None
+    where the arity is refused: an in-place kind, and the two-arm cavity,
+    act on ports that their outputs repeat."""
+    n = (len(comp.inputs), len(comp.outputs))
+    in_place = comp.inputs == comp.outputs
+    param = comp.params[0].value if comp.params else 0.0
+    if comp.kind in ("mirror", "hwp", "phase"):
+        return (comp.kind, comp.inputs, param) if n == (1, 1) and in_place else None
+    if comp.kind == "cavity" and n == (2, 2):
+        return ("loop_cavity", comp.inputs, 0.0) if in_place else None
+    op = {
+        ("cpbs", (1, 2)): "cpbs3",
+        ("cpbs", (2, 2)): "cpbs4",
+        ("bs", (2, 2)): "bs",
+        ("cavity", (1, 2)): "scatter",
+    }.get((comp.kind, n))
+    return None if op is None else (op, (*comp.inputs, *comp.outputs), 0.0)
+
+
+def _builder_refusal(step: proto.PlanStep) -> str | None:
+    """The reason the step's own builder refuses it, or None."""
+    try:
+        if step[0] in ("scatter", "loop_cavity"):
+            pass_modes(step[0], step[1], False)
+        else:
+            optics.element(*step)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+_NAMES = ("A", "B", "C", "D")
+_HALF_MAX = sys.float_info.max / 2  # the largest angle whose double is finite
+# any angle up to 1e308, and the edge where 2θ overflows
+_LARGE_ANGLES = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.sampled_from((_HALF_MAX, -_HALF_MAX, math.nextafter(_HALF_MAX, math.inf), 1e308)),
+)
+
+
+@st.composite
+def _lone_components(draw) -> ast.Component:
+    """Any kind on one or two inputs and one or two outputs: the inputs
+    again, any ports, or ports that are not inputs."""
+    kind = draw(st.sampled_from(ast.COMPONENT_KINDS))
+    params = tuple(ast.Param(name, draw(_LARGE_ANGLES)) for name in ast.KIND_PARAMS[kind])
+    inputs = tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2)))
+    fresh = [port for port in _NAMES if port not in inputs]
+    outputs = draw(
+        st.one_of(
+            st.just(inputs),
+            st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2).map(tuple),
+            st.lists(st.sampled_from(fresh), min_size=1, max_size=2, unique=True).map(tuple),
+        )
+    )
+    return ast.Component(draw(st.sampled_from(("s", "dot", "plate"))), kind, params, inputs, outputs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(comp=_lone_components())
+def test_a_lone_component_is_refused_exactly_where_its_arity_or_its_builder_is(comp):
+    # every input port carries a photon and the spin is prepared, so only the
+    # component can be refused; a two-arm cavity gets the splitter the loop form needs
+    step = _lone_step(comp)
+    reason = "arity" if step is None else _builder_refusal(step)
+    comps, entries = [comp], sorted(set(comp.inputs))
+    if step is not None and step[0] == "loop_cavity":
+        comps.append(ast.Component("feed", "cpbs", (), ("S0", "S1"), comp.inputs))
+        entries = ["S0", "S1"]
+    inputs = [ast.PhotonInput((pid,), port, "H") for pid, port in enumerate(entries, 1)]
+    circuit = ast.Circuit(tuple(comps), (*inputs, ast.SpinInput("Up")), ())
+    # a cpbs3 may send one polarization back out of its input; fed from
+    # outside, that port already carries light, and the feed-forward schedule
+    # refuses it
+    clash = comp.inputs != comp.outputs and bool(set(comp.inputs) & set(comp.outputs))
+    if reason is None and not clash:
+        feed = ("cpbs4", ("S0", "S1", *comp.inputs), 0.0)
+        want = (feed, step, feed) if len(comps) == 2 else (step,)
+        assert compile_circuit(circuit).plan == want
+        return
+    with pytest.raises(CircuitError) as err:
+        compile_circuit(circuit)
+    assert str(err.value).startswith(f"{comp.name}: ")
+    if reason is None:
+        assert "already carries light" in str(err.value)
+    elif reason == "arity":  # the kind's arity rule
+        assert str(err.value).startswith(f"{comp.name}: {comp.kind} ")
+    else:
+        assert str(err.value) == f"{comp.name}: {reason}"
 
 
 def _heralded_exit(state, photons, lossy, port="D"):

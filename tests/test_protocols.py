@@ -453,7 +453,11 @@ def test_non_finite_amplitudes_are_refused_before_any_work(pair, monkeypatch):
             call()
 
 
-@pytest.mark.parametrize("pair", [(), (1.0,), (1.0, 0.0, 3.0)], ids=["0", "1", "3"])
+@pytest.mark.parametrize(
+    "pair",
+    [(), (1.0,), (1.0, 0.0, 3.0), "10", b"10", 1.0],
+    ids=["0", "1", "3", "str", "bytes", "scalar"],
+)
 def test_amplitude_pairs_of_other_lengths_are_refused_before_any_work(pair, monkeypatch):
     _refuse_builds(monkeypatch)
     refused = f"^amplitude pair must be two amplitudes, got {re.escape(repr(pair))}$"
