@@ -6,16 +6,21 @@
     spinphoton sweep-delta --kappa 1.0 --g 0.5 --points 61
     spinphoton run cnot --samples 1000 --seed 7
 
-Every command emits a flat table, as CSV (default) or as a JSON document
+Each command is a function from its arguments (and the interaction model,
+for those that take one) to its table: its columns and rows, plus the seed
+and the generator of a sampled ``run``.  :func:`main` alone writes the table,
+as CSV (default) or as a JSON document
 
     {"schema_version": 1, "command": ..., "model": ..., "seed": ...,
      "rng": ..., "columns": [...], "rows": [[...], ...]}
 
-Real-valued options must be finite numbers; ``run --samples`` must lie in
-[1, 2^63 - 1], ``--seed`` must be non-negative and ``sweep-delta --points``
-must lie in [2, :data:`MAX_POINTS`].  Exit codes: 0 on success,
-1 when the input or circuit is at fault (or a result is not finite, which
-JSON cannot carry), 2 for bad command lines.
+and maps errors to exit codes.  Real-valued options must be finite numbers;
+``run --samples`` must lie in [1, 2^63 - 1], ``--seed`` must be
+non-negative and ``sweep-delta --points`` must lie in [2, :data:`MAX_POINTS`].
+Exit codes: 0 on success, 1 when the input or circuit is at fault (or a
+result is not finite, which JSON cannot carry), 2 for bad command lines.  A
+command's own arguments are checked before the model options, and both
+before the model is built.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused: it holds only immutable defaults, and every call parses
@@ -36,23 +41,17 @@ import numpy as np
 from . import circuits
 from . import measurement as meas
 from . import protocols as proto
-from .cavity import (
-    CavityParams,
-    ContrastParams,
-    InteractionModel,
-    scatter_coefficients,
-    transmission_contrast,
-)
+from .cavity import (CavityParams, ContrastParams, InteractionModel, scatter_coefficients,
+                     transmission_contrast)
 from .dsl import CircuitError, ParseError, compile_circuit, parse
 
 SCHEMA_VERSION = 1
 
-#: Most grid points ``sweep-delta`` takes; each costs one ``CavityParams``,
-#: its coefficients and one output row.
+#: Most grid points ``sweep-delta`` takes; each costs one output row, and
+#: the JSON or CSV text is built whole before it is written.
 MAX_POINTS = 10**6
 
 _GATE_LABELS = ("R_Up", "R_Down", "L_Up", "L_Down")
-_BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
 
 # ---------------------------------------------------------------------------
@@ -86,77 +85,47 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="radiation leakage loss")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=pathlib.Path, metavar="PATH",
-                   help="write to a file instead of stdout")
+def _alphas(args: argparse.Namespace) -> tuple[float | None, ...]:
+    return args.alpha_mirror, args.alpha_scatter, args.alpha_radiation
 
 
-def _build_model(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[InteractionModel, dict]:
-    alphas = (args.alpha_mirror, args.alpha_scatter, args.alpha_radiation)
-    if any(a is not None for a in alphas):
-        if args.model != "lossy":
-            parser.error("--alpha-* options require --model lossy")
-        if not all(a is not None for a in alphas):
-            parser.error(
-                "give all three of --alpha-mirror, --alpha-scatter, --alpha-radiation"
-            )
-        params = ContrastParams.from_losses(*alphas, purcell=args.purcell)
-    else:
+#: The usage faults of the model options, as (fault, message) pairs.
+_MODEL_CHECKS = (
+    (lambda args: args.model != "lossy" and _alphas(args).count(None) < 3,
+     "--alpha-* options require --model lossy"),
+    (lambda args: 0 < _alphas(args).count(None) < 3,
+     "give all three of --alpha-mirror, --alpha-scatter, --alpha-radiation"),
+)
+
+
+def _build_model(args: argparse.Namespace) -> tuple[InteractionModel, dict]:
+    if None in _alphas(args):
         params = ContrastParams(q_ratio_sq=args.q_ratio_sq, purcell=args.purcell)
+    else:
+        params = ContrastParams.from_losses(*_alphas(args), purcell=args.purcell)
     if args.model == "ideal":
         return InteractionModel.ideal(), {"mode": "ideal"}
-    info = {
-        "mode": "lossy",
-        "q_ratio_sq": params.q_ratio_sq,
-        "purcell": params.purcell,
-        "contrast": transmission_contrast(params),
-    }
+    info = {"mode": "lossy", "q_ratio_sq": params.q_ratio_sq, "purcell": params.purcell,
+            "contrast": transmission_contrast(params)}
     return InteractionModel.from_contrast(params), info
 
 
 def _csv_cell(value) -> str:
+    # a table holds what JSON can carry: Python scalars, and numpy's float64, a float
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return "%.12g" % value
     return str(value)
 
 
-def _json_cell(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
-def _emit(
-    args: argparse.Namespace,
-    command: str,
-    columns: list[str],
-    rows: list[list],
-    *,
-    model_info: dict | None = None,
-    seed: int | None = None,
-    rng: str | None = None,
-) -> None:
+def _emit(args: argparse.Namespace, model_info: dict | None, columns: list[str], rows: list[list],
+          seed: int | None = None, rng: str | None = None) -> None:
     if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "model": model_info,
-            "seed": seed,
-            "rng": rng,
-            "columns": columns,
-            "rows": [[_json_cell(v) for v in row] for row in rows],
-        }
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "model": model_info,
+               "seed": seed, "rng": rng, "columns": columns, "rows": rows}
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
@@ -172,100 +141,111 @@ def _emit(
 # commands
 # ---------------------------------------------------------------------------
 
+#: name -> (summary, own arguments, own checks, takes the model, table function)
+_COMMANDS: dict[str, tuple] = {}
 
-def _cmd_cnot_table(args, parser) -> int:
-    model, info = _build_model(args, parser)
+
+def _command(name: str, summary: str, *arguments: tuple, checks: tuple = (), model: bool = True):
+    """Register a table function as the command ``name``: its own
+    ``arguments`` are (flags, options) pairs for ``add_argument``, and its
+    ``checks`` (fault, message) pairs, each a usage error when it holds."""
+    def register(table):
+        _COMMANDS[name] = (summary, arguments, checks, model, table)
+        return table
+    return register
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+@_command("cnot-table", "photon-spin gate matrix")
+def _cnot_table(args, model):
     mat = proto.cnot_gate_matrix(model)
-    rows = []
-    for j, col_label in enumerate(_GATE_LABELS):
-        for i, row_label in enumerate(_GATE_LABELS):
-            amp = mat[i, j]
-            rows.append(
-                [col_label, row_label, amp.real, amp.imag, abs(amp) ** 2]
-            )
-    _emit(args, "cnot-table", ["input", "output", "amp_re", "amp_im", "prob"],
-          rows, model_info=info)
-    return 0
+    rows = [
+        [col_label, row_label, mat[i, j].real, mat[i, j].imag, abs(mat[i, j]) ** 2]
+        for j, col_label in enumerate(_GATE_LABELS)
+        for i, row_label in enumerate(_GATE_LABELS)
+    ]
+    return ["input", "output", "amp_re", "amp_im", "prob"], rows
 
 
-def _cmd_bsa_table(args, parser) -> int:
-    model, info = _build_model(args, parser)
+@_command("bsa-table", "Bell-state analyzer outcome patterns")
+def _bsa_table(args, model):
     rows = []
-    for label in _BELL_LABELS:
-        bell = proto.BellState.from_label(label)
-        result = proto.bsa(bell.state((1, 2)), model)
+    for bell in proto.BellState:
+        result = proto.bsa(bell.state(), model)
         for rec in sorted(result.distribution, key=str):
             p1, p2 = rec.photon(1), rec.photon(2)
             rows.append([
-                label, rec.spin, p1.port, p1.pol, p2.port, p2.pol,
+                bell.value, rec.spin, p1.port, p1.pol, p2.port, p2.pol,
                 result.distribution[rec],
                 proto.classify_outcome(rec).value,
                 result.success_probability,
             ])
-    _emit(
-        args, "bsa-table",
-        ["input", "spin", "port_1", "pol_1", "port_2", "pol_2",
-         "probability", "classified_as", "heralded_weight"],
-        rows, model_info=info,
-    )
-    return 0
+    columns = ["input", "spin", "port_1", "pol_1", "port_2", "pol_2",
+               "probability", "classified_as", "heralded_weight"]
+    return columns, rows
 
 
-def _cmd_ghz(args, parser) -> int:
-    if args.photons < 1:
-        parser.error("--photons must be at least 1")
-    model, info = _build_model(args, parser)
-    results = proto.ghz(args.photons, model)
+@_command(
+    "ghz", "multi-photon entanglement figures",
+    _arg("-n", "--photons", type=int, default=3),
+    checks=((lambda args: args.photons < 1, "--photons must be at least 1"),),
+)
+def _ghz(args, model):
     rows = [
         [branch, args.photons, res.success_probability, res.fidelity]
-        for branch, res in sorted(results.items())
+        for branch, res in sorted(proto.ghz(args.photons, model).items())
     ]
-    _emit(args, "ghz", ["branch", "photons", "success_probability", "fidelity"],
-          rows, model_info=info)
-    return 0
+    return ["branch", "photons", "success_probability", "fidelity"], rows
 
 
-def _cmd_sweep_delta(args, parser) -> int:
-    if not 2 <= args.points <= MAX_POINTS:
-        parser.error(f"--points must be at least 2 and at most {MAX_POINTS}")
-    grid = np.linspace(args.min, args.max, args.points)
-    coeffs = [
-        scatter_coefficients(
-            CavityParams(delta_omega=float(d), delta=args.delta,
-                         kappa=args.kappa, g=args.g)
-        )
-        for d in grid
-    ]
-    finite = [abs(c.xi - 1.0) if c.xi is not None else np.inf for c in coeffs]
-    operating = int(np.argmin(finite))
+@_command(
+    "sweep-delta", "reflection/transmission vs detuning",
+    _arg("--kappa", type=_finite_float, default=1.0),
+    _arg("--g", type=_finite_float, default=0.5, help="emitter-cavity coupling"),
+    _arg("--delta", type=_finite_float, default=0.0, help="emitter-cavity offset"),
+    _arg("--min", type=_finite_float, default=-3.0, help="lowest photon detuning"),
+    _arg("--max", type=_finite_float, default=3.0, help="highest photon detuning"),
+    _arg("--points", type=int, default=61),
+    checks=((lambda args: not 2 <= args.points <= MAX_POINTS,
+             f"--points must be at least 2 and at most {MAX_POINTS}"),),
+    model=False,
+)
+def _sweep_delta(args, model):
     rows = []
-    for k, (d, c) in enumerate(zip(grid, coeffs)):
-        rows.append([
-            float(d),
-            None if c.xi is None else c.xi.real,
-            None if c.xi is None else c.xi.imag,
-            c.r.real, c.r.imag, c.t.real, c.t.imag,
-            abs(c.r) ** 2, abs(c.t) ** 2,
-            k == operating,
-        ])
-    _emit(
-        args, "sweep-delta",
-        ["delta_omega", "xi_re", "xi_im", "r_re", "r_im", "t_re", "t_im",
-         "reflect_prob", "transmit_prob", "operating_point"],
-        rows,
-    )
-    return 0
+    operating, least = 0, math.inf  # the first least |ξ − 1|, ∞ where ξ is undefined
+    for k, d in enumerate(np.linspace(args.min, args.max, args.points).tolist()):
+        c = scatter_coefficients(
+            CavityParams(delta_omega=d, delta=args.delta, kappa=args.kappa, g=args.g)
+        )
+        xi = (None, None) if c.xi is None else (c.xi.real, c.xi.imag)
+        rows.append([d, *xi, c.r.real, c.r.imag, c.t.real, c.t.imag,
+                     abs(c.r) ** 2, abs(c.t) ** 2, False])
+        gap = math.inf if c.xi is None else abs(c.xi - 1.0)
+        if gap < least:
+            operating, least = k, gap
+    rows[operating][-1] = True
+    columns = ["delta_omega", "xi_re", "xi_im", "r_re", "r_im", "t_re", "t_im",
+               "reflect_prob", "transmit_prob", "operating_point"]
+    return columns, rows
 
 
-def _cmd_run(args, parser) -> int:
-    if args.samples is not None and not 1 <= args.samples <= meas.MAX_SHOTS:
-        parser.error(f"--samples must be at least 1 and at most {meas.MAX_SHOTS}")
-    if args.seed is not None and args.seed < 0:
-        parser.error("--seed must be non-negative")
-    if args.samples is not None and args.seed is None:
-        parser.error("--samples needs an explicit --seed for reproducibility")
-    model, info = _build_model(args, parser)
-
+@_command(
+    "run", "compile and run a circuit file",
+    _arg("circuit", help=".qc file path or a bundled name (cnot, bsa)"),
+    _arg("--samples", type=int, metavar="N", help="also draw N detection samples"),
+    _arg("--seed", type=int, help="RNG seed for --samples"),
+    checks=(
+        (lambda args: args.samples is not None and not 1 <= args.samples <= meas.MAX_SHOTS,
+         f"--samples must be at least 1 and at most {meas.MAX_SHOTS}"),
+        (lambda args: args.seed is not None and args.seed < 0, "--seed must be non-negative"),
+        (lambda args: args.samples is not None and args.seed is None,
+         "--samples needs an explicit --seed for reproducibility"),
+    ),
+)
+def _run(args, model):
     path = pathlib.Path(args.circuit)
     # a directory of the same name does not hide a bundled circuit; a BOM is dropped
     if path.exists() and not path.is_dir():
@@ -282,15 +262,10 @@ def _cmd_run(args, parser) -> int:
     # every record in str order, its string formed once; the draw takes the same order
     outcomes = dist._rows()
     if args.samples is None:
-        rows = [[label, p] for label, _, p in outcomes]
-        _emit(args, "run", ["outcome", "probability"], rows, model_info=info)
-        return 0
-
+        return ["outcome", "probability"], [[label, p] for label, _, p in outcomes]
     counts = dist._draw(args.samples, args.seed, outcomes)
     rows = [[label, p, count] for (label, _, p), count in zip(outcomes, counts)]
-    _emit(args, "run", ["outcome", "probability", "count"], rows,
-          model_info=info, seed=args.seed, rng=meas.RNG_NAME)
-    return 0
+    return ["outcome", "probability", "count"], rows, args.seed, meas.RNG_NAME
 
 
 # ---------------------------------------------------------------------------
@@ -305,53 +280,33 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Desktop simulator for a cavity spin-photon interface.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cnot-table", help="photon-spin gate matrix")
-    _add_model_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_cnot_table)
-
-    p = sub.add_parser("bsa-table", help="Bell-state analyzer outcome patterns")
-    _add_model_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_bsa_table)
-
-    p = sub.add_parser("ghz", help="multi-photon entanglement figures")
-    p.add_argument("-n", "--photons", type=int, default=3)
-    _add_model_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_ghz)
-
-    p = sub.add_parser("sweep-delta", help="reflection/transmission vs detuning")
-    p.add_argument("--kappa", type=_finite_float, default=1.0)
-    p.add_argument("--g", type=_finite_float, default=0.5, help="emitter-cavity coupling")
-    p.add_argument("--delta", type=_finite_float, default=0.0, help="emitter-cavity offset")
-    p.add_argument("--min", type=_finite_float, default=-3.0, help="lowest photon detuning")
-    p.add_argument("--max", type=_finite_float, default=3.0, help="highest photon detuning")
-    p.add_argument("--points", type=int, default=61)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_sweep_delta)
-
-    p = sub.add_parser("run", help="compile and run a circuit file")
-    p.add_argument("circuit", help=".qc file path or a bundled name (cnot, bsa)")
-    p.add_argument("--samples", type=int, metavar="N",
-                   help="also draw N detection samples")
-    p.add_argument("--seed", type=int, help="RNG seed for --samples")
-    _add_model_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_run)
-
+    for name, (summary, arguments, checks, takes_model, table) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if takes_model:
+            _add_model_args(p)
+            checks += _MODEL_CHECKS
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", type=pathlib.Path, metavar="PATH",
+                       help="write to a file instead of stdout")
+        p.set_defaults(table=table, checks=checks, takes_model=takes_model)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
+    for fault, message in args.checks:
+        if fault(args):
+            parser.error(message)
     try:
-        return args.func(args, parser)
-    except (ParseError, CircuitError, FileNotFoundError, ValueError, OSError) as e:
+        model, info = _build_model(args) if args.takes_model else (None, None)
+        _emit(args, info, *args.table(args, model))
+    except (ParseError, CircuitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

@@ -86,10 +86,6 @@ class Component:
                 return p.value
         return default
 
-    @property
-    def in_place(self) -> bool:
-        return self.inputs == self.outputs and len(self.inputs) == 1
-
 
 @dataclasses.dataclass(frozen=True)
 class PhotonInput:

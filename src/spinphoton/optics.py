@@ -37,9 +37,8 @@ def element(
     The ops, with their ports ``at`` in order:
 
     * ``cpbs3`` (in, r_out, l_out) — three-port circular splitter: R to
-      ``r_out``, L to ``l_out``; bidirectional (swap-based), and an output
-      may coincide with the input port, where that polarization passes
-      straight through;
+      ``r_out``, L to ``l_out``, on three distinct ports; bidirectional
+      (swap-based);
     * ``cpbs4`` (in_a, in_b, out_a, out_b) — four-port circular splitter:
       R keeps rank (in[k] ↔ out[k]), L crosses;
     * ``bs`` (in_a, in_b, out_c, out_d) — symmetric 50:50 splitter,
@@ -54,15 +53,12 @@ def element(
       polarizations; φ must be finite.
     """
     if op == "cpbs3":
+        if len(set(at)) != 3:
+            raise ValueError("cpbs3 needs three distinct ports")
         in_path, r_out, l_out = at
-        if r_out == l_out:
-            raise ValueError("r_out and l_out must be distinct ports")
-        ins, outs = [], []
-        for pol, out in (("R", r_out), ("L", l_out)):
-            if out != in_path:
-                ins += [(pol, in_path), (pol, out)]
-                outs += [(pol, out), (pol, in_path)]
-        block = np.eye(len(ins), dtype=np.complex128)
+        ins = [("R", in_path), ("R", r_out), ("L", in_path), ("L", l_out)]
+        outs = [("R", r_out), ("R", in_path), ("L", l_out), ("L", in_path)]
+        block = np.eye(4, dtype=np.complex128)
     elif op == "cpbs4":
         if len(set(at)) != 4:
             raise ValueError("cpbs4 needs four distinct ports")

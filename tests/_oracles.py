@@ -753,16 +753,13 @@ def cpbs_operator(ports: Sequence[str], *, in_path: str, r_out: str, l_out: str)
     """Three-port circular polarizing splitter: R to ``r_out``, L to ``l_out``.
 
     Bidirectional (swap-based), so feeding the output ports routes back to
-    ``in_path``.  An output may coincide with the input port, in which case
-    that polarization passes straight through.
+    ``in_path``; the three ports must be distinct.
     """
-    if r_out == l_out:
-        raise ValueError("r_out and l_out must be distinct ports")
+    if len({in_path, r_out, l_out}) != 3:
+        raise ValueError("cpbs3 needs three distinct ports")
     mat = np.eye(2 * len(ports), dtype=np.complex128)
-    if r_out != in_path:
-        _swap(mat, _pol_path_index(ports, 0, in_path), _pol_path_index(ports, 0, r_out))
-    if l_out != in_path:
-        _swap(mat, _pol_path_index(ports, 1, in_path), _pol_path_index(ports, 1, l_out))
+    _swap(mat, _pol_path_index(ports, 0, in_path), _pol_path_index(ports, 0, r_out))
+    _swap(mat, _pol_path_index(ports, 1, in_path), _pol_path_index(ports, 1, l_out))
     return _read_only(mat)
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 from importlib import resources
 
@@ -440,6 +441,50 @@ class TestModelFlags:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err
+
+
+_MODEL_OPTIONS = ["--model", "--q-ratio-sq", "--purcell", "--alpha-mirror", "--alpha-scatter",
+                  "--alpha-radiation"]
+_OUTPUT_OPTIONS = ["--format", "--out"]
+
+
+class TestHelp:
+    OPTIONS = {
+        "cnot-table": [*_MODEL_OPTIONS, *_OUTPUT_OPTIONS],
+        "bsa-table": [*_MODEL_OPTIONS, *_OUTPUT_OPTIONS],
+        "ghz": ["-n", "--photons", *_MODEL_OPTIONS, *_OUTPUT_OPTIONS],
+        "sweep-delta": ["--kappa", "--g", "--delta", "--min", "--max", "--points",
+                        *_OUTPUT_OPTIONS],
+        "run": ["--samples", "--seed", *_MODEL_OPTIONS, *_OUTPUT_OPTIONS],
+    }
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_names_each_option(self, command, capsys):
+        code, out, err = _call([command, "--help"], capsys)
+        assert (code, err) == (0, "")
+        named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+        assert named == {"-h", "--help", *self.OPTIONS[command]}
+        if command == "run":
+            assert "\npositional arguments:\n  circuit " in out
+
+
+class TestFaultOrder:
+    """A command's own arguments are checked before the model is built."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ghz", "-n", "0", "--model", "lossy", "--q-ratio-sq", "2"],
+             "--photons must be at least 1"),
+            (["run", "cnot", "--samples", "0", "--seed", "1", "--alpha-mirror", "1"],
+             f"--samples must be at least 1 and at most {meas.MAX_SHOTS}"),
+        ],
+        ids=["ghz-photons", "run-samples"],
+    )
+    def test_the_command_argument_is_reported_not_the_model(self, argv, message, capsys):
+        code, out, err = _call(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\nspinphoton: error: {message}\n")
 
 
 class TestParserReuse:

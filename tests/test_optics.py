@@ -42,10 +42,12 @@ def test_cpbs_routes_by_handedness():
 
 
 def test_cpbs_pass_through_port():
-    # r_out may coincide with the input: R goes straight on
-    op = element("cpbs3", ("P", "P", "Q"))
-    out = apply(op, photon_state("R", "P"))
-    assert out.amplitude("R", "P") == 1.0
+    # an output on the input port, where that polarization would pass
+    # straight through, is refused as two equal outputs are: no plan uses it,
+    # and a circuit file reaches it only on a port that already carries light
+    for at in (("P", "P", "Q"), ("P", "Q", "P"), ("P", "Q", "Q")):
+        with pytest.raises(ValueError, match="^cpbs3 needs three distinct ports$"):
+            opt.element("cpbs3", at)
 
 
 def test_cpbs_is_bidirectional():
@@ -130,7 +132,6 @@ def test_phase_applies_to_both_polarizations():
 
 _STEPS = {
     "cpbs": ("cpbs3", ("P", "Q", "S"), 0.0),
-    "cpbs-pass-through": ("cpbs3", ("P", "P", "Q"), 0.0),
     "cpbs4": ("cpbs4", ("P", "T", "S", "Q"), 0.0),
     "bs": ("bs", ("P", "Q", "S", "T"), 0.0),
     "bs-inplace": ("bs", ("P", "Q", "P", "Q"), 0.0),
