@@ -259,19 +259,19 @@ class InteractionModel:
     )
 
     def __post_init__(self) -> None:
-        amps = (
-            self.coupled_reflect_amp,
-            self.coupled_transmit_amp,
-            self.uncoupled_transmit_amp,
-            self.uncoupled_reflect_amp,
-        )
-        for a in amps:
-            if not -_AMP_TOL <= a <= 1.0 + _AMP_TOL:
+        for field in dataclasses.fields(self)[:4]:
+            if not -_AMP_TOL <= (a := getattr(self, field.name)) <= 1.0 + _AMP_TOL:
                 raise ValueError(f"branch amplitude {a} outside [0, 1]")
-        if self.coupled_reflect_amp + self.coupled_transmit_amp > 1.0 + _AMP_TOL:
-            raise ValueError("coupled branch: reflect + transmit exceeds 1")
-        if self.uncoupled_reflect_amp + self.uncoupled_transmit_amp > 1.0 + _AMP_TOL:
-            raise ValueError("uncoupled branch: reflect + transmit exceeds 1")
+        branches = {
+            "coupled": (self.coupled_reflect_amp, self.coupled_transmit_amp),
+            "uncoupled": (self.uncoupled_reflect_amp, self.uncoupled_transmit_amp),
+        }
+        for name, (reflect, transmit) in branches.items():
+            if reflect + transmit > 1.0 + _AMP_TOL:
+                raise ValueError(f"{name} branch: reflect + transmit exceeds 1")
+        for branch in branches.values():  # each pass's own checks, so that every pass builds
+            _branch_loss_amp(*branch)
+            _pair_root(*branch)
 
     @property
     def is_lossless(self) -> bool:

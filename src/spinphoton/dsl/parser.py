@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import ast
 
@@ -88,7 +88,7 @@ class _Line:
             self.i += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None, kind: str = "Syntax"):
+    def error(self, message: str, tok: _Token | None = None, kind: str = "Syntax") -> NoReturn:
         tok = tok or self.peek()
         raise ParseError(kind, message, tok.line, tok.col)
 
@@ -253,7 +253,6 @@ def _parse_input(cur: _Line, declared: set) -> ast.PhotonInput | ast.SpinInput:
             pos=ast.Position(head.line, head.col),
         )
     cur.error("expected 'photon', 'photons', or 'spin'", what)
-    raise AssertionError  # unreachable
 
 
 def _parse_measure(cur: _Line, declared: set) -> ast.Measure:
@@ -287,7 +286,6 @@ def _parse_measure(cur: _Line, declared: set) -> ast.Measure:
             return ast.PolMeasure(photon=pid, basis=basis.text, pos=pos)
         cur.error("expected 'pol' or 'port'", which)
     cur.error("expected 'photon' or 'spin'", what)
-    raise AssertionError  # unreachable
 
 
 #: The parser of each statement, by its first word.

@@ -28,20 +28,23 @@ its schedule as the same data.  Photons meet only through the spin, and no
 pass flips it, so a photon's whole trip is two linear maps on the photon,
 one per spin: the spin blocks, composed on a plain array, once per model,
 on their entry ports.  Every step is a small block on the few modes it
-touches.  What no model changes is the plan's frame, built once per
-process: the entry columns taken through the optics before the first
-cavity pass, each pass's modes, and the optics after each pass folded
-into one matrix; a model builds only each pass's block.
-:func:`run_photons` applies the blocks once per photon.  The model keeps
-them, so a caller that holds one model pays for each plan once.  Each
-protocol writes its result once, into the array that the returned state
-keeps without a copy.  Only this module gives a photon its entry port,
-its path register and, under loss, its Alive/Lost flag, and only it maps
-a photon's (pol, port[, flag]) modes to the rows of its axis.  Each
-protocol reads one cut of its plan's blocks, the rows that leave Alive on
-its exit ports, cut after the passes, once per model, and kept on the model
-as the blocks are.  The gate, :func:`cnot_gate_matrix`, and the stream read
-their 2×2 blocks off the ("D",) cut of :data:`CNOT_PLAN`.  The spin
+touches.  A photon meets the one cavity at most once, so the blocks are
+affine in the model's block Y of that pass: K[s] = fixed[s] + after[s] ·
+Y · before[s].  What no model changes is the plan's frame, built once per
+process: the optics before the pass on its input rows, the optics after
+it from its output rows, and the rest of the plan; a model builds only Y
+and one product for both spins.  A plan that passes the cavity twice is
+refused.  :func:`run_photons` applies the blocks once per photon.  The
+model keeps them, so a caller that holds one model pays for each plan
+once.  Each protocol writes its result once, into the array that the
+returned state keeps without a copy.  Only this module gives a photon its
+entry port, its path register and, under loss, its Alive/Lost flag, and
+only it maps a photon's (pol, port[, flag]) modes to the rows of its
+axis.  Each protocol reads one cut of its plan's blocks, the rows that
+leave Alive on its exit ports, once per model, and kept on the model as
+the blocks are; the frame holds only the cut's rows, and each equals the
+full blocks' row to the bit.  The gate, :func:`cnot_gate_matrix`, and the
+stream read their 2×2 blocks off the ("D",) cut of :data:`CNOT_PLAN`.  The spin
 preparation applies the ("Refl", "Trans") cut to its spin amplitudes and
 builds only the two spin states it returns.  The analyzer runs its two
 photons through the ("C", "D") cut alone (pol′ × C/D, Alive), detects the
@@ -224,52 +227,52 @@ def _frame(
     exits: tuple[str, ...] | None = None,
 ) -> tuple:
     """The part of a plan's spin blocks that no model changes, built once per
-    process: the identity's entry columns on out = (p′, path′[, flag′]), as
-    [s, out, (p, entry)] with p Alive on its entry port, taken through the
-    optics before the first cavity pass; and for each pass, in plan order,
-    its op, the rows of its modes in out for both spins, outs then ins, and
-    the optics from it to the next pass folded into one matrix on out.
-    With ``exits``, a third entry: the rows of out that reach those ports
-    Alive, p′ major.  Each optical element is one small block on the
-    (pol, path) rows it touches, the same for either flag.  Every array is
-    read-only."""
+    process, as ``(op, fixed, after, before)``: the blocks of spin s are
+    K[s] = fixed[s] + after[s] · Y · before[s], for the block Y of the
+    plan's one cavity pass, op, on columns (p, entry), p Alive on its entry
+    port.  ``before[s]`` is the identity's entry columns on out =
+    (p′, path′[, flag′]) taken through the optics before the pass, on spin
+    s's ``ins`` rows of it; ``after[s]`` is the optics after the pass, from
+    spin s's ``outs`` rows; and ``fixed[s]`` is the plan with the pass
+    taken as the identity, less the part of it that the pass replaces.  With
+    ``exits``, ``after`` and ``fixed`` hold only the rows of out that reach
+    those ports Alive, p′ major.  A plan with no pass has op None and its
+    whole blocks in ``fixed``; one that passes the cavity twice is refused
+    before anything is built.  Each optical element is one small block on
+    the (pol, path) rows it touches, the same for either flag.  Every array
+    is read-only."""
+    passes = [step for step in plan if step[0] in _CAVITY_OPS]
+    if len(passes) > 1:
+        raise ValueError(f"a photon passes the cavity at most once, not {len(passes)} times")
     optical = {
         step: opt.element(*step) for step in dict.fromkeys(plan) if step[0] not in _CAVITY_OPS
     }
-    flags = 2 if lossy else 1
-    out_dim = 2 * len(ports) * flags
-    entries = [(p, port) for p in qs.RL for port in in_ports]
-    columns = np.zeros((2 * len(ports), flags, len(entries)), dtype=np.complex128)
+    out_dim = 2 * len(ports) * (1 + lossy)
+    entries = [(p, port) for p in qs.RL for port in in_ports]  # the columns, (p, entry)
+    columns = np.zeros((2 * len(ports), 1 + lossy, len(entries)), dtype=np.complex128)
     columns[_mode_rows(ports, entries), 0, range(len(entries))] = 1.0
     # the optics act on the last of these, each viewed as [(p′, path′), (flag′, col)]
     stages = [columns.reshape(2 * len(ports), -1)]
-    passes = []
     for step in plan:
-        op, at, _ = step
-        if op in _CAVITY_OPS:
-            outs, ins = (
-                np.array([_mode_rows(ports, modes) for modes in side])
-                for side in zip(*cav.pass_modes(op, at, lossy))
-            )
-            passes.append((op, outs, ins))
+        if step[0] in _CAVITY_OPS:
             stages.append(np.eye(out_dim, dtype=np.complex128).reshape(2 * len(ports), -1))
         else:
             block, outs, ins = optical[step]
-            last = stages[-1]
-            last[_mode_rows(ports, outs)] = block @ last[_mode_rows(ports, ins)]
-    columns, *after = (stage.reshape(out_dim, -1) for stage in stages)
-    columns = np.stack((columns, columns))  # the same for both spins
+            stages[-1][_mode_rows(ports, outs)] = block @ stages[-1][_mode_rows(ports, ins)]
+    before, *after = (stage.reshape(out_dim, -1) for stage in stages)
     exit_modes = [(p, port, *("Alive",) * lossy) for p in qs.RL for port in exits or ()]
-    cut = np.array(_mode_rows(ports, exit_modes), dtype=np.intp)
-    for array in (columns, cut, *after, *(rows for pass_ in passes for rows in pass_[1:])):
+    cut = slice(None) if exits is None else _mode_rows(ports, exit_modes)
+    if not passes:  # the same for both spins, as a read-only view
+        return None, np.broadcast_to(before[cut], (2, *before[cut].shape)), None, None
+    ((op, at, _),) = passes
+    modes = zip(*cav.pass_modes(op, at, lossy))  # outs, then ins, each per spin
+    outs, ins = (np.array([_mode_rows(ports, side) for side in spins]) for spins in modes)
+    (fold,) = after  # the optics after the pass, on out
+    after = np.ascontiguousarray(fold[:, outs].transpose(1, 0, 2)[:, cut])  # [s, out, outs]
+    frame = op, (fold @ before)[cut] - after @ before[outs], after, before[ins]
+    for array in frame[1:]:
         array.flags.writeable = False
-    frame = columns, tuple((*pass_, fold) for pass_, fold in zip(passes, after))
-    return frame if exits is None else (*frame, cut)
-
-
-#: The spin index that batches a pass's rows, one row of them per spin.
-_SPINS = np.array([[0], [1]])
-_SPINS.flags.writeable = False
+    return frame
 
 
 def _spin_blocks(
@@ -289,15 +292,15 @@ def _spin_blocks(
 
     The flag axis is there exactly when the model is lossy and the plan
     passes the cavity.  The model-free part is the plan's frame, built once
-    per process (:func:`_frame`), with the cut's rows; per cavity pass a
-    model builds only its block, :func:`~spinphoton.cavity.pass_block`,
-    applies it to the pass's rows for both spins at once and then the
-    optics up to the next pass as one matrix.  The cut is taken after that
-    product, so it holds the full blocks' values to the bit.  The blocks
-    are built once per model, on their entry ports and exits, and kept on
-    the model read-only under ``(plan, ports, in_ports, exits)``.  An
-    unknown entry or exit port is refused before anything is built, and
-    so never enters the memo; a kept key costs one dict lookup.
+    per process (:func:`_frame`), already cut to the exits; a model builds
+    only the block Y of the plan's one cavity pass,
+    :func:`~spinphoton.cavity.pass_block`, and adds after · Y · before to
+    the frame's fixed part, one product for both spins at once.  The
+    blocks are built once per model, on their entry ports and exits, and
+    kept on the model read-only under ``(plan, ports, in_ports, exits)``.
+    An unknown entry or exit port, and a plan that passes the cavity twice,
+    are refused before anything is built, and so never enter the memo; a
+    kept key costs one dict lookup.
     """
     key = (tuple(plan), tuple(ports), tuple(in_ports), exits)
     if (blocks := model._channels.get(key)) is not None:
@@ -308,12 +311,8 @@ def _spin_blocks(
             if port not in ports:
                 raise ValueError(f"{side} port {port!r} is not one of the ports {ports}")
     lossy = not model.is_lossless and any(step[0] in _CAVITY_OPS for step in plan)
-    blocks, passes, *cut = _frame(plan, ports, in_ports, lossy, exits)  # [s, out, (p, entry)]
-    for op, outs, ins, after in passes:
-        blocks = blocks.copy()
-        blocks[_SPINS, outs] = cav.pass_block(model, op) @ blocks[_SPINS, ins]
-        blocks = after @ blocks
-    blocks = blocks[:, cut[0]] if cut else blocks  # with exits, only their Alive rows
+    op, fixed, after, before = _frame(plan, ports, in_ports, lossy, exits)  # [s, out, (p, entry)]
+    blocks = fixed if op is None else fixed + after @ (cav.pass_block(model, op) @ before)
     blocks = blocks.reshape(2, blocks.shape[1], 2, len(in_ports))
     blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
     blocks.flags.writeable = False
@@ -370,7 +369,8 @@ def run_photons(
     last pass's array.
     The result orders registers (spin, pol, path[, flag]) per photon; with
     no photons it is the spin state times ``pols``' one amplitude.  An entry
-    port outside ``ports`` is refused before any work, and a result over
+    port outside ``ports`` and a plan that passes the cavity more than once
+    are refused before any work, and a result over
     :data:`~spinphoton.qstate.MAX_AMPLITUDES` before the first pass.
     """
     pols = np.asarray(pols, dtype=np.complex128)

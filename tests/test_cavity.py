@@ -205,6 +205,36 @@ def test_from_contrast_reduces_to_ideal_in_the_perfect_limit():
 def test_overcomplete_branch_rejected():
     with pytest.raises(ValueError, match="exceeds 1"):
         cav.InteractionModel(0.9, 0.3, 1.0, 0.0)
+    with pytest.raises(ValueError, match="^uncoupled branch: reflect \\+ transmit exceeds 1$"):
+        cav.InteractionModel(1.0, 0.0, 0.8, 0.3)
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        (1 + 1e-9, 0.0, 1.0, 0.0),
+        (1.0, 0.0, 1 + 1e-9, 0.0),
+        (0.5 + 5e-10, 0.5 + 5e-10, 1.0, 0.0),
+        (1.0, 0.0, 0.6, 0.4 + 1e-9),
+        (1 + 1e-9, -1e-9, 1.0, 0.0),
+    ],
+    ids=repr,
+)
+def test_a_model_that_no_pass_can_build_is_refused(amps):
+    # within the tolerance of the amplitude and sum checks, but a branch's
+    # loss deficit, or one of its pair's eigen-deficits, is below it: the
+    # constructor runs the passes' own checks, with their messages
+    with pytest.raises(ValueError, match="^(branch amplitudes over-complete|loss completion)"):
+        cav.InteractionModel(*amps)
+
+
+@pytest.mark.parametrize("q_ratio_sq", [1.0, 1 - 1e-16, 0.5, 1e-12])
+@pytest.mark.parametrize("purcell", [0.0, 1e-12, 3.0, 1e300])
+def test_from_contrast_models_build_every_pass(q_ratio_sq, purcell):
+    # r + t = 1 up to rounding on both branches
+    model = cav.InteractionModel.from_contrast(cav.ContrastParams(q_ratio_sq, purcell))
+    for op in ("scatter", "loop_cavity"):
+        assert np.isfinite(cav.pass_block(model, op)).all()
 
 
 def test_interpolation_endpoints_and_midpoint():
@@ -568,3 +598,42 @@ def test_pass_block_equals_the_block_written_from_lists(op):
         block = cav.pass_block(model, op)
         assert block.dtype == np.complex128
         assert np.array_equal(block, pass_block_from_lists(model, op))
+
+
+# ---------------------------------------------------------------------------
+# refusals at the API boundary
+# ---------------------------------------------------------------------------
+
+
+def test_coupling_must_be_non_negative():
+    with pytest.raises(ValueError, match="^g must be non-negative$"):
+        cav.CavityParams(delta_omega=0.0, delta=0.0, kappa=1.0, g=-0.1)
+
+
+@pytest.mark.parametrize("q_ratio_sq", [0.0, 1.5])
+def test_quality_ratio_must_lie_in_the_unit_interval(q_ratio_sq):
+    with pytest.raises(ValueError, match=r"^q_ratio_sq must lie in \(0, 1\]$"):
+        cav.ContrastParams(q_ratio_sq, 3.0)
+
+
+def test_purcell_factor_must_be_non_negative():
+    with pytest.raises(ValueError, match="^purcell must be non-negative$"):
+        cav.ContrastParams(0.5, -1.0)
+
+
+@pytest.mark.parametrize("amps", [(1.5, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, -0.1)])
+def test_branch_amplitude_outside_the_unit_interval_is_refused(amps):
+    with pytest.raises(ValueError, match=r"^branch amplitude -?[0-9.]+ outside \[0, 1\]$"):
+        cav.InteractionModel(*amps)
+
+
+def test_coupled_polarization_refuses_an_unknown_direction_or_spin():
+    with pytest.raises(ValueError, match="^arrive_from must be 'below' or 'above', got 'left'$"):
+        cav.coupled_polarization("left", "Up")
+    with pytest.raises(ValueError, match="^spin basis state must be Up or Down, got 'Plus'$"):
+        cav.coupled_polarization("below", "Plus")
+
+
+def test_scatter_needs_three_distinct_ports():
+    with pytest.raises(ValueError, match="^in/reflect/transmit ports must be three distinct names$"):
+        cav.pass_modes("scatter", ("A", "A", "B"), False)

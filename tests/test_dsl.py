@@ -3,9 +3,10 @@
 The files under ``tests/data/valid`` all parse *and* compile; the files under
 ``tests/data/malformed`` each carry a first-line annotation
 
-    # expect: <line>:<col> <Lex|Syntax|Semantic>
+    # expect: <line>:<col> <Lex|Syntax|Semantic>[ <reason>]
 
-frozen to the exact position the parser must report.
+frozen to the exact position the parser must report, and, where the line
+goes on past the kind, to the reason it gives.
 """
 
 import json
@@ -115,13 +116,15 @@ class TestMalformed:
     @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
     def test_position_and_kind(self, path):
         text = path.read_text()
-        m = re.match(r"# expect: (\d+):(\d+) (Lex|Syntax|Semantic)", text)
+        m = re.match(r"# expect: (\d+):(\d+) (Lex|Syntax|Semantic)(?: ([^\r\n]+))?", text)
         assert m, f"{path.name} lacks an expect annotation"
-        line, col, kind = int(m.group(1)), int(m.group(2)), m.group(3)
+        line, col, kind, reason = int(m.group(1)), int(m.group(2)), m.group(3), m.group(4)
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.col, err.value.kind) == (line, col, kind)
         assert str(err.value).startswith(f"{line}:{col}: {kind}:")
+        if reason is not None:
+            assert err.value.reason == reason
 
 
 def _random_circuit(rng: np.random.Generator) -> ast.Circuit:
@@ -176,6 +179,11 @@ def _random_circuit(rng: np.random.Generator) -> ast.Circuit:
     if rng.random() < 0.4:
         measures.append(ast.SpinMeasure(basis=pick(ast.SPIN_BASES)))
     return ast.Circuit(components=tuple(comps), inputs=tuple(inputs), measures=tuple(measures))
+
+
+def test_unknown_bundled_circuit_is_refused():
+    with pytest.raises(KeyError, match="no bundled circuit 'nosuch'; have bsa, cnot"):
+        circuits.load("nosuch")
 
 
 class TestRoundTrip:

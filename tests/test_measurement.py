@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphoton import measurement as meas
+from spinphoton import protocols as proto
 from spinphoton import qstate as qs
 
 from _oracles import outcomes_by_entry, total_variation
@@ -338,3 +340,39 @@ def test_distribution_from_pairs_matches_the_constructor():
     paired = meas.Distribution._from_pairs(records, probs)
     built = meas.Distribution(dict(zip(records, probs)))
     assert list(paired.items()) == list(built.items()) == [(records[0], 0.5), (records[2], 0.25)]
+
+
+def test_record_refuses_a_photon_it_lacks():
+    with pytest.raises(KeyError, match="no photon 3 in record"):
+        _click().photon(3)
+
+
+_LOAD_DISTRIBUTION = """
+import pickle, sys
+from spinphoton import protocols as proto
+with open(sys.argv[1], "rb") as f:
+    loaded = pickle.load(f)
+fresh = proto.bsa(proto.BellState.PHI_MINUS.state((2, 5))).distribution
+assert list(loaded.items()) == list(fresh.items())
+for record in fresh:
+    (key,) = [k for k in loaded if k == record]
+    assert hash(key) == hash(record) and loaded[record] == fresh[key]
+    assert all(hash(a) == hash(b) for (_, a), (_, b) in zip(key.photons, record.photons))
+print("found", len(fresh))
+"""
+
+
+def test_a_pickled_distribution_is_found_under_other_hash_seeds(tmp_path):
+    # pickled here, so each record is reduced to its fields in this process;
+    # loaded under two seeds, of which at least one is not this process's
+    dist = proto.bsa(proto.BellState.PHI_MINUS.state((2, 5))).distribution
+    path = tmp_path / "distribution.pickle"
+    path.write_bytes(pickle.dumps(dist))
+    src = pathlib.Path(meas.__file__).resolve().parent.parent
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", _LOAD_DISTRIBUTION, str(path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        assert out == f"found {len(dist)}\n"

@@ -212,3 +212,8 @@ def test_hwp_refuses_an_angle_whose_double_is_not_finite(theta):
 def test_phase_refuses_a_non_finite_angle(phi):
     with pytest.raises(ValueError, match="phi"):
         opt.element("phase", ("P",), phi)
+
+
+def test_unknown_step_is_refused():
+    with pytest.raises(ValueError, match="^unknown plan step 'prism'$"):
+        opt.element("prism", ("P",), 0.0)

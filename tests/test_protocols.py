@@ -1274,9 +1274,9 @@ def test_frames_are_kept_read_only(name, lossy):
     entries = (ports[0], ports[-1])
     frame = proto._frame(tuple(plan), tuple(ports), entries, lossy)
     assert proto._frame(tuple(plan), tuple(ports), entries, lossy) is frame
-    columns, passes = frame
-    assert [op for op, *_ in passes] == [step[0] for step in _steps(plan, cavity=True)]
-    for array in (columns, *(array for _, *arrays in passes for array in arrays)):
+    op, *arrays = frame
+    assert [op] == [step[0] for step in _steps(plan, cavity=True)]
+    for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
@@ -1328,6 +1328,23 @@ def test_unknown_entry_port_is_refused_before_any_work(monkeypatch):
             (1.0, 0.0), [1.0, 0.0, 0.0, 0.0], (1, 2), ("In", "Out"),
             proto.BSA_PLAN, model, proto.BSA_PATHS,
         )
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+def test_a_second_cavity_pass_is_refused_before_any_work(lossy, lossy_model, monkeypatch):
+    # a photon meets the one cavity once: a plan that scatters it again, after
+    # a fold mirror, is refused before any element or block is built
+    twice = proto.BSA_PLAN[:2] + (("scatter", ("Trans", "In", "Refl"), 0.0),)
+    model = dataclasses.replace(lossy_model if lossy else cav.InteractionModel.ideal())
+    _refuse_builds(monkeypatch)
+    refused = "^a photon passes the cavity at most once, not 2 times$"
+    with pytest.raises(ValueError, match=refused):
+        proto._spin_blocks(twice, model, proto.BSA_PATHS, ("In",))
+    with pytest.raises(ValueError, match=refused):
+        proto._spin_blocks(twice, model, proto.BSA_PATHS, ("In",), ("C", "D"))
+    with pytest.raises(ValueError, match=refused):
+        proto.run_photons((1.0, 0.0), [1.0, 0.0], (1,), ("In",), twice, model, proto.BSA_PATHS)
+    assert model._channels == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1513,3 +1530,39 @@ def test_a_loss_point_that_reads_no_analyzer_state_checks_nine_states(monkeypatc
     monkeypatch.setattr(qs.StateVector, "_check", counting_check)
     _loss_point(cav.InteractionModel.from_contrast(cav.ContrastParams(0.8, 6.0)))
     assert len(checked) == 9
+
+
+# ---------------------------------------------------------------------------
+# refusals at the API boundary
+# ---------------------------------------------------------------------------
+
+
+def test_ghz_needs_a_photon():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        proto.ghz(0)
+
+
+@pytest.mark.parametrize(
+    "pols, in_ports",
+    [([1.0, 0.0], ("In", "In")), ([1.0, 0.0, 0.0, 0.0], ("In",))],
+    ids=["pols of one photon", "one entry port short"],
+)
+def test_run_photons_needs_one_axis_and_one_entry_per_photon(pols, in_ports):
+    with pytest.raises(ValueError, match="^need one R/L axis and one entry port per photon$"):
+        proto.run_photons(
+            (1.0, 0.0), pols, (1, 2), in_ports, proto.BSA_PLAN, cav.InteractionModel.ideal(),
+            proto.BSA_PATHS,
+        )
+
+
+@pytest.mark.parametrize("spin", [None, "Up"])
+def test_classification_needs_a_spin_plus_minus_result(spin):
+    click = meas.PhotonOutcome(port="C", pol="H")
+    record = meas.OutcomeRecord(photons=((1, click), (2, click)), spin=spin)
+    with pytest.raises(ValueError, match="^classification needs two photon records"):
+        proto.classify_outcome(record)
+
+
+def test_unknown_bell_label_is_refused():
+    with pytest.raises(ValueError, match="^unknown Bell state 'chi\\+'$"):
+        proto.BellState.from_label("chi+")

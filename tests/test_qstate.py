@@ -323,3 +323,24 @@ def test_format_state_readable():
     s = qs.StateVector((qs.polarization(1), qs.spin()), np.array([SQ, 0, 0, -SQ]))
     text = qs.format_state(s)
     assert "|R,Up⟩" in text and "|L,Down⟩" in text
+
+
+def test_register_lookups_refuse_what_the_state_lacks():
+    state = qs.StateVector((qs.polarization(1), qs.spin()), [1.0, 0.0, 0.0, 0.0])
+    missing = (qs.RegisterKind.POLARIZATION, 2)
+    with pytest.raises(KeyError, match="no register"):
+        state.register(missing)
+    with pytest.raises(KeyError, match="no register"):
+        state.axis(qs.polarization(2))
+    with pytest.raises(ValueError, match="^need 2 names, got 1$"):
+        state.amplitude("R")
+
+
+def test_fidelity_refuses_other_registers_and_zero_states():
+    one = qs.StateVector((qs.polarization(1),), [1.0, 0.0])
+    other = qs.StateVector((qs.polarization(2),), [1.0, 0.0])
+    zero = qs.StateVector((qs.polarization(1),), [0.0, 0.0])
+    with pytest.raises(ValueError, match="^fidelity requires identical register lists$"):
+        qs.fidelity(one, other)
+    with pytest.raises(ValueError, match="^fidelity undefined for zero states$"):
+        qs.fidelity(one, zero)
